@@ -1,15 +1,11 @@
-"""Modular prescreen kernels for the rational point search.
+"""Modular prescreen kernel for the rational point search.
 
 The search tests whether N = sum_k c_k p^k q^(d-k) (times q for odd degree)
 is a perfect square.  Almost all candidates fail already modulo
 M = 63 * 64 * 65 = 262080, whose square residues make up ~3.5% of classes,
-so the hot loop only does modular Horner evaluation against a residue table.
-
-Two implementations are provided: a numba-compiled one and a pure-numpy one.
-Selection: numba if importable and GFE_DISABLE_NUMBA is unset.
+so the hot loop only does modular Horner evaluation, vectorized with numpy,
+against a residue table.
 """
-
-import os
 
 import numpy as np
 
@@ -26,61 +22,24 @@ def _square_table(mod):
 _SQ = _square_table(MODULUS)
 
 
-def prescreen_numpy(coeffs_mod, ps, qs, odd):
-    """Boolean mask: candidate (p, q) pairs whose square test survives mod M."""
-    mod = MODULUS
-    acc = np.full(ps.shape, coeffs_mod[-1], dtype=np.int64)
-    qpow = np.ones_like(ps)
-    for k in range(len(coeffs_mod) - 2, -1, -1):
-        qpow = (qpow * qs) % mod
-        acc = (acc * ps + coeffs_mod[k] * qpow) % mod
-    if odd:
-        acc = (acc * qs) % mod
-    return _SQ[acc]
-
-
-try:
-    from numba import njit
-
-    @njit(cache=True)
-    def _prescreen_jit(coeffs_mod, ps, qs, odd, sq, out):  # pragma: no cover
-        mod = MODULUS
-        n = ps.shape[0]
-        deg = coeffs_mod.shape[0] - 1
-        for i in range(n):
-            p = ps[i] % mod
-            q = qs[i] % mod
-            acc = coeffs_mod[deg]
-            qpow = 1
-            for k in range(deg - 1, -1, -1):
-                qpow = (qpow * q) % mod
-                acc = (acc * p + coeffs_mod[k] * qpow) % mod
-            if odd:
-                acc = (acc * q) % mod
-            out[i] = sq[acc]
-
-    def prescreen_numba(coeffs_mod, ps, qs, odd):
-        out = np.zeros(ps.shape[0], dtype=np.bool_)
-        _prescreen_jit(coeffs_mod, ps, qs, odd, _SQ, out)
-        return out
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover
-    prescreen_numba = None
-    _HAVE_NUMBA = False
-
-
 def active_backend():
-    if _HAVE_NUMBA and not os.environ.get("GFE_DISABLE_NUMBA"):
-        return "numba"
+    """Name of the prescreen implementation."""
     return "numpy"
 
 
 def prescreen(coeffs, ps, qs, odd):
-    """Entry point used by the search; coeffs are plain ints (ascending)."""
-    cm = np.array([c % MODULUS for c in coeffs], dtype=np.int64)
-    ps = np.asarray(ps, dtype=np.int64) % MODULUS
-    qs = np.asarray(qs, dtype=np.int64) % MODULUS
-    if active_backend() == "numba":
-        return prescreen_numba(cm, ps, qs, odd)
-    return prescreen_numpy(cm, ps, qs, odd)
+    """Boolean mask: candidate (p, q) pairs whose square test survives mod M.
+
+    coeffs are plain ints (ascending)."""
+    mod = MODULUS
+    cm = [c % mod for c in coeffs]
+    ps = np.asarray(ps, dtype=np.int64) % mod
+    qs = np.asarray(qs, dtype=np.int64) % mod
+    acc = np.full(ps.shape, cm[-1], dtype=np.int64)
+    qpow = np.ones_like(ps)
+    for k in range(len(cm) - 2, -1, -1):
+        qpow = (qpow * qs) % mod
+        acc = (acc * ps + cm[k] * qpow) % mod
+    if odd:
+        acc = (acc * qs) % mod
+    return _SQ[acc]

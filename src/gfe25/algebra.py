@@ -16,14 +16,12 @@ from importlib import resources
 import mpmath
 import sympy as sp
 
+from . import poly
+
 _X = sp.symbols("x")
 
 
 class ZeroInput(Exception):
-    pass
-
-
-class ShiftExhausted(Exception):
     pass
 
 
@@ -33,62 +31,6 @@ class PrecisionExhausted(Exception):
 
 class NonMaximalOrderWarning(UserWarning):
     pass
-
-
-# ---------------------------------------------------------------------------
-# exact univariate polynomial helpers over Fraction (ascending lists)
-
-def _ptrim(a):
-    while a and not a[-1]:
-        a.pop()
-    return a
-
-
-def _padd(a, b):
-    n = max(len(a), len(b))
-    return _ptrim([(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)
-                   for i in range(n)])
-
-
-def _pmul(a, b):
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return _ptrim(out)
-
-
-def _pdivmod(a, b):
-    a = [Fraction(x) for x in a]
-    q = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
-    inv = Fraction(1) / b[-1]
-    while len(a) >= len(b) and _ptrim(list(a)):
-        a = _ptrim(a)
-        if len(a) < len(b):
-            break
-        c = a[-1] * inv
-        d = len(a) - len(b)
-        q[d] = c
-        for i, y in enumerate(b):
-            a[i + d] -= c * y
-        a = _ptrim(a)
-    return _ptrim(q), a
-
-
-def _pgcdext(a, b):
-    """Extended gcd over Q[x]: returns (g, s, t) with s*a + t*b = g."""
-    r0, r1 = [Fraction(x) for x in a], [Fraction(x) for x in b]
-    s0, s1 = [Fraction(1)], []
-    t0, t1 = [], [Fraction(1)]
-    while _ptrim(list(r1)):
-        q, r = _pdivmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, _padd(s0, [-c for c in _pmul(q, s1)])
-        t0, t1 = t1, _padd(t0, [-c for c in _pmul(q, t1)])
-    return r0, s0, t0
 
 
 # ---------------------------------------------------------------------------
@@ -139,10 +81,6 @@ class NumberField:
     @property
     def sympy_poly(self):
         return sp.Poly(list(reversed(self.min_poly)), _X)
-
-    def is_irreducible(self):
-        _, facs = factor_q(self.min_poly)
-        return len(facs) == 1 and facs[0][1] == 1
 
     @lru_cache(maxsize=None)
     def discriminant(self):
@@ -220,14 +158,11 @@ class NFElement:
     def inverse(self):
         if not self:
             raise ZeroDivisionError("zero element")
-        m = [Fraction(c) for c in self.field.min_poly]
-        a = _ptrim([Fraction(c) for c in self.coords])
-        g, _s, t = _pgcdext(m, a)
+        g, _s, t = poly.gcdext(self.field.min_poly, self.coords)
         if len(g) != 1:
             raise ZeroDivisionError("element not invertible (reducible modulus?)")
-        inv = [c / g[0] for c in t]
-        _, rem = _pdivmod(inv, m)
-        return self.field.element(rem)
+        # deg t < deg min_poly, so t is already reduced
+        return self.field.element(t)
 
     def __truediv__(self, other):
         return self * self._coerce(other).inverse()
@@ -410,7 +345,7 @@ def factorization_type(i, field="Q"):
     h = edwards_triple(i).h
     coeffs = list(h.coeffs)         # ascending in u; h(x, 1) has these coeffs
     degrees = []
-    d = len(_ptrim([Fraction(c) for c in coeffs])) - 1
+    d = len(poly.trim(coeffs)) - 1
     degrees.extend([1] * (12 - d))  # linear factors at infinity
     if field == "Q":
         _, facs = factor_q(coeffs[:d + 1])
@@ -535,10 +470,6 @@ def _element_scan(fq):
                         yield fq.element([a, b, c])
 
 
-def fifth_power_class(x, fq):
-    return fq.fifth_power_class(x)
-
-
 @dataclass
 class ResidueSplit:
     field: NumberField
@@ -558,16 +489,7 @@ class ResidueSplit:
             if c.denominator % p == 0:
                 raise ValueError("denominator not invertible mod p")
             coeffs.append(c.numerator * pow(c.denominator, -1, p) % p)
-        # reduce the power-basis polynomial mod (p, g)
-        acc = list(coeffs)
-        f = len(g) - 1
-        for k in range(len(acc) - 1, f - 1, -1):
-            c = acc[k]
-            if c:
-                acc[k] = 0
-                for j2 in range(f):
-                    acc[k - f + j2] = (acc[k - f + j2] - c * g[j2]) % p
-        return fq.element(acc[:f])
+        return fq.element(poly.divmod_mod(coeffs, g, p)[1])
 
 
 def residue_split(K, p):
@@ -588,7 +510,9 @@ def residue_split(K, p):
         fields.append(Fq(p, monic))
         if e > 1:
             ramified = True
-    assert sum((len(f) - 1) * e for f, e in factors) == K.degree
+    if sum((len(f) - 1) * e for f, e in factors) != K.degree:
+        raise ArithmeticError(f"local factors mod {p} do not multiply up "
+                              f"to the degree of {K.label}")
     return ResidueSplit(K, p, factors, fields, ramified, index_risk)
 
 

@@ -16,6 +16,8 @@ from functools import lru_cache
 from importlib import resources
 from typing import Sequence
 
+from .poly import int_root
+
 
 class NonIntegralResult(Exception):
     """A division that must be exact left a remainder (corrupt input data)."""
@@ -404,16 +406,8 @@ class Reject:
 
 
 def integer_fifth_root(n: int):
-    """Exact fifth root of n, or None (sign-aware; 5 is odd)."""
-    if n == 0:
-        return 0
-    s = 1 if n > 0 else -1
-    m = abs(n)
-    r = round(m ** (1 / 5.0))
-    for cand in (r - 1, r, r + 1):
-        if cand >= 0 and cand**5 == m:
-            return s * cand
-    return None
+    """The integer z with z^5 = n, or None."""
+    return int_root(n, 5)
 
 
 def assemble_solution(i: int, u: int, v: int, sign: int):

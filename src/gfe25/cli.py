@@ -660,7 +660,6 @@ def _named_curves():
         "D1t": HyperellipticModel(D1T, "D1t"),
         "D2t": HyperellipticModel(D2T, "D2t"),
         "M4": HyperellipticModel(descent.gauss_family(4).F, "M4"),
-        "F4": HyperellipticModel(descent.gauss_family(4).F, "F4"),
         "D0": descent.sqrt5_family(0).D,
         "D-1": descent.sqrt5_family(-1).D,
         "D-2": descent.sqrt5_family(-2).D,
@@ -894,10 +893,7 @@ def _build_parser():
     p.add_argument("--depth", type=int, default=3)
     p.add_argument("--no-cache", action="store_true",
                    help="ignore and do not write cached stage reports")
-    p.add_argument("--json", action="store_true")
     p.add_argument("--md", action="store_true")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="reserved; stages currently run sequentially")
     p.set_defaults(func=cmd_run)
     return ap
 

@@ -32,7 +32,7 @@ from importlib import resources
 
 import sympy as sp
 
-from . import padic
+from . import padic, poly
 from .algebra import (
     NFElement,
     NonMaximalOrderWarning,
@@ -40,7 +40,7 @@ from .algebra import (
     coefficient_field,
     residue_split,
 )
-from .bforms import BinaryForm, binary_resultant, edwards_triple, integer_fifth_root
+from .bforms import BinaryForm, binary_resultant, edwards_triple, transform
 from .search import AffinePoint, HyperellipticModel, InfinitePoint
 
 
@@ -102,18 +102,6 @@ class KleinSplit:
     b11_observed: tuple  # ((B/11)^2, A*C), recorded, never asserted
 
 
-def _substitute(F, m00, m01, m10, m11):
-    """F(m00*s + m01*t, m10*s + m11*t) as a form in (s, t)."""
-    lu = BinaryForm(1, (m01, m00))
-    lv = BinaryForm(1, (m11, m10))
-    d = F.degree
-    out = BinaryForm(d, (Fraction(0),) * (d + 1))
-    for k, c in enumerate(F.coeffs):
-        if c:
-            out = out + (lu**k * lv ** (d - k)).scale(c)
-    return out
-
-
 def _linear_parts(linear):
     """(a, b) with linear = a*u + b*v."""
     return linear.coeffs[1], linear.coeffs[0]
@@ -128,7 +116,7 @@ def klein_split(h, root_pair, field=None):
     if det == 0:
         raise ValueError("root pair is degenerate")
     # coordinates (s, t) = (l1, l2); substitute the inverse map
-    ht = _substitute(h, b2 / det, -b1 / det, -a2 / det, a1 / det)
+    ht = transform(h, ((b2 / det, -b1 / det), (-a2 / det, a1 / det)))
     if ht.coeff(0) != 0 or ht.coeff(12) != 0:
         raise NoRationalRoots("designated linear forms do not divide h")
     for k in range(2, 11):
@@ -270,15 +258,6 @@ def _normalized_pair(u, v):
     return iu, iv
 
 
-def _fraction_fifth_root(x):
-    x = Fraction(x)
-    rn = integer_fifth_root(x.numerator)
-    rd = integer_fifth_root(x.denominator)
-    if rn is None or rd is None:
-        return None
-    return Fraction(rn, rd)
-
-
 def genus2_back_substitute(split, alpha, point):
     """(u, v) behind a point on one of the reduced curves, or None."""
     sides, B2 = _side_data(split, alpha)
@@ -290,7 +269,7 @@ def genus2_back_substitute(split, alpha, point):
         if Y * Y != X**5 + gamma:
             continue
         Yo = Y * T**5 / m**2
-        t = _fraction_fifth_root((Yo - B2) / (2 * lead))
+        t = poly.fraction_root((Yo - B2) / (2 * lead), 5)
         if t is None:
             return None  # the point does not lift
         an, bn = _linear_parts(t_num)
@@ -334,32 +313,11 @@ class GaussDescentData:
     resultant: int            # Res(H, conj H) as a rational integer
 
 
-def _poly_mul(a, b):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
-
-
 def _gauss_F(i):
     re_c, im_c, (g, al, be), _ = _GAUSS_TABLE[i]
     inner = [al * x + be * y for x, y in
              zip(list(_PHI1) + [0], _PSI1)]
-    return tuple(g * c for c in _poly_mul(inner, list(_PSI1)))
-
-
-def _poly_divmod_frac(num, den):
-    num = [Fraction(c) for c in num]
-    den = [Fraction(c) for c in den]
-    q = [Fraction(0)] * (len(num) - len(den) + 1)
-    for k in range(len(q) - 1, -1, -1):
-        q[k] = num[k + len(den) - 1] / den[-1]
-        if q[k]:
-            for j, d in enumerate(den):
-                num[k + j] -= q[k] * d
-    return q, num[:len(den) - 1]
+    return tuple(g * c for c in poly.mul(inner, _PSI1))
 
 
 def gauss_family(i):
@@ -372,8 +330,8 @@ def gauss_family(i):
     h = edwards_triple(i).h
     if h.coeff(12) == 0:
         raise IdentityFailure("h has a root at infinity; quartic split invalid")
-    quot, rem = _poly_divmod_frac(h.dehomogenize(), quartic.dehomogenize())
-    if any(rem):
+    quot, rem = poly.divmod(h.dehomogenize(), quartic.dehomogenize())
+    if rem:
         raise IdentityFailure(f"re^2 + im^2 does not divide h_{i}")
     octic = BinaryForm(8, tuple(quot))
     if quartic * octic != h:
@@ -587,16 +545,6 @@ _GCD_SCALINGS = (Fraction(1, 2), Fraction(-1, 2), Fraction(1), Fraction(-1),
                  Fraction(3, 2), Fraction(-3, 2), Fraction(3), Fraction(-3))
 
 
-def _fraction_square_root(x):
-    x = Fraction(x)
-    if x < 0:
-        return None
-    rn, rd = math.isqrt(x.numerator), math.isqrt(x.denominator)
-    if rn * rn != x.numerator or rd * rd != x.denominator:
-        return None
-    return Fraction(rn, rd)
-
-
 def sqrt5_conclude(points_by_j, d1_empty=False, d2_empty=False):
     """Turn the rational points of D_0, D_-1, D_-2 into coprime (u, v).
 
@@ -617,7 +565,7 @@ def sqrt5_conclude(points_by_j, d1_empty=False, d2_empty=False):
                 cands = [(lam * x.numerator, lam * x.denominator)
                          for lam in _GCD_SCALINGS]
             for a, b in cands:
-                s = _fraction_square_root(F.evaluate(a, b))
+                s = poly.fraction_root(F.evaluate(a, b), 2)
                 if s is None:
                     continue
                 val = s / 9
@@ -845,14 +793,10 @@ def _maximal_order_basis(rep):
     return B, B.inv()
 
 
-def _maximal_order_basis_inverse(rep):
-    return _maximal_order_basis(rep)[1]
-
-
 def _is_order_integral(elem, rep):
     if elem.is_integral:
         return True
-    v = _maximal_order_basis_inverse(rep) * sp.Matrix(
+    v = _maximal_order_basis(rep)[1] * sp.Matrix(
         [sp.Rational(c.numerator, c.denominator) for c in elem.coords])
     return all(q.q == 1 for q in v)
 
@@ -929,69 +873,25 @@ def verify_unit_data(rep, gens=None, cert_primes=None):
     return gens
 
 
-def _pol_mul(a, b, m):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % m
-    return out
-
-
-def _pol_divmod(a, b, m):
-    """(quotient, remainder) of a by monic b, coefficients mod m."""
-    a = [x % m for x in a]
-    db = len(b) - 1
-    q = [0] * max(1, len(a) - db)
-    for i in range(len(a) - 1, db - 1, -1):
-        c = a[i]
-        if c:
-            q[i - db] = c
-            for j in range(db + 1):
-                a[i - db + j] = (a[i - db + j] - c * b[j]) % m
-    return q, a[:db]
-
-
-def _pol_bezout(f, g, p):
-    """(a, b) with a*f + b*g = 1 over F_p for coprime f, g (ascending)."""
-    x = sp.Symbol("x")
-    F = sp.Poly(list(reversed(f)), x, modulus=p)
-    G = sp.Poly(list(reversed(g)), x, modulus=p)
-    a, b, h = F.gcdex(G)
-    if h.degree() != 0:
-        raise IndexRisk("local factors are not coprime")
-    inv = pow(int(h.all_coeffs()[0]), -1, p)
-    pa = [int(c) * inv % p for c in reversed(a.all_coeffs())] or [0]
-    pb = [int(c) * inv % p for c in reversed(b.all_coeffs())] or [0]
-    return pa, pb
-
-
 def _hensel_lift(T, g, p, k):
     """Monic factor of T mod p**k reducing to the monic factor g of T mod p."""
-    q, r = _pol_divmod(T, g, p)
+    c, r = poly.divmod_mod(T, g, p)
     if any(r):
         raise IndexRisk("factor does not divide mod p")
-    c = q
-    a, b = _pol_bezout(g, c, p)
-    G, C = [x % p for x in g], [x % p for x in c]
+    h, a, b = poly.gcdext_mod(g, c, p)
+    if h != [1]:
+        raise IndexRisk("local factors are not coprime")
+    G, C = g, c
     for m in range(1, k):
         pm, pm1 = p**m, p**(m + 1)
-        prod = _pol_mul(G, C, pm1)
-        E = [0] * len(T)
-        for idx in range(len(T)):
-            diff = (T[idx] - (prod[idx] if idx < len(prod) else 0)) % pm1
-            E[idx] = diff // pm
-        qq, dG = _pol_divmod(_pol_mul(b, E, p), g, p)
-        dC = [x % p for x in _pol_mul(a, E, p)]
-        qc = _pol_mul(qq, c, p)
-        size = max(len(dC), len(qc))
-        dC = [( (dC[idx] if idx < len(dC) else 0)
-               + (qc[idx] if idx < len(qc) else 0)) % p for idx in range(size)]
-        G = [(G[idx] if idx < len(G) else 0)
-             + pm * (dG[idx] if idx < len(dG) else 0) for idx in range(len(g))]
-        C = [(C[idx] if idx < len(C) else 0)
-             + pm * (dC[idx] if idx < len(dC) else 0)
-             for idx in range(max(len(C), len(dC)))]
+        # T = G*C + pm*E mod pm1, and a*g + b*c = 1 splits E = dC*g + dG*c
+        prod = poly.mul_mod(G, C, pm1)
+        E = [(t - x) % pm1 // pm for t, x in zip(T, prod)]
+        qq, dG = poly.divmod_mod(poly.mul_mod(b, E, p), g, p)
+        dC = poly.add(poly.mul_mod(a, E, p), poly.mul_mod(qq, c, p))
+        G = [x + pm * y for x, y in zip(G, dG + [0])]
+        C = [x + pm * (y % p)
+             for x, y in itertools.zip_longest(C, dC, fillvalue=0)]
     return [x % p**k for x in G]
 
 
@@ -1010,11 +910,8 @@ def _local_targets(split, rs, p, depth):
     lifted = [_hensel_lift(T, list(rs.factors[j][0]), p, depth) for j in slots]
 
     def red_coeff(c, j):
-        out = [0] * 6
-        for m, x in enumerate(c.coords):
-            out[m] = x.numerator * pow(x.denominator, -1, pk) % pk
-        _, r = _pol_divmod(out, lifted[j], pk)
-        return r
+        out = [x.numerator * pow(x.denominator, -1, pk) % pk for x in c.coords]
+        return poly.divmod_mod(out, lifted[j], pk)[1]
 
     hred = [[red_coeff(c, j) for j in slots] for c in split.H.coeffs]
 
@@ -1120,10 +1017,6 @@ def unit_sieve(i, unit_gens=None, primes=DEFAULT_SIEVE_PRIMES, use_mod25=True,
             return [x.numerator * pow(x.denominator, -1, 25) % 25
                     for x in e.coords]
 
-        def mul25(a, b):
-            _, r = _pol_divmod(_pol_mul(a, b, 25), T, 25)
-            return r + [0] * (6 - len(r))
-
         fifths = _fifth_powers_mod25(rep)
         pairs = [(u, 1) for u in range(25)] + [(1, 5 * t) for t in range(5)]
         hvals = [red25(split.H.evaluate(K.from_int(u), K.from_int(v)))
@@ -1132,7 +1025,7 @@ def unit_sieve(i, unit_gens=None, primes=DEFAULT_SIEVE_PRIMES, use_mod25=True,
         for e in survivors:
             eta = gens[0] ** e[0] * gens[1] ** e[1] * gens[2] ** e[2]
             inv25 = red25(eta.inverse())
-            if any(tuple(mul25(hv, inv25)) in fifths for hv in hvals):
+            if any(tuple(_mul25(hv, inv25, T)) in fifths for hv in hvals):
                 kept.add(e)
         survivors = kept
     return sorted(survivors)
@@ -1144,17 +1037,16 @@ def _fifth_powers_mod25(rep):
     need to run over O/5O."""
     K = coefficient_field(rep)
     T = [int(c) for c in K.min_poly]
-
-    def mul(a, b):
-        _, r = _pol_divmod(_pol_mul(a, b, 25), T, 25)
-        return r + [0] * (6 - len(r))
-
     out = set()
     for base in itertools.product(range(5), repeat=6):
-        w = list(base)
-        w2 = mul(w, w)
-        out.add(tuple(mul(mul(w2, w2), w)))
+        w2 = _mul25(base, base, T)
+        out.add(tuple(_mul25(_mul25(w2, w2, T), base, T)))
     return out
+
+
+def _mul25(a, b, T):
+    """a*b in Z[x]/(25, T) for monic T, as a residue vector."""
+    return poly.divmod_mod(poly.mul_mod(a, b, 25), T, 25)[1]
 
 
 def class_unit(rep, exponents):

@@ -290,15 +290,6 @@ def five_adic_classes(i, max_depth=None):
     return out
 
 
-def form_nonvanishing_mod(form, p, classes):
-    """True iff form(u, v) ≢ 0 mod p on every pair of every listed class."""
-    for cls in classes:
-        for (u, v) in cls.pair_mod(p):
-            if form.evaluate(u, v) % p == 0:
-                return False
-    return True
-
-
 def valuation_profile(form, p, classes, depth):
     """Set of attainable v_p(form(u,v)) on the classes, as (value, determined)
     pairs; undetermined entries are (cap, False) leaves at the depth cap."""
@@ -332,10 +323,6 @@ def expected_table5():
     text = resources.files("gfe25").joinpath("data/expected/expected_table5.json").read_text()
     raw = json.loads(text)
     return {int(i): {int(p): set(v) for p, v in row.items()} for i, row in raw.items()}
-
-
-def table5_rows():
-    return sorted(expected_table5())
 
 
 def verify_table5(i, p, max_depth=None):

@@ -1,0 +1,171 @@
+"""Exact univariate polynomial arithmetic and exact integer roots.
+
+A polynomial is a list of coefficients in ascending powers of x, and the zero
+polynomial is [].  Three kinds of arithmetic are provided:
+
+* over Q, on ints and Fractions: ring operations, division with remainder,
+  and the Euclidean and extended Euclidean algorithms (Cohen, "A Course in
+  Computational Algebraic Number Theory", 3.1-3.2); results carry no
+  trailing zeros;
+* modulo an integer m, on ints only: products, and division by a monic
+  polynomial whose remainder is a residue vector of exactly deg(divisor)
+  entries in [0, m); and the extended Euclidean algorithm over F_p, which
+  gives the Bezout identities behind Hensel lifting (Cohen, 3.5.3);
+* exact k-th roots of integers and Fractions.
+
+This module imports nothing from the package.
+"""
+
+from fractions import Fraction
+from itertools import zip_longest
+
+
+def trim(a):
+    """a as a new list without trailing zero coefficients."""
+    a = list(a)
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def add(a, b):
+    return trim([x + y for x, y in zip_longest(a, b, fillvalue=0)])
+
+
+def mul(a, b):
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return trim(out)
+
+
+def divmod(a, b):
+    """(q, r) with a == q*b + r and deg r < deg b, over Q."""
+    b = trim(b)
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    inv = Fraction(1) / b[-1]
+    db = len(b) - 1
+    r = list(a)
+    q = [0] * max(len(r) - db, 0)
+    for k in range(len(r) - 1, db - 1, -1):
+        c = r[k] * inv
+        if c:
+            q[k - db] = c
+            for j in range(db):
+                r[k - db + j] -= c * b[j]
+    return trim(q), trim(r[:db])
+
+
+def gcd(a, b):
+    """The monic gcd over Q, or [] when a and b are both zero."""
+    a, b = trim(a), trim(b)
+    while b:
+        a, b = b, divmod(a, b)[1]
+    return _scaled(a, Fraction(1) / a[-1]) if a else []
+
+
+def gcdext(a, b):
+    """(g, s, t) with s*a + t*b == g and g = gcd(a, b) monic, over Q."""
+    r0, r1 = trim(a), trim(b)
+    s0, s1, t0, t1 = [1], [], [], [1]
+    while r1:
+        q, r = divmod(r0, r1)
+        q = [-c for c in q]
+        r0, r1 = r1, r
+        s0, s1 = s1, add(s0, mul(q, s1))
+        t0, t1 = t1, add(t0, mul(q, t1))
+    if not r0:
+        return [], s0, t0
+    inv = Fraction(1) / r0[-1]
+    return _scaled(r0, inv), _scaled(s0, inv), _scaled(t0, inv)
+
+
+def _scaled(a, c):
+    return [x * c for x in a]
+
+
+# ---------------------------------------------------------------------------
+# modulo m (ints only)
+
+def mul_mod(a, b, m):
+    """a*b with every coefficient reduced into [0, m); len(a)+len(b)-1 entries."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return [c % m for c in out]
+
+
+def divmod_mod(a, b, m):
+    """(q, r) with a == q*b + r mod m, for b monic mod m.
+
+    r has exactly deg b entries and q at least one, all in [0, m)."""
+    db = len(b) - 1
+    r = list(a) + [0] * (db - len(a))
+    q = [0] * max(1, len(r) - db)
+    for k in range(len(r) - 1, db - 1, -1):
+        c = r[k] % m
+        if c:
+            q[k - db] = c
+            for j in range(db):
+                r[k - db + j] -= c * b[j]
+    return q, [c % m for c in r[:db]]
+
+
+def gcdext_mod(a, b, p):
+    """(g, s, t) with s*a + t*b == g mod p and g the monic gcd over F_p.
+
+    p must be prime.  Coefficients come back in [0, p), without trailing
+    zeros."""
+    r0, r1 = _reduced(a, p), _reduced(b, p)
+    s0, s1, t0, t1 = [1], [], [], [1]
+    while r1:
+        inv = pow(r1[-1], -1, p)
+        q, r = divmod_mod(r0, [c * inv for c in r1], p)
+        q = [-c * inv for c in q]
+        r0, r1 = r1, trim(r)
+        s0, s1 = s1, _reduced(add(s0, mul(q, s1)), p)
+        t0, t1 = t1, _reduced(add(t0, mul(q, t1)), p)
+    if not r0:
+        return [], s0, t0
+    inv = pow(r0[-1], -1, p)
+    return tuple(_reduced(_scaled(x, inv), p) for x in (r0, s0, t0))
+
+
+def _reduced(a, p):
+    return trim([c % p for c in a])
+
+
+# ---------------------------------------------------------------------------
+# exact roots
+
+def int_root(n, k):
+    """The integer r with r**k == n, or None (for odd k, n may be negative)."""
+    if n < 0:
+        r = int_root(-n, k) if k % 2 else None
+        return None if r is None else -r
+    if n < 2:
+        return n
+    # Newton's method from above converges to floor(n ** (1/k))
+    r = 1 << -(-n.bit_length() // k)
+    while True:
+        s = ((k - 1) * r + n // r ** (k - 1)) // k
+        if s >= r:
+            break
+        r = s
+    return r if r**k == n else None
+
+
+def fraction_root(x, k):
+    """The Fraction r with r**k == x, or None."""
+    x = Fraction(x)
+    num, den = int_root(x.numerator, k), int_root(x.denominator, k)
+    if num is None or den is None:
+        return None
+    return Fraction(num, den)

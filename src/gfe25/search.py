@@ -1,20 +1,12 @@
-"""Bounded-height rational point search on hyperelliptic models, Mumford
-membership checks, binary-quartic Jacobian invariants, and small-substitution
-form equivalence."""
+"""Bounded-height rational point search on hyperelliptic models, and Mumford
+membership checks on their Jacobians."""
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import _kernels
-from .bforms import BinaryForm, transform
+from . import _kernels, poly
 
-
-class DegenerateQuartic(Exception):
-    pass
-
-
-# ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class HyperellipticModel:
@@ -48,10 +40,8 @@ class HyperellipticModel:
         return acc
 
     def _squarefree(self):
-        c = [Fraction(k) for k in self.coeffs]
-        d = [Fraction(k * i) for i, k in enumerate(self.coeffs)][1:]
-        g = _poly_gcd(c, d)
-        return len(g) == 1
+        d = [k * i for i, k in enumerate(self.coeffs)][1:]
+        return len(poly.gcd(self.coeffs, d)) == 1
 
     def infinity_points(self):
         d = self.degree
@@ -79,55 +69,6 @@ class InfinitePoint:
 
     def __str__(self):
         return {0: "inf", 1: "inf+", -1: "inf-"}[self.sign]
-
-
-@dataclass(frozen=True)
-class MumfordDivisor:
-    a: tuple  # monic rational polynomial, ascending
-    b: tuple  # rational polynomial, deg < deg a
-
-    def __post_init__(self):
-        if self.a[-1] != 1:
-            raise ValueError("a must be monic")
-
-
-# ---------------------------------------------------------------------------
-# exact polynomial helpers over Fraction (ascending lists)
-
-def _ptrim(a):
-    a = list(a)
-    while a and not a[-1]:
-        a.pop()
-    return a
-
-
-def _pmod(a, b):
-    a = [Fraction(x) for x in a]
-    b = _ptrim([Fraction(x) for x in b])
-    inv = Fraction(1) / b[-1]
-    a = _ptrim(a)
-    while len(a) >= len(b):
-        c = a[-1] * inv
-        d = len(a) - len(b)
-        for i, y in enumerate(b):
-            a[i + d] -= c * y
-        a = _ptrim(a)
-    return a
-
-
-def _poly_gcd(a, b):
-    a, b = _ptrim(a), _ptrim(b)
-    while b:
-        a, b = b, _pmod(a, b)
-    return a
-
-
-def _pmul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += Fraction(x) * Fraction(y)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -166,7 +107,8 @@ def rational_points(model, H, prescreen=True):
                 continue
             x = Fraction(p, q)
             y = Fraction(r, q ** ((d + 1) // 2))
-            assert y * y == model.F(x)
+            if y * y != model.F(x):
+                raise ArithmeticError(f"({x}, {y}) does not satisfy y^2 = F(x)")
             points.append(AffinePoint(x, y))
             if y:
                 points.append(AffinePoint(x, -y))
@@ -190,110 +132,7 @@ def _homogeneous_value(coeffs, p, q):
 
 def mumford_check(model, a, b):
     """True iff b^2 - F = 0 mod a exactly (divisor (a, b) lies on the Jacobian)."""
-    if len(_ptrim(a)) - 1 > model.genus:
+    if len(poly.trim(a)) - 1 > model.genus:
         raise ValueError("deg a exceeds the genus")
-    diff = _pmul(b, b)
-    F = [Fraction(c) for c in model.coeffs]
-    n = max(len(diff), len(F))
-    diff = diff + [Fraction(0)] * (n - len(diff))
-    for i, c in enumerate(F):
-        diff[i] -= c
-    return not _pmod(diff, a)
-
-
-# ---------------------------------------------------------------------------
-
-def quartic_jacobian(quartic):
-    """Classical invariants of a binary quartic a x^4 + b x^3 + c x^2 + d x + e
-    and the associated cubic model.  Returns (I, J, cubic) with
-    cubic: y^2 = x^3 - 27 I x - 27 J (ascending coefficients)."""
-    a, b, c, d, e = (int(t) for t in quartic)
-    I = 12 * a * e - 3 * b * d + c * c
-    J = 72 * a * c * e + 9 * b * c * d - 27 * a * d * d - 27 * b * b * e - 2 * c**3
-    disc = 4 * I**3 - J**2
-    if disc == 0:
-        raise DegenerateQuartic(quartic)
-    cubic = (-27 * J, -27 * I, 0, 1)
-    return I, J, cubic
-
-
-def short_weierstrass_c4c6(A, B):
-    """(c4, c6) of y^2 = x^3 + A x + B."""
-    return -48 * A, -864 * B
-
-
-def long_weierstrass_c4c6(a1, a2, a3, a4, a6):
-    b2 = a1 * a1 + 4 * a2
-    b4 = 2 * a4 + a1 * a3
-    b6 = a3 * a3 + 4 * a6
-    c4 = b2 * b2 - 24 * b4
-    c6 = -b2**3 + 36 * b2 * b4 - 216 * b6
-    return c4, c6
-
-
-def curves_match(c4a, c6a, c4b, c6b):
-    """Scaling factor lambda with (c4b, c6b) = (lambda^4 c4a, lambda^6 c6a),
-    i.e. an isomorphism over Q, or None."""
-    if 0 in (c4a, c6a, c4b, c6b):
-        # curves with c4 = 0 or c6 = 0 don't occur in this pipeline
-        return None
-    lam2 = Fraction(c6b * c4a, c6a * c4b)
-    if lam2 <= 0:
-        return None
-    if c4a * lam2**2 != c4b or c6a * lam2**3 != c6b:
-        return None
-    return _fraction_sqrt(lam2)
-
-
-def _fraction_sqrt(x):
-    x = Fraction(x)
-    if x < 0:
-        return None
-    pn, qn = math.isqrt(x.numerator), math.isqrt(x.denominator)
-    if pn * pn == x.numerator and qn * qn == x.denominator:
-        return Fraction(pn, qn)
-    return None
-
-
-# ---------------------------------------------------------------------------
-
-def form_equivalence(F1, F2, bound):
-    """Search x -> (a x + b)/(c x + d) substitutions with entries in
-    [-bound, bound] carrying F1 to a scalar multiple of F2.
-
-    F1, F2: ascending integer coefficient lists of the same degree.
-    Returns ((matrix, scalar)) for the first hit in a deterministic order,
-    or None — which means "not found within bound", not inequivalence."""
-    d1, d2 = len(_ptrim(F1)) - 1, len(_ptrim(F2)) - 1
-    if d1 != d2:
-        raise ValueError("degrees differ")
-    d = len(F1) - 1
-    B1 = BinaryForm(d, tuple(F1))
-    target = tuple(F2)
-    mats = sorted(
-        (((a, b), (c, dd))
-         for a in range(-bound, bound + 1) for b in range(-bound, bound + 1)
-         for c in range(-bound, bound + 1) for dd in range(-bound, bound + 1)
-         if a * dd - b * c != 0),
-        key=lambda M: (abs(M[0][1]) + abs(M[1][0]),
-                       abs(M[0][0] - 1) + abs(M[1][1] - 1), M))
-    for M in mats:
-        G = transform(B1, M)
-        lam = _scalar_ratio(G.coeffs, target)
-        if lam is not None:
-            return M, lam
-    return None
-
-
-def _scalar_ratio(src, dst):
-    lam = None
-    for s, t in zip(src, dst):
-        if (s == 0) != (t == 0):
-            return None
-        if s != 0:
-            r = Fraction(t, s)
-            if lam is None:
-                lam = r
-            elif lam != r:
-                return None
-    return lam
+    diff = poly.add(poly.mul(b, b), [-c for c in model.coeffs])
+    return not poly.divmod(diff, a)[1]

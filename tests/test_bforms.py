@@ -96,6 +96,16 @@ def test_integer_fifth_root():
     assert integer_fifth_root(91125) is None
 
 
+def test_integer_fifth_root_large():
+    # beyond float precision, and beyond the float range (> 308 digits)
+    for r in (10**16 + 7, 10**20 + 7, 3**500 + 2):
+        n = r**5
+        assert integer_fifth_root(n) == r
+        assert integer_fifth_root(-n) == -r
+        assert integer_fifth_root(n + 1) is None
+        assert integer_fifth_root(n - 1) is None
+
+
 def test_transform_substitution_identities():
     # -h2(-u/2, v) = -h10(v/2, u) = -h26((u+v)/2, (u-v)/2) all agree
     h2 = edwards_triple(2).h

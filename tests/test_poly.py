@@ -1,0 +1,83 @@
+"""Tests for the exact polynomial and root arithmetic."""
+
+from fractions import Fraction as Fr
+
+from hypothesis import given, settings, strategies as st
+
+from gfe25 import poly
+
+SMALL_PRIMES = (2, 3, 5, 7, 11, 31)
+
+rationals = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+rational_polys = st.lists(rationals, max_size=7)
+int_polys = st.lists(st.integers(-60, 60), max_size=8)
+
+
+def _mod(a, p):
+    return poly.trim([c % p for c in a])
+
+
+@settings(max_examples=200, deadline=None)
+@given(rational_polys, rational_polys)
+def test_divmod_and_gcdext_over_q(a, b):
+    a, b = poly.trim(a), poly.trim(b)
+    if b:
+        q, r = poly.divmod(a, b)
+        assert poly.add(poly.mul(q, b), r) == a
+        assert len(r) < len(b)
+    g, s, t = poly.gcdext(a, b)
+    assert poly.add(poly.mul(s, a), poly.mul(t, b)) == g
+    assert g == poly.gcd(a, b)
+    if g:
+        assert g[-1] == 1
+        assert not poly.divmod(a, g)[1] and not poly.divmod(b, g)[1]
+
+
+@settings(max_examples=200, deadline=None)
+@given(int_polys, int_polys, st.sampled_from(SMALL_PRIMES),
+       st.integers(1, 3))
+def test_divmod_and_gcdext_mod_p(a, b, p, k):
+    m = p**k
+    monic = _mod(b, m)[:4] + [1]
+    q, r = poly.divmod_mod(a, monic, m)
+    assert len(r) == len(monic) - 1
+    assert all(0 <= c < m for c in q + r)
+    assert _mod(poly.add(poly.mul_mod(q, monic, m), r), m) == _mod(a, m)
+    g, s, t = poly.gcdext_mod(a, b, p)
+    assert _mod(poly.add(poly.mul(s, a), poly.mul(t, b)), p) == g
+    if g:
+        assert g[-1] == 1
+        for f in (a, b):
+            assert not any(poly.divmod_mod(f, g, p)[1])
+
+
+def test_gcd_examples():
+    # (x - 1)(x + 2) and (x - 1)(x + 3) share x - 1
+    assert poly.gcd([-2, 1, 1], [-3, 2, 1]) == [-1, 1]
+    assert poly.gcd([1, 0, 1], [0, 1]) == [1]
+    assert poly.gcd([], []) == []
+    # x^2 + 1 = (x + 2)(x + 3) mod 5
+    assert poly.gcdext_mod([1, 0, 1], [2, 1], 5)[0] == [2, 1]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 10**40), st.integers(2, 7))
+def test_int_root_against_power(r, k):
+    n = r**k
+    assert poly.int_root(n, k) == r
+    if r > 1:
+        assert poly.int_root(n + 1, k) is None
+        assert poly.int_root(n - 1, k) is None
+    if k % 2:
+        assert poly.int_root(-n, k) == -r
+    elif r:
+        assert poly.int_root(-n, k) is None
+
+
+def test_fraction_root():
+    assert poly.fraction_root(Fr(32, 243), 5) == Fr(2, 3)
+    assert poly.fraction_root(Fr(-32, 243), 5) == Fr(-2, 3)
+    assert poly.fraction_root(Fr(4, 9), 2) == Fr(2, 3)
+    assert poly.fraction_root(Fr(-4, 9), 2) is None
+    assert poly.fraction_root(Fr(2, 9), 2) is None
+    assert poly.fraction_root(0, 2) == 0

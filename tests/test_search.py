@@ -1,12 +1,10 @@
-"""Tests for rational point search, Mumford checks, quartic invariants."""
+"""Tests for rational point search and Mumford checks."""
 
-import math
 from fractions import Fraction as Fr
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
-from gfe25 import _kernels, search as S
+from gfe25 import search as S
 
 # M_4: y^2 = 3x(x^4 - 10x^2 + 5)(x^5 + 10x^4 - 10x^3 - 20x^2 + 5x + 2)
 F4 = (0, 30, 75, -360, -300, 756, 330, -360, -60, 30, 3)
@@ -61,18 +59,6 @@ def test_completeness_against_naive_oracle():
         assert fast == slow
 
 
-def test_kernel_backends_agree():
-    coeffs = list(D1T)
-    ps = list(range(-50, 51))
-    qs = [3] * len(ps)
-    import numpy as np
-    cm = np.array([c % _kernels.MODULUS for c in coeffs], dtype=np.int64)
-    a = _kernels.prescreen_numpy(cm, np.array(ps) % _kernels.MODULUS,
-                                 np.array(qs), False)
-    b = _kernels.prescreen(coeffs, ps, qs, False)
-    assert list(a) == list(b)
-
-
 def test_mumford_q_minus1():
     m = S.HyperellipticModel(D1T)
     assert S.mumford_check(m, [1, 3, 4, 2, 1], [-30, -90, -90, -60])
@@ -90,54 +76,6 @@ def test_mumford_q_minus2():
 def test_mumford_rejects():
     m = S.HyperellipticModel((1, 0, 0, 0, 0, 1))  # y^2 = x^5 + 1
     assert not S.mumford_check(m, [0, 0, 1], [0])
-
-
-def test_quartic_jacobian_values():
-    I, J, cubic = S.quartic_jacobian((5, 0, -50, 0, 25))
-    assert (I, J) == (4000, -200000)
-    assert cubic == (-27 * J, -27 * I, 0, 1)
-    assert S.quartic_jacobian((1, 0, 0, 0, 1))[:2] == (12, 0)
-    with pytest.raises(S.DegenerateQuartic):
-        S.quartic_jacobian((0, 0, 1, 0, 0))  # x^2: I^3*4 == J^2
-
-
-def test_quartic_cubic_matches_target_curve():
-    I, J, _ = S.quartic_jacobian((5, 0, -50, 0, 25))
-    c4a, c6a = S.long_weierstrass_c4c6(0, 1, 0, -83, 88)
-    c4b, c6b = S.short_weierstrass_c4c6(-27 * I, -27 * J)
-    assert S.curves_match(c4a, c6a, c4b, c6b) == 6
-
-
-def test_form_equivalence_examples():
-    F18 = tuple(c if k % 2 == 0 else -c for k, c in enumerate(F4))
-    M, lam = S.form_equivalence(list(F4), list(F18), 1)
-    assert (M, lam) == (((-1, 0), (0, 1)), 1)
-    M, lam = S.form_equivalence(list(F4), [-c for c in F4], 1)
-    assert (M, lam) == (((1, 0), (0, 1)), -1)
-    M, lam = S.form_equivalence(list(F4), list(F4), 1)
-    assert (M, lam) == (((1, 0), (0, 1)), 1)
-    assert S.form_equivalence([0, 0, 1], [1, 0, 1], 1) is None
-
-
-@settings(max_examples=30, deadline=None)
-@given(st.lists(st.integers(-6, 6), min_size=5, max_size=5),
-       st.integers(-5, 5), st.integers(1, 4))
-def test_quartic_invariant_weights(q, t, m):
-    # translation x -> x + t keeps (I, J); scaling the quartic by m
-    # multiplies them by (m^2, m^3)
-    import sympy as sp
-    q = tuple(q)
-    try:
-        I, J, _ = S.quartic_jacobian(q)
-    except S.DegenerateQuartic:
-        return
-    I2, J2, _ = S.quartic_jacobian(tuple(m * c for c in q))
-    assert (I2, J2) == (m * m * I, m**3 * J)
-    x = sp.symbols("x")
-    expr = sp.expand(sum(c * (x + t)**(4 - k) for k, c in enumerate(q)))
-    shifted = tuple(int(expr.coeff(x, 4 - k)) for k in range(5))
-    I3, J3, _ = S.quartic_jacobian(shifted)
-    assert (I3, J3) == (I, J)
 
 
 def test_points_satisfy_curve_exactly():
