@@ -29,10 +29,6 @@ class PrecisionExhausted(Exception):
     pass
 
 
-class NonMaximalOrderWarning(UserWarning):
-    pass
-
-
 # ---------------------------------------------------------------------------
 
 class NumberField:
@@ -298,25 +294,15 @@ def _anp_to_nf(anp, K):
     return K.element(coords)
 
 
-def _nf_coeff_to_sympy(c, gen):
-    if isinstance(c, NFElement):
-        expr = sp.Integer(0)
-        for k, a in enumerate(c.coords):
-            if a:
-                expr += sp.Rational(a.numerator, a.denominator) * gen**k
-        return expr
-    c = Fraction(c)
-    return sp.Rational(c.numerator, c.denominator)
-
-
 def factor_nf(coeffs, K):
-    """Factor over the number field K.  Coefficients may be rational numbers or
-    NFElements of K.  Returns (leading NFElement, [(list of NFElement coeffs
+    """Factor a polynomial with rational coefficients (ascending) over the
+    number field K.  Returns (leading NFElement, [(list of NFElement coeffs
     ascending, mult)]); factors are monic."""
     gen = K.sympy_gen()
     expr = sp.Integer(0)
     for k, c in enumerate(coeffs):
-        expr += _nf_coeff_to_sympy(c, gen) * _X**k
+        c = Fraction(c)
+        expr += sp.Rational(c.numerator, c.denominator) * _X**k
     P = sp.Poly(expr, _X, extension=sp.AlgebraicNumber(gen))
     content, facs = P.factor_list()
     lead = _expr_to_nf(content, K, gen)
@@ -493,13 +479,8 @@ class ResidueSplit:
 
 
 def residue_split(K, p):
-    import warnings
-
     disc = K.discriminant()
     index_risk = disc % (p * p) == 0
-    if index_risk:
-        warnings.warn(f"p={p} may divide the index [O_K : Z[theta]] "
-                      f"(p^2 | disc)", NonMaximalOrderWarning)
     lead, facs = factor_fp(K.min_poly, p)
     factors = []
     fields = []

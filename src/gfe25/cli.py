@@ -8,7 +8,7 @@ computation directly through subcommands.
 Exit codes: 0 = all stages pass unconditionally; 10 = at least one stage
 passes only conditionally on imported data or external completeness facts;
 1 = a computed value disagrees with the recorded expectation; 2 = broken
-environment or input (missing/invalid data files, bad arguments).
+environment, data or arguments (missing/invalid data files, bad arguments).
 """
 
 import argparse
@@ -24,7 +24,8 @@ from fractions import Fraction
 import sympy as sp
 
 from . import algebra, descent, frey, padic
-from .bforms import BinaryForm, edwards_triple, evaluate_triple, forms_digest
+from .bforms import (ALL_INDICES, BinaryForm, edwards_triple, evaluate_triple,
+                     forms_digest)
 from .search import (
     AffinePoint,
     HyperellipticModel,
@@ -72,7 +73,8 @@ RESIDUAL_INDICES = (22, 6, 24, 5, 16)
 
 
 class DataProblem(Exception):
-    """Environment/data error: missing or invalid input files."""
+    """Environment, data or argument error: missing or invalid input files,
+    or arguments outside what a command accepts."""
 
 
 # ---------------------------------------------------------------------------
@@ -699,7 +701,10 @@ def _print(doc, as_json, payload):
 
 
 def cmd_sieve(args):
-    r = padic.sieve_residue_classes(args.i, args.p, max_depth=args.depth)
+    try:
+        r = padic.sieve_residue_classes(args.i, args.p, max_depth=args.depth)
+    except padic.DepthExhausted as e:
+        raise DataProblem(f"{e}; raise --depth") from e
     classes = [str(c) for c in r.classes]
     _print(f"i={args.i}, p={args.p}: non-excluded classes "
            f"{classes or 'none'}", args.json,
@@ -709,11 +714,23 @@ def cmd_sieve(args):
     return 0
 
 
+# the indices each `derive --family` accepts; 66 takes the unit power j
+FAMILY_INDICES = {"1110": descent.RATIONAL_SPLIT_INDICES,
+                  "48": descent.GAUSS_INDICES, "66": (-2, -1, 0, 1, 2),
+                  "12": descent.SEXTIC_INDICES}
+
+
 def cmd_derive(args):
     fam = args.family
+    indices = FAMILY_INDICES[fam]
+    if args.i is not None:
+        if args.i not in indices:
+            raise DataProblem(f"--i {args.i} is not in family {fam}; choose "
+                              f"from {', '.join(map(str, indices))}")
+        indices = [args.i]
     out = {}
     if fam == "1110":
-        for i in ([args.i] if args.i else list(descent.RATIONAL_SPLIT_INDICES)):
+        for i in indices:
             s = descent.rational_split(i)
             alphas = descent.alpha_candidates(i, s)
             out[i] = {"A": s.A, "B": s.B, "C": s.C, "scale": s.scale,
@@ -721,16 +738,16 @@ def cmd_derive(args):
                       "gamma": sorted({m.coeffs[0] for a in alphas
                                        for m in descent.genus2_models(s, a)})}
     elif fam == "48":
-        for i in ([args.i] if args.i else list(descent.GAUSS_INDICES)):
+        for i in indices:
             d = descent.gauss_family(i)
             out[i] = {"F": list(d.F), "S": list(d.S.coeffs),
                       "resultant": d.resultant}
     elif fam == "66":
-        for j in ([args.i] if args.i is not None else [-2, -1, 0, 1, 2]):
+        for j in indices:
             d = descent.sqrt5_family(j)
             out[j] = {"F": list(d.F.coeffs), "genus": d.D.genus}
     elif fam == "12":
-        for i in ([args.i] if args.i else list(descent.SEXTIC_INDICES)):
+        for i in indices:
             s = descent.sextic_split(i)
             out[i] = {"min_poly": [str(c) for c in s.field.min_poly],
                       "q": [[str(x) for x in c.coords] for c in s.q.coeffs],
@@ -743,11 +760,13 @@ def cmd_derive(args):
 
 
 def cmd_unitsieve(args):
-    primes = (tuple(int(p) for p in args.primes.split(","))
-              if args.primes else descent.DEFAULT_SIEVE_PRIMES)
+    primes = args.primes or descent.DEFAULT_SIEVE_PRIMES
     t0 = time.perf_counter()
-    survivors = descent.unit_sieve(args.i, primes=primes,
-                                   use_mod25=args.mod25, depth=args.depth)
+    try:
+        survivors = descent.unit_sieve(args.i, primes=primes,
+                                       use_mod25=args.mod25, depth=args.depth)
+    except descent.IndexRisk as e:
+        raise DataProblem(f"{e}; choose other --primes") from e
     report = DescentReport(
         stage=f"unitsieve-{args.i}",
         inputs=_stage_digest(f"unitsieve-{args.i}",
@@ -774,7 +793,10 @@ def cmd_mumford(args):
     model = parse_curve(args.curve)
     a = _parse_rational_list(args.a)
     b = _parse_rational_list(args.b)
-    ok = mumford_check(model, a, b)
+    try:
+        ok = mumford_check(model, a, b)
+    except ValueError as e:
+        raise DataProblem(f"bad divisor (a, b): {e}") from e
     _print(f"(a, b) {'lies on' if ok else 'is NOT on'} Jac({args.curve})",
            args.json, {"curve": args.curve, "a": a, "b": b, "on_jacobian": ok})
     return 0 if ok else 1
@@ -803,17 +825,11 @@ def cmd_frey(args):
 
 
 def cmd_run(args):
-    if args.stage:
-        if args.stage not in STAGES:
-            raise DataProblem(f"unknown stage {args.stage!r}; choose from "
-                              + ", ".join(STAGE_ORDER))
-        stages = {args.stage}
-    else:
-        stages = set(STAGE_ORDER)
+    # argparse has checked --stage against STAGE_ORDER
+    stages = {args.stage} if args.stage else set(STAGE_ORDER)
     cfg = {"height": args.height, "depth": args.depth, "mod25": True,
            "cache": not args.no_cache,
-           "primes": (tuple(int(p) for p in args.primes.split(","))
-                      if args.primes else None)}
+           "primes": args.primes}
     reports = run_pipeline(stages, cfg)
     fmt = "markdown" if args.md else "json"
     print(emit_report(reports, fmt), end="")
@@ -821,6 +837,20 @@ def cmd_run(args):
 
 
 # ---------------------------------------------------------------------------
+
+def _positive_int(text):
+    if not text.isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"not a positive integer: {text!r}")
+    return int(text)
+
+
+def _int_list(text):
+    try:
+        return tuple(int(t) for t in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"not a comma-separated integer list: {text!r}") from None
+
 
 def _build_parser():
     ap = argparse.ArgumentParser(
@@ -833,9 +863,10 @@ def _build_parser():
 
     p = sub.add_parser("sieve", help="residue classes of (u, v) mod p^k "
                                      "compatible with a fifth power")
-    p.add_argument("--i", type=int, required=True)
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--depth", type=int, default=None)
+    p.add_argument("--i", type=int, required=True, choices=ALL_INDICES)
+    p.add_argument("--p", type=int, required=True,
+                   choices=sorted(padic.DEFAULT_DEPTH))
+    p.add_argument("--depth", type=_positive_int, default=None)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_sieve)
 
@@ -850,10 +881,12 @@ def _build_parser():
 
     p = sub.add_parser("unitsieve", help="surviving unit classes for "
                                          "H_i(u, v) = eta * w^5")
-    p.add_argument("--i", type=int, required=True)
-    p.add_argument("--primes", help="comma-separated sieve primes "
-                                    "(default: all p = 1 mod 5 below 700)")
-    p.add_argument("--depth", type=int, default=3)
+    p.add_argument("--i", type=int, required=True,
+                   choices=descent.SEXTIC_INDICES)
+    p.add_argument("--primes", type=_int_list,
+                   help="comma-separated sieve primes "
+                        "(default: all p = 1 mod 5 below 700)")
+    p.add_argument("--depth", type=_positive_int, default=3)
     p.add_argument("--mod25", action=argparse.BooleanOptionalAction,
                    default=True)
     p.add_argument("--json", action="store_true")
@@ -863,7 +896,7 @@ def _build_parser():
     p.add_argument("--curve", required=True,
                    help="named curve (D1t, D2t, M4, D0, D-1, D-2) or a "
                         "polynomial in x, e.g. \"x^5+32000\"")
-    p.add_argument("--height", type=int, default=100)
+    p.add_argument("--height", type=_positive_int, default=100)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_search)
 
@@ -879,7 +912,9 @@ def _build_parser():
 
     p = sub.add_parser("frey", help="congruence scans for the Frey-curve "
                                     "irreducibility hypotheses")
-    p.add_argument("--scan", default="all", help="'all' or a single index")
+    p.add_argument("--scan", default="all",
+                   choices=["all", *map(str, frey.IRREDUCIBLE_INDICES)],
+                   help="'all' or a single index")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_frey)
 
@@ -887,10 +922,11 @@ def _build_parser():
     g = p.add_mutually_exclusive_group(required=True)
     g.add_argument("--all", action="store_true")
     g.add_argument("--stage", choices=STAGE_ORDER)
-    p.add_argument("--height", type=int, default=None,
+    p.add_argument("--height", type=_positive_int, default=None,
                    help="override the per-stage search height bound")
-    p.add_argument("--primes", help="override the unit-sieve prime list")
-    p.add_argument("--depth", type=int, default=3)
+    p.add_argument("--primes", type=_int_list,
+                   help="override the unit-sieve prime list")
+    p.add_argument("--depth", type=_positive_int, default=3)
     p.add_argument("--no-cache", action="store_true",
                    help="ignore and do not write cached stage reports")
     p.add_argument("--md", action="store_true")

@@ -19,13 +19,12 @@ Four pipelines, one per factorization family of the degree-12 forms:
 Every splitting identity is verified by exact polynomial arithmetic.
 """
 
-import contextlib
 import itertools
 import json
 import math
 import os
 import pathlib
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
@@ -33,15 +32,9 @@ from importlib import resources
 import sympy as sp
 
 from . import padic, poly
-from .algebra import (
-    NFElement,
-    NonMaximalOrderWarning,
-    auxiliary_field,
-    coefficient_field,
-    residue_split,
-)
+from .algebra import auxiliary_field, coefficient_field, residue_split
 from .bforms import BinaryForm, binary_resultant, edwards_triple, transform
-from .search import AffinePoint, HyperellipticModel, InfinitePoint
+from .search import HyperellipticModel, InfinitePoint
 
 
 class NoRationalRoots(Exception):
@@ -158,9 +151,6 @@ def _cofactor_form(split):
             + (l2**10).scale(C2)).map_coeffs(lambda c: int(Fraction(c)))
 
 
-_FIFTH_POWERS_MOD25 = {0, 1, 7, 18, 24}
-
-
 def alpha_candidates(i, split=None):
     """The finite set of twist scalars compatible with the local data.
 
@@ -198,6 +188,7 @@ def alpha_candidates(i, split=None):
         allowed[p] = {min(vals)} if vals else set(range(5))
     classes25 = padic.five_adic_classes(i)
     pairs25 = [uv for cls in classes25 for uv in cls.pair_mod(25)]
+    fifth_powers25 = padic.FIFTH_POWER_UNITS_MOD25 | {0}
     out = set()
     for exps in itertools.product(range(5), repeat=len(support)):
         cand = 1
@@ -210,7 +201,7 @@ def alpha_candidates(i, split=None):
         if not ok:
             continue
         inv = pow(cand, -1, 25)
-        if not any(G.evaluate(u, v) * inv % 25 in _FIFTH_POWERS_MOD25
+        if not any(G.evaluate(u, v) * inv % 25 in fifth_powers25
                    for (u, v) in pairs25):
             continue
         out.add(cand)
@@ -595,15 +586,6 @@ class SexticSplit:
     unit_class: tuple = None    # surviving unit class, filled by the sieve
 
 
-@contextlib.contextmanager
-def _suppress_order_warnings():
-    import warnings
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", NonMaximalOrderWarning)
-        yield
-
-
 def _content_ideal_basis(coeffs, rep):
     """(basis matrix, ideal norm) of the O_K-content of a coefficient list.
 
@@ -741,8 +723,7 @@ def sextic_split(i):
         raise ReconstructionFailed(
             f"unexpected factorization degrees for h_{i} over {K.label}")
     qm, Hm = by_deg[2], by_deg[10]
-    with _suppress_order_warnings():
-        Hc, _removed = _primitive_part(Hm, FIELD_REP[i])
+    Hc, _removed = _primitive_part(Hm, FIELD_REP[i])
     q_form = BinaryForm(2, (qm[0], qm[1], K.one))
     H_form = BinaryForm(10, tuple(Hc))
     scalar = Fraction(h.coeff(12)) * H_form.coeff(10).inverse()
@@ -752,30 +733,29 @@ def sextic_split(i):
             raise SplitInconsistent(f"q * H does not rebuild h_{i}")
     # factor-base primitivity certificate
     flagged = []
-    with _suppress_order_warnings():
-        for p in sp.primerange(2, 101):
-            rs = residue_split(K, p)
-            if rs.index_risk:
-                flagged.append(p)
-                continue
-            for j in range(len(rs.residue_fields)):
-                if all(rs.residue_fields[j].is_zero(rs.reduce(c, j))
-                       for c in H_form.coeffs):
-                    raise ContentNotClearable(
-                        f"H_{i} has residual content at a prime above {p}")
-        q_int = q_form.map_coeffs(lambda c: c * scalar)
-        res = binary_resultant(q_int, H_form)
-        res_norm = res.norm()
-        if res_norm.denominator != 1:
-            raise SplitInconsistent("non-integral resultant norm")
-        res_norm = abs(int(res_norm))
-        support = tuple(sorted(sp.factorint(res_norm)))
-        if set(support) - {2, 3, 5}:
-            raise IdentityFailure(
-                f"Res(q_{i}, H_{i}) supported outside 2, 3, 5: {support}")
-        rs5 = residue_split(K, 5)
-        above5 = sum(1 for j in range(len(rs5.residue_fields))
-                     if rs5.residue_fields[j].is_zero(rs5.reduce(res, j)))
+    for p in sp.primerange(2, 101):
+        rs = residue_split(K, p)
+        if rs.index_risk:
+            flagged.append(p)
+            continue
+        for j in range(len(rs.residue_fields)):
+            if all(rs.residue_fields[j].is_zero(rs.reduce(c, j))
+                   for c in H_form.coeffs):
+                raise ContentNotClearable(
+                    f"H_{i} has residual content at a prime above {p}")
+    q_int = q_form.map_coeffs(lambda c: c * scalar)
+    res = binary_resultant(q_int, H_form)
+    res_norm = res.norm()
+    if res_norm.denominator != 1:
+        raise SplitInconsistent("non-integral resultant norm")
+    res_norm = abs(int(res_norm))
+    support = tuple(sorted(sp.factorint(res_norm)))
+    if set(support) - {2, 3, 5}:
+        raise IdentityFailure(
+            f"Res(q_{i}, H_{i}) supported outside 2, 3, 5: {support}")
+    rs5 = residue_split(K, 5)
+    above5 = sum(1 for j in range(len(rs5.residue_fields))
+                 if rs5.residue_fields[j].is_zero(rs5.reduce(res, j)))
     return SexticSplit(i, K, q_form, H_form, scalar, res_norm, support,
                        above5, tuple(flagged))
 
@@ -863,9 +843,8 @@ def verify_unit_data(rep, gens=None, cert_primes=None):
             raise BadUnitData(f"generator {g!r} is not a unit")
         if not _is_order_integral(g, rep):
             raise BadUnitData(f"generator {g!r} is not an algebraic integer")
-    with _suppress_order_warnings():
-        K = coefficient_field(rep)
-        splits = [residue_split(K, q) for q in cert_primes]
+    K = coefficient_field(rep)
+    splits = [residue_split(K, q) for q in cert_primes]
     rows = [_class_vector(g, splits) for g in gens]
     if any(r is None for r in rows) or _rank_mod5(rows) != 3:
         raise BadUnitData("independence certificate failed at the "
@@ -971,23 +950,19 @@ def _local_targets(split, rs, p, depth):
 DEFAULT_SIEVE_PRIMES = tuple(p for p in sp.primerange(7, 700) if p % 5 == 1)
 
 
-def unit_sieve(i, unit_gens=None, primes=DEFAULT_SIEVE_PRIMES, use_mod25=True,
-               depth=3):
+def unit_sieve(i, primes=DEFAULT_SIEVE_PRIMES, use_mod25=True, depth=3):
     """Surviving subset of the 125 unit classes twisting H_i(u, v) = w^5."""
-    split = sextic_split(i)
     rep = FIELD_REP[i]
-    K = split.field
-    if unit_gens is None:
-        gens = verify_unit_data(rep)
-    else:
-        gens = verify_unit_data(rep, list(unit_gens), list(primes))
+    K = coefficient_field(rep)
     disc = K.discriminant()
+    bad = [p for p in primes if p <= 5 or disc % p == 0]
+    if bad:
+        raise IndexRisk(f"sieve primes {bad} are at most 5 or divide disc(K)")
+    split = sextic_split(i)
+    gens = verify_unit_data(rep)
     survivors = set(itertools.product(range(5), repeat=3))
     for p in primes:
-        if p <= 5 or disc % p == 0:
-            raise IndexRisk(f"sieve prime {p} divides the field data")
-        with _suppress_order_warnings():
-            rs = residue_split(K, p)
+        rs = residue_split(K, p)
         nslots = len(rs.residue_fields)
         active = [j for j in range(nslots)
                   if rs.residue_fields[j].q % 5 == 1]

@@ -7,6 +7,13 @@ of the ratio between the coordinates until the p-adic valuation of h_i is
 pinned down on the whole class; a class dies when that valuation is not a
 multiple of 5, or when the entire triple vanishes mod p on it.
 
+One depth-first walk of the class tree does all of it: each class is
+decided or split into its p children, and on the way back up it reports
+whether it keeps a survivor.  A class whose p children all keep one is
+reported whole, so the walk also yields the coarsest stable cover of the
+survivors.  Below that, a surviving leaf at the depth cap is reported on
+its own, and if it is undecided the depth is exhausted there.
+
 Classes are reported in the two shapes used by the regression fixture:
 "(p^k u + r, 1)" (second coordinate a unit) and "(1, p^k v + r)" (first
 coordinate a unit).
@@ -17,12 +24,12 @@ import re
 from dataclasses import dataclass
 from importlib import resources
 
-from .bforms import edwards_triple
+from .bforms import evaluate_triple
 
 # fifth powers among units mod 25; a 5-adic unit is a fifth power iff its
 # residue mod 25 lands in this set (one Hensel step past mod 5 suffices:
 # (1+5t)^5 = 1 + 25(...) so the criterion stabilizes at 5^2)
-_FIFTH_POWER_UNITS_MOD25 = {1, 7, 18, 24}
+FIFTH_POWER_UNITS_MOD25 = {1, 7, 18, 24}
 
 DEFAULT_DEPTH = {2: 7, 3: 5, 5: 4}
 
@@ -55,7 +62,7 @@ def is_fifth_power_zp(n, p):
         return False
     u = n // p**v
     if p == 5:
-        return u % 25 in _FIFTH_POWER_UNITS_MOD25
+        return u % 25 in FIFTH_POWER_UNITS_MOD25
     if p % 5 == 1:
         return pow(u % p, (p - 1) // 5, p) == 1
     # unit group has pro-order coprime to 5: x -> x^5 is bijective on units
@@ -120,95 +127,72 @@ class SieveResult:
     excluded: list         # (ResidueClass, reason)
     accepted: list         # classes with valuation pinned to a multiple of 5
     undecided: list        # leaves at maxDepth with no verdict
-    exhausted: list        # reported leaves not backed by an accepted class
+    exhausted: list        # undecided classes that the cover reports
 
 
-def _chart_eval(fgh, chart, r):
-    if chart == "second":
-        return fgh(r, 1)
-    return fgh(1, r)
+def _sieve_chart(i, p, chart, depth):
+    """Refine one chart of C_i in a single walk of its class tree.
 
-
-def _sieve_chart(fgh, p, chart, depth, start_k):
-    """Refine one chart; returns (excluded, accepted, undecided) as (r, k) lists."""
-    excluded, accepted, undecided = [], [], []
+    Returns (excluded, accepted, undecided, cover, exhausted): excluded holds
+    (ResidueClass, reason) pairs, the rest are ResidueClass lists.  cover is
+    the coarsest stable cover of the survivors: a class is reported once all
+    p of its children keep a survivor, or when it is a surviving leaf at the
+    depth cap.  exhausted holds the undecided classes that the cover reports,
+    or every undecided class when nothing in the chart was decided.
+    """
+    excluded, accepted, undecided, cover = [], [], [], []
 
     def rec(r, k):
-        f, g, h = _chart_eval(fgh, chart, r)
+        # True iff the class r mod p^k keeps a survivor; appends its cover
+        cls = ResidueClass(chart, p**k, r)
+        pair = (r, 1) if chart == "second" else (1, r)
+        f, g, h = evaluate_triple(i, *pair)
         if k >= 1 and f % p == 0 and g % p == 0 and h % p == 0:
-            excluded.append((r, k, "NotPrimitive"))
-            return
+            excluded.append((cls, "NotPrimitive"))
+            return False
         if h != 0:
             v = vp(-h, p)
             if v < k:
                 # valuation constant on the whole class
                 if v % 5 != 0:
-                    excluded.append((r, k, "ValuationNotMultipleOf5"))
-                    return
-                if p != 5:
-                    accepted.append((r, k))
-                    return
-                if v + 2 <= k:
-                    unit = (-h) // p**v % 25
-                    if unit in _FIFTH_POWER_UNITS_MOD25:
-                        accepted.append((r, k))
-                    else:
-                        excluded.append((r, k, "ValuationNotMultipleOf5"))
-                    return
+                    excluded.append((cls, "ValuationNotMultipleOf5"))
+                    return False
+                if p != 5 or v + 2 <= k:
+                    # at p = 5 the unit part is pinned mod 25 as well
+                    if p == 5 and ((-h) // p**v % 25
+                                   not in FIFTH_POWER_UNITS_MOD25):
+                        excluded.append((cls, "ValuationNotMultipleOf5"))
+                        return False
+                    accepted.append(cls)
+                    cover.append(cls)
+                    return True
         if k == depth:
-            undecided.append((r, k))
-            return
-        for j in range(p):
-            rec(r + j * p**k, k + 1)
+            undecided.append(cls)
+            cover.append(cls)
+            return True
+        mark = len(cover)
+        alive = [rec(r + j * p**k, k + 1) for j in range(p)]
+        if all(alive):
+            # every child keeps a survivor: report the class whole
+            cover[mark:] = [cls]
+        return any(alive)
 
-    rec(0 if start_k == 0 else 0, start_k)
-    return excluded, accepted, undecided
-
-
-def _survivor_array(p, depth, excluded, chart):
-    n = p**depth
-    alive = bytearray([1]) * 0  # placeholder, replaced below
-    alive = bytearray([1] * n)
-    if chart == "first":
-        # only multiples of p are valid positions in the u-unit chart
-        for r in range(n):
-            if r % p != 0:
-                alive[r] = 0
-    for (r, k, _reason) in excluded:
-        step = p**k
-        for pos in range(r % step, n, step):
-            alive[pos] = 0
-    return alive
+    # the u-unit chart holds the pairs (1, v) with p | v
+    rec(0, 0 if chart == "second" else 1)
+    if excluded or accepted:
+        undecided_set = set(undecided)
+        exhausted = [c for c in cover if c in undecided_set]
+    else:
+        # nothing was determined in a chart that still has survivors:
+        # the depth is clearly below what the refinement needs
+        exhausted = undecided
+    return excluded, accepted, undecided, cover, exhausted
 
 
-def _report_chart(p, depth, alive, chart, start_k):
-    """Coarsest stable cover of the surviving set: refine a class only while
-    refinement actually removes a child; report once every child survives."""
-    n = p**depth
-    leaves = []
-    out = []
-
-    def has_survivor(r, k):
-        step = p**k
-        return any(alive[pos] for pos in range(r % step, n, step))
-
-    def rec(r, k):
-        if not has_survivor(r, k):
-            return
-        if k == depth:
-            out.append((r, k))
-            leaves.append((r, k))
-            return
-        children = [(r + j * p**k, k + 1) for j in range(p)]
-        live = [c for c in children if has_survivor(*c)]
-        if len(live) == len(children):
-            out.append((r, k))
-            return
-        for c in live:
-            rec(*c)
-
-    rec(0, start_k)
-    return [ResidueClass(chart, p**k, r % p**k) for (r, k) in out], leaves
+def _sieve(i, p, depth):
+    """_sieve_chart's five lists for the v-unit chart, then the u-unit one."""
+    return [a + b for a, b in zip(_sieve_chart(i, p, "second", depth),
+                                  _sieve_chart(i, p, "first", depth))]
 
 
 def _merge_full_unit_chart(p, classes):
@@ -229,38 +213,10 @@ def _merge_full_unit_chart(p, classes):
 
 def sieve_residue_classes(i, p, max_depth=None, strict=True):
     """Non-excluded residue classes for C_i at p ∈ {2, 3} (SieveResult)."""
-    if max_depth is None:
-        max_depth = DEFAULT_DEPTH[p]
-    triple = edwards_triple(i)
-
-    def fgh(u, v):
-        return (triple.f.evaluate(u, v), triple.g.evaluate(u, v),
-                triple.h.evaluate(u, v))
-
-    classes, excl_all, acc_all, und_all, exhausted = [], [], [], [], []
-    for chart, start_k in (("second", 0), ("first", 1)):
-        excluded, accepted, undecided = _sieve_chart(fgh, p, chart, max_depth, start_k)
-        if undecided and not excluded and not accepted:
-            # nothing was determined in a chart that still has survivors:
-            # the depth is clearly below what the refinement needs
-            exhausted.extend(ResidueClass(chart, p**k, r % p**k)
-                             for (r, k) in undecided)
-        alive = _survivor_array(p, max_depth, excluded, chart)
-        reported, leaves = _report_chart(p, max_depth, alive, chart, start_k)
-        classes.extend(reported)
-        excl_all.extend((ResidueClass(chart, p**k, r % p**k), reason)
-                        for (r, k, reason) in excluded)
-        acc_all.extend(ResidueClass(chart, p**k, r % p**k) for (r, k) in accepted)
-        und_all.extend(ResidueClass(chart, p**k, r % p**k) for (r, k) in undecided)
-        for (r, k) in leaves:
-            inside_accepted = any(r % a_step == ar
-                                  for (ar, a_step) in ((a.residue, a.modulus)
-                                                       for a in acc_all)
-                                  if a_step <= p**k)
-            if not inside_accepted:
-                exhausted.append(ResidueClass(chart, p**k, r % p**k))
-    merged = _merge_full_unit_chart(p, classes)
-    result = SieveResult(merged, excl_all, acc_all, und_all, exhausted)
+    depth = DEFAULT_DEPTH[p] if max_depth is None else max_depth
+    excluded, accepted, undecided, cover, exhausted = _sieve(i, p, depth)
+    result = SieveResult(_merge_full_unit_chart(p, cover), excluded,
+                         accepted, undecided, exhausted)
     if strict and exhausted:
         raise DepthExhausted(exhausted)
     return result
@@ -268,26 +224,14 @@ def sieve_residue_classes(i, p, max_depth=None, strict=True):
 
 def five_adic_classes(i, max_depth=None):
     """Classes mod 25 compatible with a 5-adically primitive solution of C_i."""
-    p = 5
-    if max_depth is None:
-        max_depth = DEFAULT_DEPTH[5]
-    triple = edwards_triple(i)
-
-    def fgh(u, v):
-        return (triple.f.evaluate(u, v), triple.g.evaluate(u, v),
-                triple.h.evaluate(u, v))
-
-    out = []
-    for chart, start_k in (("second", 0), ("first", 1)):
-        excluded, _accepted, _undecided = _sieve_chart(fgh, p, chart, max_depth, start_k)
-        alive = _survivor_array(p, max_depth, excluded, chart)
-        n = p**max_depth
-        for r in range(25):
-            if chart == "first" and r % p != 0:
-                continue
-            if any(alive[pos] for pos in range(r, n, 25)):
-                out.append(ResidueClass(chart, 25, r))
-    return out
+    depth = DEFAULT_DEPTH[5] if max_depth is None else max_depth
+    _excluded, accepted, undecided, _cover, _exhausted = _sieve(i, 5, depth)
+    out = set()
+    for c in accepted + undecided:
+        step = min(c.modulus, 25)
+        out.update(ResidueClass(c.unit_slot, 25, r)
+                   for r in range(c.residue % step, 25, step))
+    return sorted(out, key=lambda c: (c.unit_slot == "first", c.residue))
 
 
 def valuation_profile(form, p, classes, depth):

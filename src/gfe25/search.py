@@ -132,7 +132,10 @@ def _homogeneous_value(coeffs, p, q):
 
 def mumford_check(model, a, b):
     """True iff b^2 - F = 0 mod a exactly (divisor (a, b) lies on the Jacobian)."""
-    if len(poly.trim(a)) - 1 > model.genus:
+    a = poly.trim(a)
+    if not a or a[-1] != 1:
+        raise ValueError("a(x) must be monic")
+    if len(a) - 1 > model.genus:
         raise ValueError("deg a exceeds the genus")
     diff = poly.add(poly.mul(b, b), [-c for c in model.coeffs])
     return not poly.divmod(diff, a)[1]

@@ -67,8 +67,8 @@ def test_k5_residue_degrees():
 
 def test_index_risk_warning():
     K = alg.NumberField([4, 0, 1], label="2i")  # disc = -16, 2^2 | disc
-    with pytest.warns(alg.NonMaximalOrderWarning):
-        alg.residue_split(K, 2)
+    assert alg.residue_split(K, 2).index_risk
+    assert not alg.residue_split(K, 3).index_risk
 
 
 def test_nfelement_field_ops():

@@ -102,6 +102,51 @@ def _covered(u, v, p, n, classes):
     return False
 
 
+def _points(cls, p, n):
+    """Points of P^1(Z/n) in a class, as (u, 1) or (1, v) with p | v."""
+    return {(pow(v, -1, n), 1) if u == 1 and v % p else (u, v)
+            for (u, v) in cls.pair_mod(n)}
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("i", range(1, 28))
+def test_sieve_cover_properties(i, p):
+    RC = padic.ResidueClass
+    for depth in range(1, padic.DEFAULT_DEPTH[p] + 1):
+        n = p**depth
+        result = padic.sieve_residue_classes(i, p, depth, strict=False)
+        dead = set()
+        for cls, _reason in result.excluded:
+            dead |= _points(cls, p, n)
+        alive = ({(r, 1) for r in range(n)}
+                 | {(1, r) for r in range(0, n, p)}) - dead
+
+        def keeps_survivor(cls):
+            return bool(_points(cls, p, n) & alive)
+
+        cover = set(result.classes)
+        if RC("first", 1, 0) in cover:      # undo the p = 2 merge of (1, v)
+            cover.remove(RC("first", 1, 0))
+            cover |= {RC("second", p, r) for r in range(1, p)} | {RC("first", p, 0)}
+        pts = [_points(cls, p, n) for cls in cover]
+        covered = set().union(*pts)
+        assert sum(map(len, pts)) == len(covered), (i, p, depth, "overlap")
+        assert alive <= covered, (i, p, depth, "survivor outside the cover")
+        for cls in cover:
+            m, r = cls.modulus, cls.residue
+            if m == n:
+                assert keeps_survivor(cls), (i, p, depth, str(cls))
+                continue
+            # above the depth cap only dead points deeper down may be covered
+            assert all(keeps_survivor(RC(cls.unit_slot, m * p, r + j * m))
+                       for j in range(p)), (i, p, depth, str(cls))
+            if m > (1 if cls.unit_slot == "second" else p):
+                parent = m // p
+                assert not all(
+                    keeps_survivor(RC(cls.unit_slot, m, r % parent + j * parent))
+                    for j in range(p)), (i, p, depth, str(cls))
+
+
 def test_five_adic_catalan_survives():
     cl = padic.five_adic_classes(5)
     assert any(c.unit_slot == "second" and c.residue % c.modulus == 0 for c in cl)

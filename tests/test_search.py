@@ -78,6 +78,14 @@ def test_mumford_rejects():
     assert not S.mumford_check(m, [0, 0, 1], [0])
 
 
+@pytest.mark.parametrize("a", [[0], [], [2, 3], [1, 1, 1, 1]])
+def test_mumford_bad_a_raises(a):
+    # a(x) must be monic of degree at most the genus
+    m = S.HyperellipticModel((1, 0, 0, 0, 0, 1))
+    with pytest.raises(ValueError):
+        S.mumford_check(m, a, [1])
+
+
 def test_points_satisfy_curve_exactly():
     m = S.HyperellipticModel((32000, 0, 0, 0, 0, 1))
     for p in S.rational_points(m, 15):
