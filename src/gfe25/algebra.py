@@ -351,7 +351,8 @@ def factorization_type(i, field="Q"):
 # residue fields
 
 class Fq:
-    """F_{p^f} = F_p[y]/(g) with elements as tuples of ints (ascending)."""
+    """F_{p^f} = F_p[y]/(g) for monic g, with elements as tuples of ints
+    (ascending)."""
 
     def __init__(self, p, modpoly):
         self.p = p
@@ -405,19 +406,34 @@ class Fq:
         return not any(a)
 
     def fifth_power_class(self, a):
-        """0..4; 0 iff a is a fifth power in F_q^x.  Trivial when q != 1 mod 5."""
+        """0..4; 0 iff a is a fifth power in F_q^x.  Trivial when q != 1 mod 5.
+
+        The class is the k with a^((q-1)/5) = gen^k, for the element gen of
+        order 5 from _mu5_generator.  When p = 1 mod 5, mu_5 lies in F_p and
+        a^((q-1)/5) = N(a)^((p-1)/5), where the norm N(a) to F_p is
+        Res(modpoly, a) mod p; no power is then taken in F_q.
+        """
         if self.is_zero(a):
             raise ZeroInput("fifth_power_class of zero")
         if (self.q - 1) % 5 != 0:
             return 0
-        chi = self.pow(a, (self.q - 1) // 5)
-        gen = self._mu5_generator()
-        acc = self.one
-        for k in range(5):
-            if chi == acc:
-                return k
-            acc = self.mul(acc, gen)
-        raise ArithmeticError("exponent test failed to land in mu_5")
+        p = self.p
+        if (p - 1) % 5 == 0:
+            norm = poly.resultant_mod(self.modpoly, a, p)
+            chi = self.element([pow(norm, (p - 1) // 5, p)])
+        else:
+            chi = self.pow(a, (self.q - 1) // 5)
+        powers = self._mu5_powers()
+        if chi not in powers:
+            raise ArithmeticError("exponent test failed to land in mu_5")
+        return powers.index(chi)
+
+    @lru_cache(maxsize=None)
+    def _mu5_powers(self):
+        gen, out = self._mu5_generator(), [self.one]
+        for _ in range(4):
+            out.append(self.mul(out[-1], gen))
+        return out
 
     @lru_cache(maxsize=None)
     def _mu5_generator(self):

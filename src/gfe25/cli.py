@@ -759,14 +759,21 @@ def cmd_derive(args):
     return 0
 
 
-def cmd_unitsieve(args):
-    primes = args.primes or descent.DEFAULT_SIEVE_PRIMES
-    t0 = time.perf_counter()
+def _check_primes(primes, indices):
+    """DataProblem unless the sieve primes suit the fields of these indices."""
     try:
-        survivors = descent.unit_sieve(args.i, primes=primes,
-                                       use_mod25=args.mod25, depth=args.depth)
+        for rep in sorted({descent.FIELD_REP[i] for i in indices}):
+            descent.check_sieve_primes(primes, rep)
     except descent.IndexRisk as e:
         raise DataProblem(f"{e}; choose other --primes") from e
+
+
+def cmd_unitsieve(args):
+    primes = args.primes or descent.DEFAULT_SIEVE_PRIMES
+    _check_primes(primes, [args.i])
+    t0 = time.perf_counter()
+    survivors = descent.unit_sieve(args.i, primes=primes,
+                                   use_mod25=args.mod25, depth=args.depth)
     report = DescentReport(
         stage=f"unitsieve-{args.i}",
         inputs=_stage_digest(f"unitsieve-{args.i}",
@@ -827,6 +834,8 @@ def cmd_frey(args):
 def cmd_run(args):
     # argparse has checked --stage against STAGE_ORDER
     stages = {args.stage} if args.stage else set(STAGE_ORDER)
+    if args.primes and "sextic" in stages:
+        _check_primes(args.primes, descent.SEXTIC_INDICES)
     cfg = {"height": args.height, "depth": args.depth, "mod25": True,
            "cache": not args.no_cache,
            "primes": args.primes}

@@ -614,11 +614,21 @@ def _content_ideal_basis(coeffs, rep):
     return M, abs(int(M.det()))
 
 
-def _ideal_generator(basis, norm, rep, bound=6):
+#: largest sup-norm of the LLL coordinates searched by _ideal_generator
+GENERATOR_BOUND = 6
+
+
+def _ideal_generator(basis, norm, rep):
     """Small element of the given ideal whose norm matches the ideal norm.
 
     In a field with trivial class group such an element generates the ideal,
-    which certifies the division performed by the caller.
+    which certifies the division performed by the caller.  The coordinates c
+    on the LLL-reduced basis are searched shell by shell, max|c| = r for
+    r = 0..GENERATOR_BOUND, each shell in lexicographic order.  The first
+    exact match is therefore the match of least sup-norm, and among those
+    the first in the lexicographic order of the whole box
+    [-GENERATOR_BOUND, GENERATOR_BOUND]^6: the element a scan of that box
+    keeping the smallest match would return.
     """
     import numpy as np
 
@@ -646,27 +656,35 @@ def _ideal_generator(basis, norm, rep, bound=6):
            for i in range(6)] for j in range(6)]
     emb = np.array([[sum(complex(pb[j][i]) * pows[i, r] for i in range(6))
                      for r in range(6)] for j in range(6)])
-    rng = np.arange(-bound, bound + 1)
-    grids = np.meshgrid(*[rng] * 6, indexing="ij")
-    coords = np.stack([g.ravel() for g in grids], axis=1)
-    absn = np.abs(np.prod(coords.astype(complex) @ emb, axis=1))
-    close = np.where(np.abs(np.log(np.maximum(absn, 1e-300)) - math.log(norm))
-                     < 1e-6)[0]
-    best = None
-    for idx in close:
-        c = coords[idx]
-        pc = [sum(Fraction(int(c[j])) * pb[j][k] for j in range(6))
-              for k in range(6)]
-        g = K.element(pc)
-        n = g.norm()
-        if n.denominator == 1 and abs(int(n)) == norm:
-            size = max(abs(int(x)) for x in c)
-            if best is None or size < best[0]:
-                best = (size, g)
-    if best is None:
-        raise ContentNotClearable(
-            f"no generator of norm {norm} found within bound {bound}")
-    return best[1]
+    for r in range(GENERATOR_BOUND + 1):
+        for coords in _shell(r):
+            absn = np.abs(np.prod(coords.astype(complex) @ emb, axis=1))
+            close = np.where(
+                np.abs(np.log(np.maximum(absn, 1e-300)) - math.log(norm))
+                < 1e-6)[0]
+            for c in coords[close]:
+                pc = [sum(Fraction(int(c[j])) * pb[j][k] for j in range(6))
+                      for k in range(6)]
+                g = K.element(pc)
+                n = g.norm()
+                if n.denominator == 1 and abs(int(n)) == norm:
+                    return g
+    raise ContentNotClearable(
+        f"no generator of norm {norm} found within bound {GENERATOR_BOUND}")
+
+
+def _shell(r):
+    """The points c of Z^6 with max|c| = r in lexicographic order, as arrays
+    of rows, one array per value of the first coordinate."""
+    import numpy as np
+
+    rng = np.arange(-r, r + 1)
+    rest = np.stack([g.ravel() for g in np.meshgrid(*[rng] * 5, indexing="ij")],
+                    axis=1)
+    inner = rest[np.abs(rest).max(axis=1) == r]
+    for c0 in rng:
+        tail = rest if abs(c0) == r else inner
+        yield np.hstack([np.full((len(tail), 1), c0), tail])
 
 
 def _primitive_part(coeffs, rep):
@@ -950,14 +968,22 @@ def _local_targets(split, rs, p, depth):
 DEFAULT_SIEVE_PRIMES = tuple(p for p in sp.primerange(7, 700) if p % 5 == 1)
 
 
+def check_sieve_primes(primes, rep):
+    """Raise IndexRisk unless every sieve prime is a prime above 5 that does
+    not divide disc(K) for the sextic field K labelled rep."""
+    K = coefficient_field(rep)
+    disc = K.discriminant()
+    bad = [p for p in primes if p <= 5 or not sp.isprime(p) or disc % p == 0]
+    if bad:
+        raise IndexRisk(f"sieve primes {bad} are not primes above 5 "
+                        f"prime to disc({K.label})")
+
+
 def unit_sieve(i, primes=DEFAULT_SIEVE_PRIMES, use_mod25=True, depth=3):
     """Surviving subset of the 125 unit classes twisting H_i(u, v) = w^5."""
     rep = FIELD_REP[i]
     K = coefficient_field(rep)
-    disc = K.discriminant()
-    bad = [p for p in primes if p <= 5 or disc % p == 0]
-    if bad:
-        raise IndexRisk(f"sieve primes {bad} are at most 5 or divide disc(K)")
+    check_sieve_primes(primes, rep)
     split = sextic_split(i)
     gens = verify_unit_data(rep)
     survivors = set(itertools.product(range(5), repeat=3))

@@ -9,8 +9,9 @@ polynomial is [].  Three kinds of arithmetic are provided:
   trailing zeros;
 * modulo an integer m, on ints only: products, and division by a monic
   polynomial whose remainder is a residue vector of exactly deg(divisor)
-  entries in [0, m); and the extended Euclidean algorithm over F_p, which
-  gives the Bezout identities behind Hensel lifting (Cohen, 3.5.3);
+  entries in [0, m); and, over F_p, the extended Euclidean algorithm, which
+  gives the Bezout identities behind Hensel lifting (Cohen, 3.5.3), and the
+  Euclidean resultant (Cohen, 3.3);
 * exact k-th roots of integers and Fractions.
 
 This module imports nothing from the package.
@@ -136,6 +137,29 @@ def gcdext_mod(a, b, p):
         return [], s0, t0
     inv = pow(r0[-1], -1, p)
     return tuple(_reduced(_scaled(x, inv), p) for x in (r0, s0, t0))
+
+
+def resultant_mod(a, b, p):
+    """Res(a, b) over F_p, in [0, p), for p prime; the degrees are those of
+    a and b reduced mod p.
+
+    For monic a this is the norm of b from F_p[x]/(a) to F_p."""
+    a, b = _reduced(a, p), _reduced(b, p)
+    if not a or not b:
+        return 0
+    res = 1
+    while len(b) > 1:
+        # Res(a, b) = (-1)^(deg a deg b) lc(b)^(deg a - deg r) Res(b, r)
+        # for r = a mod b
+        inv = pow(b[-1], -1, p)
+        r = trim(divmod_mod(a, [c * inv for c in b], p)[1])
+        if not r:
+            return 0
+        if (len(a) - 1) * (len(b) - 1) % 2:
+            res = -res
+        res = res * pow(b[-1], len(a) - len(r), p) % p
+        a, b = b, r
+    return res * pow(b[0], len(a) - 1, p) % p
 
 
 def _reduced(a, p):

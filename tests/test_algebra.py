@@ -128,6 +128,33 @@ def test_fq_fifth_power_class():
         fq.fifth_power_class(fq.zero)
 
 
+# residue fields of K16 with f = 1 and 5 (p = 11), 3 (p = 71) and 1, 2
+# (p = 101), where p = 1 mod 5; and F_{7^4}, where p = 2 mod 5 but q = 1 mod 5
+FIELDS_WITH_MU5 = [fq for p in (11, 71, 101) for fq in
+                   alg.residue_split(alg.coefficient_field(16), p).residue_fields
+                   ] + [alg.Fq(7, [1, 1, 0, 0, 1])]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(FIELDS_WITH_MU5), st.data())
+def test_fq_fifth_power_class_matches_definition(fq, data):
+    assert [F.f for F in FIELDS_WITH_MU5] == [1, 5, 3, 3, 1, 1, 2, 2, 4]
+    # the class k of a is defined by a^((q-1)/5) = gen^k
+    coeffs = data.draw(st.lists(st.integers(0, fq.p - 1),
+                                min_size=fq.f, max_size=fq.f))
+    a = fq.element(coeffs)
+    if fq.is_zero(a):
+        a = fq.one
+    chi = fq.pow(a, (fq.q - 1) // 5)
+    gen, acc = fq._mu5_generator(), fq.one
+    for k in range(5):
+        if chi == acc:
+            break
+        acc = fq.mul(acc, gen)
+    assert chi == acc
+    assert fq.fifth_power_class(a) == k
+
+
 def test_fq_fifth_power_class_trivial_when_q_not_1_mod_5():
     fq = alg.Fq(3, [1, 0, 1])  # q = 9, 9 % 5 != 1
     assert fq.fifth_power_class(fq.element([1, 2])) == 0

@@ -32,6 +32,9 @@ def _gfe(capsys, *argv):
     ("frey", "--scan", "3"),
     ("derive", "--family", "48", "--i", "5"),
     ("run", "--stage", "table5", "--depth", "0"),
+    ("unitsieve", "--i", "16", "--primes", "21"),
+    ("run", "--stage", "sextic", "--primes", "5", "--no-cache"),
+    ("run", "--stage", "sextic", "--primes", "21"),
 ])
 def test_bad_arguments_exit_2(capsys, argv):
     code, out, err = _gfe(capsys, *argv)

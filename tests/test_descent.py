@@ -1,6 +1,9 @@
 """Tests for the four descent pipelines: Klein/genus-2, Gaussian, real
 quadratic, and the sextic splitting with its unit sieve."""
 
+import hashlib
+import itertools
+import json
 from fractions import Fraction as Fr
 
 import pytest
@@ -235,6 +238,46 @@ def test_sextic_split_resultants():
         s = D.sextic_split(i)
         assert set(s.res_support) <= {2, 3, 5}
         assert s.primes_above_5 == 1
+
+
+# sha256 of the coordinates of (q, H, scalar) per sextic index; a generator
+# search that divides out another associate of the content changes them
+SPLIT_DIGESTS = {
+    5: "bdfab98843bfc504859af5311f0333bc33c93500d48471a2a2b169e1a4d07070",
+    6: "dd5387dfada87c647d411a6d4c5cde80f1add890ed0073afc4733a0786d12127",
+    8: "984b28974dcae40f8a1be136566a1274b3796d154d048e6b2d8c8326d5a620de",
+    9: "fd8e42773bc6325cfbb8068b8c6c1040b642493222e07540fe3a65cb21ea579e",
+    13: "615db5389e2e3c56b37955a360bc3883b4d159ac6baf18006a95aed636ab2423",
+    14: "c9bd34473a758eff931aceb839ba806a7851da4b9ae6df22c6f263a1e5de7ab7",
+    15: "1f108ec27e1c959da6aef403a54abf581cbc17e7f402cf60f42d1370293e41d9",
+    16: "e826428b6a9f38f132e47e2e069a655c03705233c926498509e52f89093ba356",
+    21: "c1efbe6bb35f34d1e6903f0ca25b6999d504e78d5a86d0a3ae356c0fdc177358",
+    22: "94d2dcc25ac1a48c0547fd41da3bd374f7beddae6428269f63cf3fa5c107d4e9",
+    23: "5ac6917ff42b1a8a623934c70ca2754ea0f200b21df1f2181e5cdf14ecde4a77",
+    24: "bbf8aba7b7d31b95c1202c2c79afdb2f6c882408c503d177c71547740d69f9ac",
+}
+
+
+def test_sextic_split_digests():
+    def coords(c):
+        return [str(x) for x in c.coords]
+
+    for i in D.SEXTIC_INDICES:
+        s = D.sextic_split(i)
+        doc = [[coords(c) for c in s.q.coeffs], [coords(c) for c in s.H.coeffs],
+               coords(s.scalar)]
+        digest = hashlib.sha256(json.dumps(doc).encode()).hexdigest()
+        assert digest == SPLIT_DIGESTS[i], i
+
+
+def test_generator_shells_order_the_box():
+    # shells r = 0..2 list the box [-2, 2]^6 once each, by sup-norm and then
+    # in the box's lexicographic order (sorted() is stable)
+    rows = [tuple(int(x) for x in c)
+            for r in range(3) for chunk in D._shell(r) for c in chunk]
+    box = sorted(itertools.product(range(-2, 3), repeat=6),
+                 key=lambda c: max(map(abs, c)))
+    assert rows == box
 
 
 def test_sextic_split_rebuild_h22():

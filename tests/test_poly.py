@@ -2,7 +2,8 @@
 
 from fractions import Fraction as Fr
 
-from hypothesis import given, settings, strategies as st
+import sympy as sp
+from hypothesis import assume, given, settings, strategies as st
 
 from gfe25 import poly
 
@@ -81,3 +82,43 @@ def test_fraction_root():
     assert poly.fraction_root(Fr(-4, 9), 2) is None
     assert poly.fraction_root(Fr(2, 9), 2) is None
     assert poly.fraction_root(0, 2) == 0
+
+
+def _sympy_resultant_mod(a, b, p):
+    x = sp.Symbol("x")
+    return int(sp.resultant(sp.Poly(a[::-1], x), sp.Poly(b[::-1], x))) % p
+
+
+@settings(max_examples=200, deadline=None)
+@given(int_polys, int_polys, st.sampled_from(SMALL_PRIMES))
+def test_resultant_mod_matches_sympy(a, b, p):
+    a, b = _mod(a, p), _mod(b, p)
+    assume(a and b)
+    if len(a) < len(b):
+        a, b = b, a
+    got = poly.resultant_mod(a, b, p)
+    assert got == _sympy_resultant_mod(a, b, p)
+    # sympy is the reference only for deg a >= deg b: sympy 1.14 gives
+    # Res(x, x^3 + 1) = -1, where the Sylvester determinant is 1; the other
+    # order follows from Res(b, a) = (-1)^(deg a deg b) Res(a, b)
+    sign = -1 if (len(a) - 1) * (len(b) - 1) % 2 else 1
+    assert poly.resultant_mod(b, a, p) == sign * got % p
+
+
+@settings(max_examples=100, deadline=None)
+@given(int_polys, int_polys, int_polys, st.sampled_from(SMALL_PRIMES))
+def test_resultant_mod_vanishes_on_common_factor(c, a, b, p):
+    c = _mod(c, p)
+    assume(len(c) > 1)
+    a, b = _mod(poly.mul(c, a), p), _mod(poly.mul(c, b), p)
+    assume(a and b)
+    assert poly.resultant_mod(a, b, p) == 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(int_polys, st.integers(-60, 60), st.sampled_from(SMALL_PRIMES))
+def test_resultant_mod_norm_of_constant(g, c, p):
+    # for monic g, Res(g, c) is the norm of c from F_p[x]/(g), c^deg g
+    g = [x % p for x in g] + [1]
+    assume(len(g) > 1)
+    assert poly.resultant_mod(g, [c], p) == pow(c, len(g) - 1, p)
