@@ -40,8 +40,6 @@ class NumberField:
             raise ValueError("minimal polynomial must be monic")
         self.label = label or f"deg{len(self.min_poly) - 1}"
         self.degree = len(self.min_poly) - 1
-        # x^n reduced: x^n = -(lower part)
-        self._xn = tuple(-Fraction(c) for c in self.min_poly[:-1])
         self._roots_cache = {}
 
     def __repr__(self):
@@ -133,21 +131,8 @@ class NFElement:
 
     def __mul__(self, other):
         other = self._coerce(other)
-        n = self.field.degree
-        prod = [Fraction(0)] * (2 * n - 1)
-        for i, a in enumerate(self.coords):
-            if a:
-                for j, b in enumerate(other.coords):
-                    prod[i + j] += a * b
-        # reduce powers >= n using x^n = field._xn
-        xn = self.field._xn
-        for k in range(2 * n - 2, n - 1, -1):
-            c = prod[k]
-            if c:
-                prod[k] = Fraction(0)
-                for j, r in enumerate(xn):
-                    prod[k - n + j] += c * r
-        return self._wrap(prod[:n])
+        prod = poly.mul(self.coords, other.coords)
+        return self.field.element(poly.divmod(prod, self.field.min_poly)[1])
 
     __rmul__ = __mul__
 
@@ -207,14 +192,13 @@ class NFElement:
     # -- invariants --------------------------------------------------------
     def norm(self):
         """Field norm down to Q (resultant of min_poly and the element)."""
-        m = sp.Poly(list(reversed(self.field.min_poly)), _X)
-        e = sp.Poly([sp.Rational(c.numerator, c.denominator)
-                     for c in reversed(self.coords)], _X)
-        if e.is_zero:
-            return Fraction(0)
-        r = sp.resultant(m, e)
-        q = sp.Rational(r)
-        return Fraction(int(q.p), int(q.q))
+        return Fraction(poly.resultant(self.field.min_poly, self.coords))
+
+    def coords_mod(self, m):
+        """The coordinates reduced into [0, m); ValueError when a denominator
+        is not invertible mod m."""
+        return [c.numerator * pow(c.denominator, -1, m) % m
+                for c in self.coords]
 
     def embed(self, root):
         acc = mpmath.mpf(0)
@@ -357,6 +341,8 @@ class Fq:
     def __init__(self, p, modpoly):
         self.p = p
         self.modpoly = tuple(int(c) % p for c in modpoly)
+        if self.modpoly[-1] != 1:
+            raise ValueError(f"modulus {list(modpoly)} is not monic mod {p}")
         self.f = len(self.modpoly) - 1
         self.q = p**self.f
 
@@ -376,21 +362,8 @@ class Fq:
         return tuple((x + y) % self.p for x, y in zip(a, b))
 
     def mul(self, a, b):
-        p = self.p
-        prod = [0] * (2 * self.f - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    prod[i + j] = (prod[i + j] + x * y) % p
-        # reduce
-        for k in range(2 * self.f - 2, self.f - 1, -1):
-            c = prod[k]
-            if c:
-                prod[k] = 0
-                for j in range(self.f):
-                    prod[k - self.f + j] = (prod[k - self.f + j]
-                                            - c * self.modpoly[j]) % p
-        return tuple(prod[:self.f])
+        prod = poly.mul_mod(a, b, self.p)
+        return tuple(poly.divmod_mod(prod, self.modpoly, self.p)[1])
 
     def pow(self, a, e):
         out = self.one
@@ -409,24 +382,27 @@ class Fq:
         """0..4; 0 iff a is a fifth power in F_q^x.  Trivial when q != 1 mod 5.
 
         The class is the k with a^((q-1)/5) = gen^k, for the element gen of
-        order 5 from _mu5_generator.  When p = 1 mod 5, mu_5 lies in F_p and
-        a^((q-1)/5) = N(a)^((p-1)/5), where the norm N(a) to F_p is
-        Res(modpoly, a) mod p; no power is then taken in F_q.
+        order 5 from _mu5_generator.
         """
         if self.is_zero(a):
             raise ZeroInput("fifth_power_class of zero")
         if (self.q - 1) % 5 != 0:
             return 0
-        p = self.p
-        if (p - 1) % 5 == 0:
-            norm = poly.resultant_mod(self.modpoly, a, p)
-            chi = self.element([pow(norm, (p - 1) // 5, p)])
-        else:
-            chi = self.pow(a, (self.q - 1) // 5)
+        chi = self._fifth_power_character(a)
         powers = self._mu5_powers()
         if chi not in powers:
             raise ArithmeticError("exponent test failed to land in mu_5")
         return powers.index(chi)
+
+    def _fifth_power_character(self, a):
+        """a^((q-1)/5).  When p = 1 mod 5, mu_5 lies in F_p and this is
+        N(a)^((p-1)/5), where the norm N(a) to F_p is Res(modpoly, a) mod p;
+        no power is then taken in F_q."""
+        p = self.p
+        if (p - 1) % 5 == 0:
+            norm = poly.resultant_mod(self.modpoly, a, p)
+            return self.element([pow(norm, (p - 1) // 5, p)])
+        return self.pow(a, (self.q - 1) // 5)
 
     @lru_cache(maxsize=None)
     def _mu5_powers(self):
@@ -445,7 +421,7 @@ class Fq:
                 break
             if self.is_zero(trial):
                 continue
-            g = self.pow(trial, (self.q - 1) // 5)
+            g = self._fifth_power_character(trial)
             if g != self.one:
                 return g
         raise ArithmeticError("no fifth-power-class generator found")
@@ -483,15 +459,9 @@ class ResidueSplit:
 
     def reduce(self, elem, j):
         """Image of an integral NFElement in residue field j."""
-        fq = self.residue_fields[j]
         g = self.factors[j][0]
-        p = self.p
-        coeffs = []
-        for c in elem.coords:
-            if c.denominator % p == 0:
-                raise ValueError("denominator not invertible mod p")
-            coeffs.append(c.numerator * pow(c.denominator, -1, p) % p)
-        return fq.element(poly.divmod_mod(coeffs, g, p)[1])
+        coeffs = poly.divmod_mod(elem.coords_mod(self.p), g, self.p)[1]
+        return self.residue_fields[j].element(coeffs)
 
 
 def residue_split(K, p):

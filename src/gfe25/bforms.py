@@ -16,7 +16,7 @@ from functools import lru_cache
 from importlib import resources
 from typing import Sequence
 
-from .poly import int_root
+from . import poly
 
 
 class NonIntegralResult(Exception):
@@ -47,10 +47,6 @@ class BinaryForm:
     def __post_init__(self):
         if len(self.coeffs) != self.degree + 1:
             raise ValueError("need degree+1 coefficients")
-
-    @staticmethod
-    def from_coeffs(coeffs: Sequence) -> "BinaryForm":
-        return BinaryForm(len(coeffs) - 1, tuple(coeffs))
 
     def coeff(self, k: int):
         """Coefficient of u^k v^(degree-k)."""
@@ -116,13 +112,8 @@ class BinaryForm:
     def __mul__(self, other):
         if isinstance(other, BinaryForm):
             d = self.degree + other.degree
-            out = [0] * (d + 1)
-            for i, a in enumerate(self.coeffs):
-                if not a:
-                    continue
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] = out[i + j] + a * b
-            return BinaryForm(d, tuple(out))
+            out = poly.mul(self.coeffs, other.coeffs)
+            return BinaryForm(d, tuple(out) + (0,) * (d + 1 - len(out)))
         return BinaryForm(self.degree, tuple(c * other for c in self.coeffs))
 
     __rmul__ = __mul__
@@ -135,8 +126,9 @@ class BinaryForm:
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            if n:  # no square past the top bit
+                base = base * base
         return result
 
     def scale(self, s) -> "BinaryForm":
@@ -229,56 +221,25 @@ def transform(F: BinaryForm, M) -> BinaryForm:
 def binary_resultant(F: BinaryForm, G: BinaryForm):
     """GL2-covariant resultant of two binary forms.
 
-    Computed as the (m+n)-size Sylvester determinant of the full padded
-    coefficient vectors of F(x,1) and G(x,1); leading zeros are kept so that
-    roots at infinity are accounted for.
+    This is the (m+n)-size Sylvester determinant of the full coefficient
+    vectors of F(x,1) and G(x,1), leading zeros included, so that roots at
+    infinity are accounted for.  It is computed as the resultant of the
+    trimmed polynomials, corrected for the dm and dn leading coefficients
+    that F and G lose: Res_(m,n) = (-1)^(n dm) G_n^dm Res when only F loses
+    some, F_m^dn Res when only G does, and 0 when both do.
     """
     m, n = F.degree, G.degree
-    fc = [F.coeffs[m - k] for k in range(m + 1)]  # descending in u
-    gc = [G.coeffs[n - k] for k in range(n + 1)]
-    size = m + n
-    rows = []
-    for i in range(n):
-        rows.append([0] * i + fc + [0] * (size - m - 1 - i))
-    for i in range(m):
-        rows.append([0] * i + gc + [0] * (size - n - 1 - i))
-    return _det_fraction_free(rows)
-
-
-def _det_fraction_free(rows):
-    """Bareiss determinant; exact in any integral domain with true division."""
-    a = [list(r) for r in rows]
-    n = len(a)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if not a[k][k]:
-            for i in range(k + 1, n):
-                if a[i][k]:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0 * prev
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = a[i][j] * a[k][k] - a[i][k] * a[k][j]
-                a[i][j] = _domain_div(num, prev)
-            a[i][k] = 0 * a[i][k]
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1] if n else 1
-
-
-def _domain_div(num, den):
-    if isinstance(den, int) and den == 1:
-        return num
-    if isinstance(num, int) and isinstance(den, int):
-        q, r = divmod(num, den)
-        if r:
-            raise ArithmeticError("non-exact Bareiss division")
-        return q
-    q = num / den
-    return q
+    if not m or not n:
+        # the Sylvester matrix is diagonal
+        return F.coeffs[0] ** n * G.coeffs[0] ** m
+    f, g = poly.trim(F.coeffs), poly.trim(G.coeffs)
+    dm, dn = m + 1 - len(f), n + 1 - len(g)
+    if dm and dn:
+        return 0 * F.coeffs[m]
+    res = poly.resultant(f, g)
+    if dm:
+        return (-1) ** (n * dm) * G.coeffs[n] ** dm * res
+    return F.coeffs[m] ** dn * res
 
 
 # ---------------------------------------------------------------------------
@@ -407,7 +368,7 @@ class Reject:
 
 def integer_fifth_root(n: int):
     """The integer z with z^5 = n, or None."""
-    return int_root(n, 5)
+    return poly.int_root(n, 5)
 
 
 def assemble_solution(i: int, u: int, v: int, sign: int):

@@ -23,7 +23,7 @@ from fractions import Fraction
 
 import sympy as sp
 
-from . import algebra, descent, frey, padic
+from . import algebra, descent, frey, padic, poly
 from .bforms import (ALL_INDICES, BinaryForm, edwards_triple, evaluate_triple,
                      forms_digest)
 from .search import (
@@ -178,16 +178,15 @@ def exit_code(reports):
 def _stage_syzygy(cfg):
     fails = []
     for i in range(1, 28):
-        t = edwards_triple(i)
-        z = t.f * t.f + t.g**3 + t.h**5
-        if z.degree != 60 or any(c != 0 for c in z.coeffs):
+        z = edwards_triple(i).syzygy_residual()
+        if z.degree != 60 or not z.is_zero:
             fails.append(f"f^2 + g^3 + h^5 != 0 for i={i}")
     return fails, [], {"identities_checked": 27, "degree": 60}
 
 
 FACTORIZATION_TYPES = {
-    (1, 20, 25): ("Q", [1, 1, 10]),
-    (3, 4, 12, 17, 18, 27): ("Q", [4, 8]),
+    descent.RATIONAL_SPLIT_INDICES: ("Q", [1, 1, 10]),
+    descent.GAUSS_INDICES: ("Q", [4, 8]),
     (2, 10, 26): ("golden", [6, 6]),
     descent.SEXTIC_INDICES: ("golden", [12]),
 }
@@ -243,7 +242,7 @@ def _stage_genus2(cfg):
                       25: {2**8 * 5**3, 2**8 * 3**6 * 5**3}}
     expected_alpha = {1: {12}, 20: {12}, 25: {1}}
     splits = {}
-    for i in (1, 20, 25):
+    for i in descent.RATIONAL_SPLIT_INDICES:
         try:
             s = splits[i] = descent.rational_split(i)
         except descent.SplitInconsistent as e:
@@ -380,15 +379,18 @@ def _stage_gauss(cfg):
 
 def _sqrt5_resultants():
     """Resultants of the conjugate sextic factors of h and of the underlying
-    quadratic forms, computed over Q(sqrt5)."""
-    x = sp.Symbol("x")
-    r5 = sp.sqrt(5)
-    lam, lamc = (55 + 27 * r5) / 2, (55 - 27 * r5) / 2
-    quad = sp.expand(sp.resultant(1 - lam * x - 5 * x**2,
-                                  1 - lamc * x - 5 * x**2, x))
-    sextic = sp.expand(sp.resultant(1 - lam * x**3 - 5 * x**6,
-                                    1 - lamc * x**3 - 5 * x**6, x))
-    return int(sextic), int(quad)
+    quadratic forms, computed over Q(sqrt5): Res_x(1 - lam x^k - 5 x^2k,
+    1 - lam' x^k - 5 x^2k) for k = 3 and 1, lam = (55 + 27 sqrt5)/2."""
+    K = algebra.auxiliary_field("sqrt5")
+    lam = K.element([Fraction(55, 2), Fraction(27, 2)])
+    lamc = K.element([Fraction(55, 2), Fraction(-27, 2)])
+
+    def res(k):
+        pad = [K.zero] * (k - 1)
+        a, b = ([K.one, *pad, -m, *pad, K.from_int(-5)] for m in (lam, lamc))
+        return int(poly.resultant(a, b).as_rational())
+
+    return res(3), res(1)
 
 
 def _stage_sqrt5(cfg):
@@ -674,8 +676,8 @@ def parse_curve(spec):
         return named[spec]
     try:
         expr = sp.sympify(spec.replace("^", "**"))
-        poly = sp.Poly(expr, sp.Symbol("x"))
-        coeffs = tuple(int(c) for c in reversed(poly.all_coeffs()))
+        P = sp.Poly(expr, sp.Symbol("x"))
+        coeffs = tuple(int(c) for c in reversed(P.all_coeffs()))
         return HyperellipticModel(coeffs, spec)
     except (sp.SympifyError, TypeError, ValueError) as e:
         raise DataProblem(

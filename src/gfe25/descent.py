@@ -455,16 +455,6 @@ _P5 = (0, 125, 0, 50, 0, 1)
 _Q5 = (25, 0, 50, 0, 5, 0)
 
 
-def _eps_power(j):
-    """epsilon^j = c + d sqrt5 with epsilon = (1 + sqrt5)/2."""
-    c, d = Fraction(1), Fraction(0)
-    step = (Fraction(1, 2), Fraction(1, 2)) if j >= 0 else (Fraction(-1, 2),
-                                                            Fraction(1, 2))
-    for _ in range(abs(j)):
-        c, d = c * step[0] + 5 * d * step[1], c * step[1] + d * step[0]
-    return c, d
-
-
 @dataclass(frozen=True)
 class Sqrt5DescentData:
     j: int
@@ -512,7 +502,9 @@ _F0_PRINTED = (81, -1650, 16725, -99000, 395250, -1039500, 1961250,
 def sqrt5_family(j):
     if j not in (-2, -1, 0, 1, 2):
         raise ValueError("j must be in -2..2")
-    c, d = _eps_power(j)
+    # epsilon^j = c + d sqrt5 with epsilon = (1 + sqrt5)/2
+    eps = auxiliary_field("sqrt5").element([Fraction(1, 2), Fraction(1, 2)])
+    c, d = (eps**j).coords
     g1 = BinaryForm(5, tuple(c * p + 5 * d * q for p, q in zip(_P5, _Q5)))
     g2 = BinaryForm(5, tuple(c * q + d * p for p, q in zip(_P5, _Q5)))
     F = (g1 * g1).scale(81) - (g1 * g2).scale(330) + (g2 * g2).scale(345)
@@ -906,11 +898,8 @@ def _local_targets(split, rs, p, depth):
     slots = list(range(len(rs.residue_fields)))
     lifted = [_hensel_lift(T, list(rs.factors[j][0]), p, depth) for j in slots]
 
-    def red_coeff(c, j):
-        out = [x.numerator * pow(x.denominator, -1, pk) % pk for x in c.coords]
-        return poly.divmod_mod(out, lifted[j], pk)[1]
-
-    hred = [[red_coeff(c, j) for j in slots] for c in split.H.coeffs]
+    hred = [[poly.divmod_mod(c.coords_mod(pk), lifted[j], pk)[1] for j in slots]
+            for c in split.H.coeffs]
 
     def profile(u, v, level):
         """Per-slot (valuation, class-or-None) at precision p**level."""
@@ -1014,18 +1003,14 @@ def unit_sieve(i, primes=DEFAULT_SIEVE_PRIMES, use_mod25=True, depth=3):
             raise IndexRisk("5 divides the order index; "
                             "mod-25 pass unavailable")
 
-        def red25(e):
-            return [x.numerator * pow(x.denominator, -1, 25) % 25
-                    for x in e.coords]
-
         fifths = _fifth_powers_mod25(rep)
         pairs = [(u, 1) for u in range(25)] + [(1, 5 * t) for t in range(5)]
-        hvals = [red25(split.H.evaluate(K.from_int(u), K.from_int(v)))
+        hvals = [split.H.evaluate(K.from_int(u), K.from_int(v)).coords_mod(25)
                  for u, v in pairs]
         kept = set()
         for e in survivors:
             eta = gens[0] ** e[0] * gens[1] ** e[1] * gens[2] ** e[2]
-            inv25 = red25(eta.inverse())
+            inv25 = eta.inverse().coords_mod(25)
             if any(tuple(_mul25(hv, inv25, T)) in fifths for hv in hvals):
                 kept.add(e)
         survivors = kept

@@ -3,10 +3,11 @@
 A polynomial is a list of coefficients in ascending powers of x, and the zero
 polynomial is [].  Three kinds of arithmetic are provided:
 
-* over Q, on ints and Fractions: ring operations, division with remainder,
-  and the Euclidean and extended Euclidean algorithms (Cohen, "A Course in
-  Computational Algebraic Number Theory", 3.1-3.2); results carry no
-  trailing zeros;
+* over a field, on ints and Fractions (over Q) or on any field elements with
+  + - * / and truth, such as number-field elements: ring operations,
+  division with remainder, the Euclidean and extended Euclidean algorithms
+  (Cohen, "A Course in Computational Algebraic Number Theory", 3.1-3.2) and
+  the Euclidean resultant (Cohen, 3.3); results carry no trailing zeros;
 * modulo an integer m, on ints only: products, and division by a monic
   polynomial whose remainder is a residue vector of exactly deg(divisor)
   entries in [0, m); and, over F_p, the extended Euclidean algorithm, which
@@ -45,16 +46,17 @@ def mul(a, b):
 
 
 def divmod(a, b):
-    """(q, r) with a == q*b + r and deg r < deg b, over Q."""
+    """(q, r) with a == q*b + r and deg r < deg b, over a field."""
     b = trim(b)
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
-    inv = Fraction(1) / b[-1]
     db = len(b) - 1
     r = list(a)
     q = [0] * max(len(r) - db, 0)
+    # no inverse is needed for a monic divisor, or when a is already reduced
+    inv = None if b[-1] == 1 or len(r) <= db else Fraction(1) / b[-1]
     for k in range(len(r) - 1, db - 1, -1):
-        c = r[k] * inv
+        c = r[k] if inv is None else r[k] * inv
         if c:
             q[k - db] = c
             for j in range(db):
@@ -84,6 +86,28 @@ def gcdext(a, b):
         return [], s0, t0
     inv = Fraction(1) / r0[-1]
     return _scaled(r0, inv), _scaled(s0, inv), _scaled(t0, inv)
+
+
+def resultant(a, b):
+    """Res(a, b) over a field; the degrees are those of a and b without
+    trailing zeros, and Res is 0 when either is zero.
+
+    For monic a this is the norm of b from K[x]/(a) to K."""
+    a, b = trim(a), trim(b)
+    if not a or not b:
+        return 0
+    res = 1
+    while len(b) > 1:
+        # Res(a, b) = (-1)^(deg a deg b) lc(b)^(deg a - deg r) Res(b, r)
+        # for r = a mod b
+        r = divmod(a, b)[1]
+        if not r:
+            return 0 * b[-1]
+        if (len(a) - 1) * (len(b) - 1) % 2:
+            res = -res
+        res = res * b[-1] ** (len(a) - len(r))
+        a, b = b, r
+    return res * b[0] ** (len(a) - 1)
 
 
 def _scaled(a, c):

@@ -4,6 +4,7 @@ import warnings
 from fractions import Fraction
 
 import pytest
+import sympy as sp
 from hypothesis import given, settings, strategies as st
 
 from gfe25 import algebra as alg
@@ -147,12 +148,21 @@ def test_fq_fifth_power_class_matches_definition(fq, data):
         a = fq.one
     chi = fq.pow(a, (fq.q - 1) // 5)
     gen, acc = fq._mu5_generator(), fq.one
+    assert gen != fq.one and fq.pow(gen, 5) == fq.one
     for k in range(5):
         if chi == acc:
             break
         acc = fq.mul(acc, gen)
     assert chi == acc
     assert fq.fifth_power_class(a) == k
+
+
+def test_fq_rejects_modulus_not_monic():
+    # y^4 = 3 + 3y needs the inverse of the leading 2; Fq reduces only by
+    # monic moduli, so it refuses this one
+    with pytest.raises(ValueError):
+        alg.Fq(7, [1, 1, 0, 0, 2])
+    assert alg.Fq(7, [1, 1, 0, 0, 8]).modpoly == (1, 1, 0, 0, 1)
 
 
 def test_fq_fifth_power_class_trivial_when_q_not_1_mod_5():
@@ -169,6 +179,35 @@ def test_reduction_map_is_ring_hom():
     b = K.element([3, 0, 1])
     assert rs.reduce(a * b, j) == fq.mul(rs.reduce(a, j), rs.reduce(b, j))
     assert rs.reduce(a + b, j) == fq.add(rs.reduce(a, j), rs.reduce(b, j))
+
+
+def test_coords_mod():
+    G = alg.auxiliary_field("gauss")
+    assert G.element([Fraction(1, 2), -3]).coords_mod(25) == [13, 22]
+    with pytest.raises(ValueError):
+        G.element([Fraction(1, 5), 1]).coords_mod(25)
+
+
+NAMED_FIELDS = ([alg.coefficient_field(i) for i in (5, 6, 16, 22, 24)]
+                + [alg.auxiliary_field(n) for n in ("gauss", "golden", "sqrt5", "sqrt-5")])
+rational_coords = st.lists(st.fractions(min_value=-20, max_value=20, max_denominator=6),
+                           max_size=6)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(NAMED_FIELDS), rational_coords, rational_coords)
+def test_nf_product_and_norm_match_sympy(K, ac, bc):
+    x = sp.Symbol("x")
+
+    def expr(coeffs):
+        return sum(sp.Rational(str(c)) * x**k for k, c in enumerate(coeffs))
+
+    a, b = K.element(ac[:K.degree]), K.element(bc[:K.degree])
+    rem = sp.Poly(sp.rem(expr(a.coords) * expr(b.coords), expr(K.min_poly), x), x)
+    assert a * b == K.element([Fraction(str(c)) for c in reversed(rem.all_coeffs())])
+    if a:
+        norm = sp.resultant(expr(K.min_poly), expr(a.coords), x)
+        assert a.norm() == Fraction(str(norm))
 
 
 coord = st.integers(min_value=-9, max_value=9)

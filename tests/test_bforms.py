@@ -3,8 +3,10 @@
 from fractions import Fraction
 
 import pytest
+import sympy as sp
 from hypothesis import given, settings, strategies as st
 
+from gfe25.algebra import auxiliary_field
 from gfe25.bforms import (
     BinaryForm,
     NonIntegralResult,
@@ -144,6 +146,58 @@ def test_resultant_vanishes_iff_common_root_at_point(fc, gc, u, v):
     G = BinaryForm(3, tuple(gc))
     if F.evaluate(u, v) == 0 and G.evaluate(u, v) == 0 and (F.coeffs != (0,) * 3 and G.coeffs != (0,) * 4):
         assert binary_resultant(F, G) == 0
+
+
+def _losing_leads(coeffs, lost):
+    """The form with these coefficients and its top `lost` ones set to zero."""
+    d = len(coeffs) - 1
+    return BinaryForm(d, tuple(0 * c if k > d - lost else c
+                               for k, c in enumerate(coeffs)))
+
+
+def _sylvester_det(F, G, to_sympy):
+    """The Sylvester determinant of the full coefficient vectors, in sympy."""
+    m, n = F.degree, G.degree
+    fc = [to_sympy(F.coeffs[m - k]) for k in range(m + 1)]
+    gc = [to_sympy(G.coeffs[n - k]) for k in range(n + 1)]
+    rows = ([[0] * i + fc + [0] * (n - 1 - i) for i in range(n)]
+            + [[0] * i + gc + [0] * (m - 1 - i) for i in range(m)])
+    return sp.expand(sp.Matrix(m + n, m + n, sum(rows, [])).det())
+
+
+def test_binary_resultant_sign_of_lost_leads():
+    # F = uv + v^2 (degree 2, u^2 coefficient 0), G = u + 2v: the Sylvester
+    # determinant is -1, i.e. (-1)^(1*1) * 1 * Res(x + 1, x + 2)
+    F, G = BinaryForm(2, (1, 1, 0)), BinaryForm(1, (2, 1))
+    assert binary_resultant(F, G) == -1 == _sylvester_det(F, G, sp.Integer)
+    # Res_(1,2)(G, F) = (-1)^(2*1) Res_(2,1)(F, G)
+    assert binary_resultant(G, F) == -1
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(coeff, min_size=1, max_size=5), st.lists(coeff, min_size=1, max_size=5),
+       st.integers(0, 2), st.integers(0, 2))
+def test_binary_resultant_matches_sylvester_determinant(fc, gc, dm, dn):
+    # either form, or both, may lose leading coefficients (roots at infinity)
+    F, G = _losing_leads(fc, dm), _losing_leads(gc, dn)
+    assert binary_resultant(F, G) == _sylvester_det(F, G, sp.Integer)
+
+
+gauss_coeff = st.tuples(st.integers(-6, 6), st.integers(-6, 6))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(gauss_coeff, min_size=1, max_size=4),
+       st.lists(gauss_coeff, min_size=1, max_size=4),
+       st.integers(0, 2), st.integers(0, 2))
+def test_binary_resultant_over_gauss_matches_sylvester_determinant(fc, gc, dm, dn):
+    K = auxiliary_field("gauss")
+    F = _losing_leads([K.element(c) for c in fc], dm)
+    G = _losing_leads([K.element(c) for c in gc], dn)
+    det = _sylvester_det(F, G, lambda e: sp.Rational(str(e.coords[0]))
+                         + sp.I * sp.Rational(str(e.coords[1])))
+    want = K.element([Fraction(str(sp.re(det))), Fraction(str(sp.im(det)))])
+    assert binary_resultant(F, G) == want
 
 
 @settings(max_examples=40, deadline=None)

@@ -122,3 +122,47 @@ def test_resultant_mod_norm_of_constant(g, c, p):
     g = [x % p for x in g] + [1]
     assume(len(g) > 1)
     assert poly.resultant_mod(g, [c], p) == pow(c, len(g) - 1, p)
+
+
+def _sympy_resultant(a, b):
+    x = sp.Symbol("x")
+    res = sp.resultant(*(sp.Poly([sp.Rational(c.numerator, c.denominator)
+                                  for c in f[::-1]], x) for f in (a, b)))
+    return Fr(str(res))
+
+
+@settings(max_examples=200, deadline=None)
+@given(rational_polys, rational_polys)
+def test_resultant_matches_sympy_over_q(a, b):
+    a, b = poly.trim(map(Fr, a)), poly.trim(map(Fr, b))
+    assume(a and b)
+    if len(a) < len(b):
+        a, b = b, a
+    got = poly.resultant(a, b)
+    assert got == _sympy_resultant(a, b)
+    # sympy is the reference only for deg a >= deg b (see above)
+    sign = -1 if (len(a) - 1) * (len(b) - 1) % 2 else 1
+    assert poly.resultant(b, a) == sign * got
+
+
+def test_resultant_examples():
+    # Res(x, x^3 + 1) = 1, the Sylvester determinant; Res(x^3 + 1, x) = -1
+    assert poly.resultant([0, 1], [1, 0, 0, 1]) == 1
+    assert poly.resultant([1, 0, 0, 1], [0, 1]) == -1
+    # Res(x^2 - 2, x - 3) = 3^2 - 2 and Res(x - 3, x^2 - 2) = 7 as well
+    assert poly.resultant([-2, 0, 1], [-3, 1]) == 7
+    assert poly.resultant([-3, 1], [-2, 0, 1]) == 7
+    # Res(2x, 3x^2 + 1) = 2^2 * 1 (x = 0 is the root of 2x)
+    assert poly.resultant([0, 2], [1, 0, 3]) == 4
+    assert poly.resultant([5], [1, 2, 3]) == 25
+    assert poly.resultant([], [1, 1]) == 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(rational_polys, rational_polys, rational_polys)
+def test_resultant_vanishes_on_common_factor(c, a, b):
+    c = poly.trim(c)
+    assume(len(c) > 1)
+    a, b = poly.mul(c, a), poly.mul(c, b)
+    assume(a and b)
+    assert poly.resultant(a, b) == 0

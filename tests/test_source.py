@@ -33,3 +33,23 @@ def test_no_unused_imports():
         found += [f"{path.name}:{line} {name}"
                   for name, line in sorted(imported.items()) if name not in used]
     assert not found, f"unused imports in the package: {found}"
+
+
+def test_no_sympy_resultant():
+    # every resultant goes through gfe25.poly; sympy's is a second copy
+    found = []
+    for path in sorted(pathlib.Path(gfe25.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        aliases = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                aliases |= {a.asname or a.name for a in node.names
+                            if a.name == "sympy"}
+            elif isinstance(node, ast.ImportFrom) and \
+                    (node.module or "").split(".")[0] == "sympy":
+                found += [f"{path.name}:{node.lineno}" for a in node.names
+                          if a.name == "resultant"]
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr == "resultant"
+                  and isinstance(node.value, ast.Name) and node.value.id in aliases]
+    assert not found, f"sympy resultants in the package: {found}"
