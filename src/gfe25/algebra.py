@@ -159,8 +159,9 @@ class NFElement:
         while e:
             if e & 1:
                 out = out * base
-            base = base * base
             e >>= 1
+            if e:  # no square past the top bit
+                base = base * base
         return out
 
     # -- predicates --------------------------------------------------------
@@ -371,8 +372,9 @@ class Fq:
         while e:
             if e & 1:
                 out = self.mul(out, base)
-            base = self.mul(base, base)
             e >>= 1
+            if e:  # no square past the top bit
+                base = self.mul(base, base)
         return out
 
     def is_zero(self, a):

@@ -7,7 +7,6 @@ this module is exact (Fraction or int); nothing here ever touches floats.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 from dataclasses import dataclass
@@ -62,13 +61,6 @@ class BinaryForm:
             isinstance(c, int) or (isinstance(c, Fraction) and c.denominator == 1)
             for c in self.coeffs
         )
-
-    def content(self) -> int:
-        """gcd of the (integral) coefficients; 0 for the zero form."""
-        g = 0
-        for c in self.coeffs:
-            g = math.gcd(g, int(c))
-        return g
 
     def evaluate(self, u, v):
         # Horner in u with v-powers folded in
@@ -246,8 +238,8 @@ def binary_resultant(F: BinaryForm, G: BinaryForm):
 # The 27 triples
 # ---------------------------------------------------------------------------
 
-# Bracket data for h_1 .. h_27, embedded; the shipped data/forms.json copy is
-# checked against this at load time via its pinned digest.
+# Bracket data for h_1 .. h_27, embedded; verify_forms_data checks the
+# shipped data/forms.json copy against it.
 _BRACKETS = {
     1: ["0", "1", "0", "0", "0", "0", "-144/7", "0", "0", "0", "0", "-20736", "0"],
     2: ["-1", "0", "0", "-2", "0", "0", "80/7", "0", "0", "640", "0", "0", "-102400"],
@@ -281,25 +273,13 @@ _BRACKETS = {
 ALL_INDICES = tuple(range(1, 28))
 
 
-def forms_json_bytes() -> bytes:
-    return (
-        resources.files("gfe25").joinpath("data/forms.json").read_bytes()
-    )
-
-
 def verify_forms_data() -> None:
     """Check the shipped forms.json against the embedded bracket table."""
-    payload = json.loads(forms_json_bytes())
-    seen = {}
-    for rec in payload:
-        seen[rec["index"]] = rec["alphas"]
-    if seen != _BRACKETS:
+    payload = json.loads(
+        resources.files("gfe25").joinpath("data/forms.json").read_bytes())
+    if {rec["index"]: rec["alphas"] for rec in payload} != _BRACKETS:
         raise NonIntegralResult("data/forms.json disagrees with embedded table")
     return True
-
-
-def forms_digest() -> str:
-    return hashlib.sha256(forms_json_bytes()).hexdigest()
 
 
 @dataclass(frozen=True)

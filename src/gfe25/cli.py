@@ -5,6 +5,9 @@ classification tables, the four descent sections, and the final summary
 table), emits deterministic JSON or markdown reports, and exposes each
 computation directly through subcommands.
 
+The summary table is assembled from the reports of the stages it consumes
+(CONSUMES).  Reports are cached under digests of their options, data and code.
+
 Exit codes: 0 = all stages pass unconditionally; 10 = at least one stage
 passes only conditionally on imported data or external completeness facts;
 1 = a computed value disagrees with the recorded expectation; 2 = broken
@@ -14,6 +17,7 @@ environment, data or arguments (missing/invalid data files, bad arguments).
 import argparse
 import hashlib
 import json
+import math
 import os
 import pathlib
 import sys
@@ -24,8 +28,8 @@ from fractions import Fraction
 import sympy as sp
 
 from . import algebra, descent, frey, padic, poly
-from .bforms import (ALL_INDICES, BinaryForm, edwards_triple, evaluate_triple,
-                     forms_digest)
+from .bforms import (ALL_INDICES, BinaryForm, Solution, assemble_solution,
+                     edwards_triple)
 from .search import (
     AffinePoint,
     HyperellipticModel,
@@ -40,6 +44,7 @@ from .search import (
 UNIT_DATA = "unit-data-completeness"
 SELMER_D1D2 = "paper-selmer-emptiness-D1D2"
 CHABAUTY = "paper-chabauty-completeness"
+TAGS = (UNIT_DATA, SELMER_D1D2, CHABAUTY)  # the order reports list them in
 
 # simplified genus-4 twist models (imported display data) and the Mumford
 # divisors certified on them
@@ -70,6 +75,7 @@ SIEVE_EMPTY = (8, 9, 15, 21)
 # the five residual equations of the summary table, with the (u, v) each
 # would force; representatives are tied to the sieve witnesses above
 RESIDUAL_INDICES = (22, 6, 24, 5, 16)
+SQRT5_INDICES = (2, 10, 26)  # h splits into two sextics over Q(sqrt5)
 
 
 class DataProblem(Exception):
@@ -83,7 +89,7 @@ class DataProblem(Exception):
 @dataclass
 class DescentReport:
     stage: str
-    inputs: str                      # digest of stage id + parameters + data
+    inputs: str                      # digest of stage name + options + data
     verdict: str                     # pass | conditional-pass | mismatch
     details: list = field(default_factory=list)
     assumptions: list = field(default_factory=list)
@@ -91,15 +97,10 @@ class DescentReport:
     seconds: float = 0.0
 
     def as_dict(self):
-        return {
-            "stage": self.stage,
-            "inputs": self.inputs,
-            "verdict": self.verdict,
-            "details": _jsonable(self.details),
-            "assumptions": list(self.assumptions),
-            "artifacts": _jsonable(self.artifacts),
-            "seconds": round(self.seconds, 3),
-        }
+        return {**vars(self), "details": _jsonable(self.details),
+                "assumptions": list(self.assumptions),
+                "artifacts": _jsonable(self.artifacts),
+                "seconds": round(self.seconds, 3)}
 
 
 def _jsonable(x):
@@ -175,6 +176,14 @@ def exit_code(reports):
 # ---------------------------------------------------------------------------
 # stage implementations: each returns (failures, assumptions, artifacts)
 
+def _solutions(i, uvs):
+    """(a, b, z) of the primitive solutions that assemble_solution builds
+    from the pairs (u, v) of index i, with both signs of a."""
+    sols = (assemble_solution(i, u, v, s) for u, v in uvs for s in (1, -1))
+    return {(s.a, s.b, s.z) for s in sols
+            if isinstance(s, Solution) and s.primitive}
+
+
 def _stage_syzygy(cfg):
     fails = []
     for i in range(1, 28):
@@ -187,8 +196,9 @@ def _stage_syzygy(cfg):
 FACTORIZATION_TYPES = {
     descent.RATIONAL_SPLIT_INDICES: ("Q", [1, 1, 10]),
     descent.GAUSS_INDICES: ("Q", [4, 8]),
-    (2, 10, 26): ("golden", [6, 6]),
+    SQRT5_INDICES: ("golden", [6, 6]),
     descent.SEXTIC_INDICES: ("golden", [12]),
+    (7, 11, 19): ("golden", [12]),
 }
 
 
@@ -201,12 +211,6 @@ def _stage_table4(cfg):
             if got != want:
                 fails.append(f"factorization type over {fld} for i={i}: "
                              f"got {got}, expected {want}")
-    for i in (7, 11, 19):
-        got = algebra.factorization_type(i, "golden")
-        rows.append({"i": i, "field": "golden", "type": got})
-        if got != [12]:
-            fails.append(f"h_{i} should stay irreducible over Q(sqrt5), "
-                         f"got type {got}")
     rows.sort(key=lambda r: (r["field"], r["i"]))
     return fails, [], {"rows_checked": len(rows), "table": rows}
 
@@ -259,46 +263,32 @@ def _stage_genus2(cfg):
         if gammas != expected_gamma[i]:
             fails.append(f"genus-2 constants for i={i}: got {sorted(gammas)}, "
                          f"expected {sorted(expected_gamma[i])}")
-    points = {}
     for gamma, want in ((32000, {"inf", "(-4, 176)", "(-4, -176)"}),
                         (8000, {"inf"})):
         model = HyperellipticModel((gamma, 0, 0, 0, 0, 1), f"y^2=x^5+{gamma}")
-        pts = rational_points(model, H)
-        points[gamma] = pts
-        arts["search"][f"x^5+{gamma}"] = pts
+        pts = arts["search"][f"x^5+{gamma}"] = rational_points(model, H)
         if {str(p) for p in pts} != want:
             fails.append(f"points of height <= {H} on y^2 = x^5 + {gamma}: "
                          f"got {[str(p) for p in pts]}, expected {sorted(want)}")
-    affine = [p for p in points.get(32000, []) if isinstance(p, AffinePoint)]
+    affine = [p for p in arts["search"]["x^5+32000"]
+              if isinstance(p, AffinePoint)]
+    # index: (alpha, points to lift, expected lifts; None = does not lift)
+    lift_cases = {1: (12, affine, {(0, 1), None}),
+                  20: (12, [InfinitePoint(0)], {(1, 0)}),
+                  25: (1, affine + [InfinitePoint(0)],
+                       {(1, 1), (1, -1), None})}
     lifted = {}
-    if 1 in splits:
-        lifted[1] = [descent.genus2_back_substitute(splits[1], 12, p)
-                     for p in affine]
-        if set(lifted[1]) != {(0, 1), None}:
-            fails.append(f"back-substitution for i=1: got {lifted[1]}, "
-                         "expected one point at (0, 1) and one non-lift")
-    if 20 in splits:
-        lifted[20] = [descent.genus2_back_substitute(
-            splits[20], 12, InfinitePoint(0))]
-        if lifted[20] != [(1, 0)]:
-            fails.append(f"back-substitution for i=20 at infinity: "
-                         f"got {lifted[20]}, expected [(1, 0)]")
-    if 25 in splits:
-        lifted[25] = [descent.genus2_back_substitute(splits[25], 1, p)
-                      for p in affine + [InfinitePoint(0)]]
-        if set(lifted[25]) != {(1, 1), (1, -1), None}:
-            fails.append(f"back-substitution for i=25: got {lifted[25]}, "
-                         "expected (1, 1), (1, -1) and one non-lift")
+    for i, (alpha, pts, want) in lift_cases.items():
+        if i in splits:
+            lifted[i] = [descent.genus2_back_substitute(splits[i], alpha, p)
+                         for p in pts]
+            if set(lifted[i]) != want:
+                fails.append(f"back-substitution for i={i}: got {lifted[i]}, "
+                             f"expected {want}")
     arts["lifts"] = {i: [uv if uv else "no-lift" for uv in v]
                      for i, v in lifted.items()}
-    sols = set()
-    for i, uvs in lifted.items():
-        for uv in uvs:
-            if uv is None:
-                continue
-            f, g, h = evaluate_triple(i, *uv)
-            if sp.igcd(sp.igcd(f, g), h) == 1:
-                sols.update({(f, g, -h), (-f, g, -h)})
+    sols = set().union(*(_solutions(i, [uv for uv in uvs if uv])
+                         for i, uvs in lifted.items()))
     arts["solutions"] = sorted(sols)
     if sols != {(1, -1, 0), (-1, -1, 0)}:
         fails.append(f"family solutions: got {sorted(sols)}, "
@@ -363,12 +353,7 @@ def _stage_gauss(cfg):
                              f"with token {token!r}, got "
                              f"{sorted(fib.solutions)} / {fib.contradiction!r}")
         arts["contradictions"] = contradictions
-        sols = set()
-        for i in (3, 4):
-            for u, v in descent.gauss_back_substitute(i, (0, 0)).solutions:
-                f, g, h = evaluate_triple(i, u, v)
-                if (f or g or h) and sp.igcd(sp.igcd(f, g), h) == 1:
-                    sols.add((f, g, -h))
+        sols = _solutions(3, origin[3]) | _solutions(4, origin[4])
         arts["solutions"] = sorted(sols)
         if sols != {(0, 1, 1), (0, -1, -1)}:
             fails.append(f"family solutions: got {sorted(sols)}, "
@@ -454,16 +439,10 @@ def _stage_sqrt5(cfg):
     return fails, [SELMER_D1D2, CHABAUTY], arts
 
 
-def _sieve_primes(cfg):
-    if cfg.get("primes"):
-        return tuple(cfg["primes"])
-    return descent.DEFAULT_SIEVE_PRIMES
-
-
 def _stage_sextic(cfg):
     fails = []
     arts = {"splits": {}, "survivors": {}, "witnesses": {}, "scans": {}}
-    primes = _sieve_primes(cfg)
+    primes = tuple(cfg.get("primes") or descent.DEFAULT_SIEVE_PRIMES)
     try:
         for rep in sorted(set(descent.FIELD_REP.values())):
             descent.verify_unit_data(rep)
@@ -480,7 +459,6 @@ def _stage_sextic(cfg):
             fails.append(f"expected a single prime above 5 in the resultant "
                          f"for i={i}, got {s.primes_above_5}")
         survivors = descent.unit_sieve(i, primes=primes,
-                                       use_mod25=cfg.get("mod25", True),
                                        depth=cfg.get("depth", 3))
         arts["survivors"][i] = [list(e) for e in survivors]
         if i in SIEVE_EMPTY:
@@ -508,11 +486,10 @@ def _stage_sextic(cfg):
         if not sc.all_hypotheses_hold:
             fails.append(f"irreducibility hypotheses fail somewhere mod 72 "
                          f"for i={i}")
-    catalan = evaluate_triple(5, *SIEVE_WITNESSES[5])
-    f, g, h = catalan
-    arts["catalan"] = sorted({(f, g, -h), (-f, g, -h)})
-    if {(abs(f), g, -h)} != {(3, -2, 1)}:
-        fails.append(f"Catalan witness evaluated to {catalan}")
+    catalan = _solutions(5, [SIEVE_WITNESSES[5]])
+    arts["catalan"] = sorted(catalan)
+    if catalan != {(3, -2, 1), (-3, -2, 1)}:
+        fails.append(f"Catalan witness gave {sorted(catalan)}")
     # the unit generators are imported data; their fundamental-unit
     # completeness is certified only up to the fifth-power-class rank check
     return fails, [UNIT_DATA], arts
@@ -520,61 +497,87 @@ def _stage_sextic(cfg):
 
 def _expected_table1():
     try:
-        text = (pathlib.Path(__file__).parent / "data" / "expected"
-                / "expected_table1.json").read_text()
-        return json.loads(text)
+        return json.loads(
+            (_PACKAGE / "data/expected/expected_table1.json").read_text())
     except (FileNotFoundError, json.JSONDecodeError) as e:
         raise DataProblem(f"summary-table fixture unreadable: {e}") from e
 
 
-def _stage_solutions(cfg):
+def _curve_order(group):
+    """Key of a ((W, type), indices) group: conductor, label, + before -."""
+    (W, sign), _ = group
+    n = len(W) - len(W.lstrip("0123456789"))
+    return int(W[:n]), W[n:], sign != "+"
+
+
+def _solution_label(sols):
+    """'+-(x, y, z)' for a pair {t, -t}, '(+-x, y, z)' for a pair that
+    differs in the sign of x only, '-' for none."""
+    if not sols:
+        return "-"
+    x, y, z = t = max(sols)
+    if sols == {t, (-x, -y, -z)}:
+        return f"+-{t}"
+    if sols == {t, (-x, y, z)}:
+        return f"(+-{x}, {y}, {z})"
+    return ", ".join(map(str, sorted(sols)))
+
+
+def _stage_solutions(cfg, genus2, gauss, sqrt5):
     fails = []
     arts = {}
     expected = _expected_table1()
-    sols = set()
-    # reducible family: back-substituted points of the gamma = 32000 curve
-    s1 = descent.rational_split(1)
-    for uv in (descent.genus2_back_substitute(
-            s1, 12, AffinePoint(Fraction(-4), Fraction(176))),
-            descent.genus2_back_substitute(
-            s1, 12, AffinePoint(Fraction(-4), Fraction(-176)))):
-        if uv:
-            f, g, h = evaluate_triple(1, *uv)
-            sols.update({(f, g, -h), (-f, g, -h)})
-    # Gaussian family: the fibers over the origin of M_3 and M_4
-    for i in (3, 4):
-        for u, v in descent.gauss_back_substitute(i, (0, 0)).solutions:
-            f, g, h = evaluate_triple(i, u, v)
-            if (f, g, h) != (0, 0, 0):
-                sols.add((f, g, -h))
-    # real-quadratic family: v^6 + 5u^6 = 1 forces (u, v) = (0, +-1), z = 1
-    sols.update({(1, 0, 1), (-1, 0, 1)})
-    # Catalan witness from the surviving class of H_5
-    f, g, h = evaluate_triple(5, *SIEVE_WITNESSES[5])
-    sols.update({(f, g, -h), (-f, g, -h)})
-    sols = {s for s in sols if sp.igcd(sp.igcd(*s[:2]), s[2]) == 1}
-    for f, g, h in sols:
-        if f * f + g**3 != h**25:
-            fails.append(f"claimed solution {(f, g, h)} fails x^2 + y^3 = z^25")
+    # each family's solutions with the indices it covers, read through
+    # _jsonable so that fresh and cached reports agree; the Catalan pair
+    # comes from the witness of H_5's surviving class, which `sextic` checks
+    families = [(indices, {tuple(t) for t in _jsonable(
+                    report.artifacts.get("solutions", []))})
+                for indices, report in (
+                    (descent.RATIONAL_SPLIT_INDICES, genus2),
+                    (descent.GAUSS_INDICES, gauss), (SQRT5_INDICES, sqrt5))]
+    families.append(((5,), _solutions(5, [SIEVE_WITNESSES[5]])))
+    sols = set().union(*(found for _, found in families))
+    for x, y, z in sorted(sols):
+        if x * x + y**3 != z**25 or math.gcd(x, y, z) != 1:
+            fails.append(f"claimed solution {(x, y, z)} is not a primitive "
+                         "solution of x^2 + y^3 = z^25")
     got_sols = sorted(str(s).replace(" ", "") for s in sols)
     want_sols = sorted(s.replace(" ", "") for s in expected["solutions"])
     arts["solutions"] = sorted(sols)
     if got_sols != want_sols:
         fails.append(f"solution column: got {got_sols}, expected {want_sols}")
-    conditions = []
+    condition = {}
     for i in RESIDUAL_INDICES:
-        u, v = SIEVE_WITNESSES[i]
-        rep = "(+-1, 0)" if v == 0 else "(0, +-1)"
-        conditions.append(f"H_{i}(u, v) = w^5 => (u, v) = {rep}")
-    arts["conditions"] = conditions
+        rep = "(+-1, 0)" if SIEVE_WITNESSES[i][1] == 0 else "(0, +-1)"
+        condition[i] = f"H_{i}(u, v) = w^5 => (u, v) = {rep}"
+    arts["conditions"] = conditions = list(condition.values())
     if conditions != expected["conditions"]:
         fails.append(f"condition column: got {conditions}, "
                      f"expected {expected['conditions']}")
-    arts["table"] = expected["rows"]
+    # one row per curve W and type, the reducible family first
+    groups = {}
+    for row in frey.ito_w_rows():
+        groups.setdefault((row["W"], row["type"]), set()).add(row["i"])
+    rows = [("reducible", set(descent.RATIONAL_SPLIT_INDICES))]
+    rows += [(W + sign, indices) for (W, sign), indices
+             in sorted(groups.items(), key=_curve_order)]
+    arts["table"] = []
+    for curve, indices in rows:
+        found = set().union(*(s for family, s in families
+                              if set(family) <= indices))
+        arts["table"].append({
+            "curve": curve, "solutions": _solution_label(found),
+            "condition": next((c for i, c in condition.items()
+                               if i in indices), "-")})
+    if arts["table"] != expected["rows"]:
+        fails.append(f"summary table: got {arts['table']}, "
+                     f"expected {expected['rows']}")
     # the assembled table inherits every imported fact used upstream
-    return fails, [UNIT_DATA, SELMER_D1D2, CHABAUTY], arts
+    tags = {UNIT_DATA}.union(*(r.assumptions for r in (genus2, gauss, sqrt5)))
+    return fails, sorted(tags, key=TAGS.index), arts
 
 
+# name -> stage, in the order the pipeline runs them
 STAGES = {
     "syzygy": _stage_syzygy,
     "table4": _stage_table4,
@@ -585,20 +588,38 @@ STAGES = {
     "sextic": _stage_sextic,
     "solutions": _stage_solutions,
 }
-STAGE_ORDER = ("syzygy", "table4", "table5", "genus2", "gauss", "sqrt5",
-               "sextic", "solutions")
+STAGE_ORDER = tuple(STAGES)
+# the stages whose finished reports a stage receives, as keyword arguments;
+# each comes before its consumer in STAGE_ORDER
+CONSUMES = {"solutions": ("genus2", "gauss", "sqrt5")}
+
+_PACKAGE = pathlib.Path(__file__).parent
 
 
-# bump when a stage's checks or artifact layout change, so cached reports
-# from older code are never reused
-_REPORT_REV = 2
+def _digest_files(files):
+    """sha256 over (name, file) pairs, names and contents."""
+    h = hashlib.sha256()
+    for name, path in files:
+        h.update(name.encode() + b"\0" + hashlib.sha256(
+            path.read_bytes()).digest())
+    return h.hexdigest()
 
 
-def _stage_digest(name, cfg):
-    payload = {"stage": name, "rev": _REPORT_REV, "forms": forms_digest(),
-               "height": cfg.get("height"),
-               "primes": list(cfg.get("primes") or []),
-               "depth": cfg.get("depth", 3), "mod25": cfg.get("mod25", True)}
+def _data_digest():
+    """Digest of every bundled data file and of the unit files that
+    descent.load_unit_data reads, through GFE_DATA_DIR where it is set."""
+    data = _PACKAGE / "data"
+    files = [(p.relative_to(data).as_posix(), p)
+             for p in sorted(data.rglob("*")) if p.is_file()]
+    files += [(f"unit data K{rep}", descent.unit_data_file(rep))
+              for rep in sorted(set(descent.FIELD_REP.values()))]
+    return _digest_files(files)
+
+
+def _stage_digest(name, options, data):
+    """A report's `inputs`: stage name, options and data digest.  The code
+    is left out, so reports compare across code changes."""
+    payload = {"stage": name, "options": options, "data": data}
     return hashlib.sha256(
         json.dumps(payload, sort_keys=True).encode()).hexdigest()[:16]
 
@@ -610,50 +631,52 @@ def _cache_dir():
 
 
 def run_pipeline(stages, cfg):
-    """Run the named stages in dependency order; returns the report list.
+    """Run the named stages and the stages they consume, in STAGE_ORDER;
+    returns the report list.
 
-    Completed stage reports are cached keyed by their input digest (timing
-    excluded), so re-runs after an interruption skip finished work unless
-    --no-cache is given.
+    Completed stage reports are cached under their `inputs` digest and the
+    digest of the package source, and come back from the cache with
+    seconds 0.0.  So re-runs skip finished work unless --no-cache is given,
+    and never reuse a report computed from other code, data or options.
     """
-    reports = []
+    wanted = set(stages)
+    for name in reversed(STAGE_ORDER):
+        if name in wanted:
+            wanted.update(CONSUMES.get(name, ()))
+    options = {"height": cfg.get("height"),
+               "primes": list(cfg.get("primes") or []),
+               "depth": cfg.get("depth", 3)}
+    data = _data_digest()
+    code = _digest_files((p.name, p) for p in sorted(_PACKAGE.glob("*.py")))
+    reports = {}
     for name in STAGE_ORDER:
-        if name not in stages:
+        if name not in wanted:
             continue
-        digest = _stage_digest(name, cfg)
-        cache_file = _cache_dir() / f"{name}-{digest}.json"
+        digest = _stage_digest(name, options, data)
+        cache_file = _cache_dir() / f"{name}-{digest}-{code[:16]}.json"
         if cfg.get("cache", True) and cache_file.is_file():
             try:
-                saved = json.loads(cache_file.read_text())
-                reports.append(DescentReport(
-                    stage=name, inputs=digest, verdict=saved["verdict"],
-                    details=saved["details"], assumptions=saved["assumptions"],
-                    artifacts=saved["artifacts"], seconds=0.0))
+                reports[name] = DescentReport(**{
+                    **json.loads(cache_file.read_text()), "seconds": 0.0})
                 continue
-            except (json.JSONDecodeError, KeyError):
-                pass  # stale cache entry; recompute
+            except (json.JSONDecodeError, TypeError):
+                pass  # unreadable cache entry; recompute
         t0 = time.perf_counter()
-        fails, assumptions, artifacts = STAGES[name](cfg)
+        fails, assumptions, artifacts = STAGES[name](
+            cfg, **{n: reports[n] for n in CONSUMES.get(name, ())})
         verdict = ("mismatch" if fails
                    else "conditional-pass" if assumptions else "pass")
-        report = DescentReport(stage=name, inputs=digest, verdict=verdict,
-                               details=fails,
-                               assumptions=assumptions if not fails else [],
-                               artifacts=artifacts,
-                               seconds=time.perf_counter() - t0)
-        reports.append(report)
+        report = reports[name] = DescentReport(
+            stage=name, inputs=digest, verdict=verdict, details=fails,
+            assumptions=assumptions if not fails else [], artifacts=artifacts,
+            seconds=time.perf_counter() - t0)
         if cfg.get("cache", True):
             try:
                 _cache_dir().mkdir(parents=True, exist_ok=True)
-                cache_file.write_text(json.dumps({
-                    "verdict": report.verdict,
-                    "details": _jsonable(report.details),
-                    "assumptions": report.assumptions,
-                    "artifacts": _jsonable(report.artifacts)},
-                    sort_keys=True))
+                cache_file.write_text(json.dumps(report.as_dict()))
             except OSError:
                 pass  # cache is best-effort
-    return reports
+    return list(reports.values())
 
 
 # ---------------------------------------------------------------------------
@@ -779,8 +802,8 @@ def cmd_unitsieve(args):
     report = DescentReport(
         stage=f"unitsieve-{args.i}",
         inputs=_stage_digest(f"unitsieve-{args.i}",
-                             {"primes": primes, "depth": args.depth,
-                              "mod25": args.mod25}),
+                             {"primes": list(primes), "depth": args.depth,
+                              "mod25": args.mod25}, _data_digest()),
         verdict="conditional-pass", assumptions=[UNIT_DATA],
         artifacts={"i": args.i, "primes": list(primes),
                    "survivors": [list(e) for e in survivors]},
@@ -816,18 +839,14 @@ def cmd_frey(args):
         indices = list(frey.IRREDUCIBLE_INDICES)
     else:
         indices = [int(args.scan)]
+    by_i = {r["i"]: r for r in frey.ito_w_rows()}
     rows = []
     for i in indices:
         sc = frey.congruence_scan(i)
         rows.append({"i": i, "mod8_classes": len(sc.mod8_pairs),
                      "mod9_classes": len(sc.mod9_pairs),
-                     "allHypothesesHold": sc.all_hypotheses_hold})
-    by_i = {r["i"]: r for r in frey.ito_w_rows()}
-    for row in rows:
-        ref = by_i.get(row["i"])
-        if ref:
-            row["W"] = ref["W"]
-            row["type"] = ref["type"]
+                     "allHypothesesHold": sc.all_hypotheses_hold,
+                     "W": by_i[i]["W"], "type": by_i[i]["type"]})
     lines = "\n".join(json.dumps(_jsonable(r)) for r in rows)
     _print(lines, args.json, rows)
     return 0 if all(r["allHypothesesHold"] for r in rows) else 1
@@ -838,9 +857,8 @@ def cmd_run(args):
     stages = {args.stage} if args.stage else set(STAGE_ORDER)
     if args.primes and "sextic" in stages:
         _check_primes(args.primes, descent.SEXTIC_INDICES)
-    cfg = {"height": args.height, "depth": args.depth, "mod25": True,
-           "cache": not args.no_cache,
-           "primes": args.primes}
+    cfg = {"height": args.height, "depth": args.depth,
+           "cache": not args.no_cache, "primes": args.primes}
     reports = run_pipeline(stages, cfg)
     fmt = "markdown" if args.md else "json"
     print(emit_report(reports, fmt), end="")
@@ -951,10 +969,7 @@ def main(argv=None):
         os.environ["GFE_DATA_DIR"] = args.data
     try:
         return args.func(args)
-    except DataProblem as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except (FileNotFoundError, json.JSONDecodeError) as e:
+    except (DataProblem, FileNotFoundError, json.JSONDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -575,7 +575,6 @@ class SexticSplit:
     res_support: tuple          # rational primes in the norm
     primes_above_5: int         # how many primes above 5 divide the resultant
     flagged_primes: tuple       # factor-base primes skipped for index risk
-    unit_class: tuple = None    # surviving unit class, filled by the sieve
 
 
 def _content_ideal_basis(coeffs, rep):
@@ -613,14 +612,14 @@ GENERATOR_BOUND = 6
 def _ideal_generator(basis, norm, rep):
     """Small element of the given ideal whose norm matches the ideal norm.
 
-    In a field with trivial class group such an element generates the ideal,
-    which certifies the division performed by the caller.  The coordinates c
-    on the LLL-reduced basis are searched shell by shell, max|c| = r for
-    r = 0..GENERATOR_BOUND, each shell in lexicographic order.  The first
-    exact match is therefore the match of least sup-norm, and among those
-    the first in the lexicographic order of the whole box
-    [-GENERATOR_BOUND, GENERATOR_BOUND]^6: the element a scan of that box
-    keeping the smallest match would return.
+    In any number field such an element generates the ideal, since its
+    principal ideal lies in the ideal with index 1; this certifies the
+    caller's division.  The coordinates c on the LLL-reduced basis are
+    searched shell by shell, max|c| = r for r = 0..GENERATOR_BOUND, each
+    shell in lexicographic order.  The first exact match is therefore the
+    match of least sup-norm, and among those the first in the lexicographic
+    order of the whole box [-GENERATOR_BOUND, GENERATOR_BOUND]^6: the
+    element a scan of that box keeping the smallest match would return.
     """
     import numpy as np
 
@@ -791,19 +790,20 @@ def _is_order_integral(elem, rep):
     return all(q.q == 1 for q in v)
 
 
-def load_unit_data(rep):
-    text = None
+def unit_data_file(rep):
+    """The unit-generator file of field K_rep: units/K{rep}.json or
+    K{rep}.json under GFE_DATA_DIR when one is there, else the bundled one."""
     base = os.environ.get("GFE_DATA_DIR")
     if base:
         for rel in (f"units/K{rep}.json", f"K{rep}.json"):
             path = pathlib.Path(base) / rel
             if path.is_file():
-                text = path.read_text()
-                break
-    if text is None:
-        text = resources.files("gfe25").joinpath(
-            f"data/units/K{rep}.json").read_text()
-    raw = json.loads(text)
+                return path
+    return resources.files("gfe25").joinpath(f"data/units/K{rep}.json")
+
+
+def load_unit_data(rep):
+    raw = json.loads(unit_data_file(rep).read_text())
     K = coefficient_field(rep)
     gens = [K.element([Fraction(c) for c in row]) for row in raw["generators"]]
     return gens, list(raw["certPrimes"])

@@ -157,6 +157,32 @@ def test_fq_fifth_power_class_matches_definition(fq, data):
     assert fq.fifth_power_class(a) == k
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(-3, 3), min_size=6, max_size=6),
+       st.integers(-3, 12))
+def test_nf_pow_matches_repeated_products(coords, e):
+    K = alg.coefficient_field(16)
+    a = K.element(coords)
+    if not a:
+        a = K.one
+    want = K.one
+    for _ in range(abs(e)):
+        want = want * a
+    assert a**e == (want if e >= 0 else want.inverse())
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([F for F in FIELDS_WITH_MU5 if F.p in (7, 11)]),
+       st.data(), st.integers(0, 40))
+def test_fq_pow_matches_repeated_products(fq, data, e):
+    a = fq.element(data.draw(st.lists(st.integers(0, fq.p - 1),
+                                      min_size=fq.f, max_size=fq.f)))
+    want = fq.one
+    for _ in range(e):
+        want = fq.mul(want, a)
+    assert fq.pow(a, e) == want
+
+
 def test_fq_rejects_modulus_not_monic():
     # y^4 = 3 + 3y needs the inverse of the leading 2; Fq reduces only by
     # monic moduli, so it refuses this one

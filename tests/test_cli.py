@@ -1,10 +1,11 @@
 """Tests for the `gfe` command line: argument checks, examples and the cache."""
 
 import json
+from importlib import resources
 
 import pytest
 
-from gfe25 import cli
+from gfe25 import cli, frey
 
 
 def _gfe(capsys, *argv):
@@ -63,3 +64,61 @@ def test_cached_table5_matches_fresh(capsys, tmp_path, monkeypatch):
     code2, out2, _ = _gfe(capsys, "run", "--stage", "table5")
     assert code1 == code2 == 0
     assert _without_seconds(json.loads(out1)) == _without_seconds(json.loads(out2))
+
+
+def _stub_stage(cfg):
+    return [], [], {}
+
+
+def test_sextic_inputs_cover_external_unit_data(tmp_path, monkeypatch):
+    # the sieve is stubbed out: only the report's inputs digest matters
+    monkeypatch.setitem(cli.STAGES, "sextic", _stub_stage)
+    monkeypatch.delenv("GFE_DATA_DIR", raising=False)
+    cfg = {"cache": False}
+
+    def inputs():
+        return cli.run_pipeline({"sextic"}, cfg)[0].inputs
+
+    bundled = inputs()
+    units = tmp_path / "units"
+    units.mkdir()
+    text = resources.files("gfe25").joinpath(
+        "data/units/K16.json").read_text()
+    (units / "K16.json").write_text(text)
+    monkeypatch.setenv("GFE_DATA_DIR", str(tmp_path))
+    assert inputs() == bundled
+    (units / "K16.json").write_text(text + "\n")
+    assert inputs() != bundled
+
+
+def test_solutions_table_follows_ito_w_rows(monkeypatch):
+    rows = [r for r in frey.ito_w_rows() if r["i"] != 22]
+    monkeypatch.setattr(frey, "ito_w_rows", lambda: rows)
+    reports = cli.run_pipeline({"solutions"}, {"cache": False})
+    solutions = reports[-1]
+    assert solutions.stage == "solutions"
+    assert solutions.verdict == "mismatch"
+    assert any("54a1-" in d for d in solutions.details)
+    assert all("54a1-" not in row["curve"]
+               for row in solutions.artifacts["table"])
+
+
+def test_solutions_reads_cached_upstream_reports(capsys, tmp_path,
+                                                 monkeypatch):
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    code, out, _ = _gfe(capsys, "run", "--stage", "solutions")
+    assert code == 10
+    fresh = _without_seconds(json.loads(out))
+    stages = ["genus2", "gauss", "sqrt5", "solutions"]
+    assert [r["stage"] for r in fresh["reports"]] == stages
+    for name in stages:
+        assert len(list(tmp_path.rglob(f"{name}-*.json"))) == 1
+    code, out, _ = _gfe(capsys, "run", "--stage", "solutions")
+    assert code == 10
+    assert _without_seconds(json.loads(out)) == fresh
+    (entry,) = tmp_path.rglob("solutions-*.json")
+    entry.unlink()
+    code, out, _ = _gfe(capsys, "run", "--stage", "solutions")
+    assert code == 10
+    assert _without_seconds(json.loads(out)) == fresh
+    assert entry.is_file()
