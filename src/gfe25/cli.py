@@ -27,7 +27,7 @@ from fractions import Fraction
 
 import sympy as sp
 
-from . import algebra, descent, frey, padic, poly
+from . import algebra, bforms, descent, frey, padic, poly
 from .bforms import (ALL_INDICES, BinaryForm, Solution, assemble_solution,
                      edwards_triple)
 from .search import (
@@ -42,9 +42,11 @@ from .search import (
 # assumption tags for conditional verdicts
 
 UNIT_DATA = "unit-data-completeness"
+CLASS_NUMBER = "class-number-prime-to-5"
 SELMER_D1D2 = "paper-selmer-emptiness-D1D2"
 CHABAUTY = "paper-chabauty-completeness"
-TAGS = (UNIT_DATA, SELMER_D1D2, CHABAUTY)  # the order reports list them in
+# the order reports list them in
+TAGS = (UNIT_DATA, CLASS_NUMBER, SELMER_D1D2, CHABAUTY)
 
 # simplified genus-4 twist models (imported display data) and the Mumford
 # divisors certified on them
@@ -185,6 +187,11 @@ def _solutions(i, uvs):
 
 
 def _stage_syzygy(cfg):
+    try:
+        bforms.verify_forms_data()
+    except (FileNotFoundError, json.JSONDecodeError, KeyError,
+            bforms.NonIntegralResult) as e:
+        raise DataProblem(f"forms data invalid: {e}") from e
     fails = []
     for i in range(1, 28):
         z = edwards_triple(i).syzygy_residual()
@@ -451,8 +458,11 @@ def _stage_sextic(cfg):
         raise DataProblem(f"unit data invalid: {e}") from e
     for i in descent.SEXTIC_INDICES:
         s = descent.sextic_split(i)
-        arts["splits"][i] = {"res_support": list(s.res_support),
-                             "primes_above_5": s.primes_above_5}
+        arts["splits"][i] = {
+            "res_support": list(s.res_support),
+            "primes_above_5": s.primes_above_5,
+            "irreducibility_primes": [list(P)
+                                      for P in s.irreducibility_primes]}
         if not set(s.res_support) <= {2, 3, 5}:
             fails.append(f"resultant support for i={i}: {s.res_support}")
         if s.primes_above_5 != 1:
@@ -491,8 +501,10 @@ def _stage_sextic(cfg):
     if catalan != {(3, -2, 1), (-3, -2, 1)}:
         fails.append(f"Catalan witness gave {sorted(catalan)}")
     # the unit generators are imported data; their fundamental-unit
-    # completeness is certified only up to the fifth-power-class rank check
-    return fails, [UNIT_DATA], arts
+    # completeness is certified only up to the fifth-power-class rank check.
+    # Reading H(u, v) = unit * w^5 off the fifth-power ideal (H(u, v))
+    # needs 5 to be prime to the class number of K, which nothing checks.
+    return fails, [UNIT_DATA, CLASS_NUMBER], arts
 
 
 def _expected_table1():

@@ -32,7 +32,8 @@ from importlib import resources
 import sympy as sp
 
 from . import padic, poly
-from .algebra import auxiliary_field, coefficient_field, residue_split
+from .algebra import (auxiliary_field, coefficient_field, factor_fp,
+                      residue_split)
 from .bforms import BinaryForm, binary_resultant, edwards_triple, transform
 from .search import HyperellipticModel, InfinitePoint
 
@@ -575,6 +576,7 @@ class SexticSplit:
     res_support: tuple          # rational primes in the norm
     primes_above_5: int         # how many primes above 5 divide the resultant
     flagged_primes: tuple       # factor-base primes skipped for index risk
+    irreducibility_primes: tuple  # degree-1 primes (p, a) certifying q, H
 
 
 def _content_ideal_basis(coeffs, rep):
@@ -717,29 +719,33 @@ def _primitive_part(coeffs, rep):
 
 @lru_cache(maxsize=None)
 def sextic_split(i):
-    from .algebra import factor_nf
+    """h_i = scalar * q * H over its sextic field K, with q a monic quadratic
+    and H a primitive degree-10 form over O_K, both irreducible over K.
 
+    Find: PSLQ proposes the coefficients of q from a pair of complex roots
+    of h_i(x, 1) and a real embedding of K (_quadratic_factor).  Prove: q
+    divides h_i exactly over K, and q * H rebuilds h_i.  Certify: the degrees
+    of q and H modulo degree-1 primes of K rule out every proper factor
+    (_irreducibility_primes).  Floating point never decides: it only chooses
+    which exact division to try.
+    """
     if i not in SEXTIC_INDICES:
         raise ValueError(f"i={i} is not one of the sextic-split indices")
     K = coefficient_field(FIELD_REP[i])
     h = edwards_triple(i).h
-    if h.coeff(12) == 0:
+    lead = h.coeff(12)
+    if lead == 0:
         raise ReconstructionFailed("h has a root at infinity")
-    content, factors = factor_nf(h.dehomogenize(), K)
-    by_deg = {len(f) - 1: f for f, m in factors}
-    if sorted(len(f) - 1 for f, _ in factors) != [2, 10] or \
-            any(m != 1 for _, m in factors):
-        raise ReconstructionFailed(
-            f"unexpected factorization degrees for h_{i} over {K.label}")
-    qm, Hm = by_deg[2], by_deg[10]
+    qm, Hm = _quadratic_factor([Fraction(c) / lead for c in h.coeffs], K)
     Hc, _removed = _primitive_part(Hm, FIELD_REP[i])
-    q_form = BinaryForm(2, (qm[0], qm[1], K.one))
+    q_form = BinaryForm(2, tuple(qm))
     H_form = BinaryForm(10, tuple(Hc))
-    scalar = Fraction(h.coeff(12)) * H_form.coeff(10).inverse()
+    scalar = Fraction(lead) * H_form.coeff(10).inverse()
     rebuilt = (q_form * H_form).map_coeffs(lambda c: c * scalar)
     for x, y in zip(rebuilt.coeffs, h.coeffs):
         if x != y:
             raise SplitInconsistent(f"q * H does not rebuild h_{i}")
+    certificate = _irreducibility_primes(q_form.coeffs, H_form.coeffs, K)
     # factor-base primitivity certificate
     flagged = []
     for p in sp.primerange(2, 101):
@@ -766,7 +772,109 @@ def sextic_split(i):
     above5 = sum(1 for j in range(len(rs5.residue_fields))
                  if rs5.residue_fields[j].is_zero(rs5.reduce(res, j)))
     return SexticSplit(i, K, q_form, H_form, scalar, res_norm, support,
-                       above5, tuple(flagged))
+                       above5, tuple(flagged), certificate)
+
+
+#: working precisions in bits for finding q; PSLQ needed about 200 bits
+#: (60 digits) on every sextic index, and fails to find q at 100 and 133
+_SPLIT_PREC_LADDER = (200, 400)
+
+
+def _quadratic_factor(coeffs, K):
+    """(q, H) with coeffs = q * H exactly over K, q = [t, s, 1] monic
+    quadratic; ReconstructionFailed when no pair of roots yields one.
+
+    For each pair of complex roots r1, r2 of the polynomial whose sum and
+    product are real at a real embedding theta of K, PSLQ proposes
+    s = -(r1 + r2) and t = r1 r2 as rational combinations of 1, theta, ...,
+    theta^5 (Ferguson, Bailey and Arno, Math. Comp. 68, 1999); the proposal
+    counts only if it divides the polynomial exactly.  The coefficient bound
+    2^(prec/10) keeps the relations PSLQ may return well inside what the
+    working precision can tell apart.
+    """
+    import mpmath
+
+    hk = [K.from_int(c) for c in coeffs]
+    for prec in _SPLIT_PREC_LADDER:
+        with mpmath.workprec(prec):
+            tiny = mpmath.mpf(2) ** (-prec // 2)
+            theta = next(mpmath.re(r) for r in K.embeddings(prec)
+                         if abs(mpmath.im(r)) < tiny)
+            basis = [theta**k for k in range(K.degree)]
+            roots = mpmath.polyroots(
+                [mpmath.mpf(c.numerator) / c.denominator
+                 for c in reversed(coeffs)], maxsteps=200, extraprec=64)
+            for r1, r2 in itertools.combinations(roots, 2):
+                st = (r1 * r2, -(r1 + r2))
+                if any(abs(mpmath.im(x)) > tiny * (1 + abs(x)) for x in st):
+                    continue
+                q = []
+                for x in st:
+                    rel = mpmath.pslq([mpmath.re(x)] + basis,
+                                      maxcoeff=2 ** (prec // 10),
+                                      maxsteps=10**4)
+                    if not rel or rel[0] == 0:
+                        break
+                    q.append(K.element([Fraction(-c, rel[0])
+                                        for c in rel[1:]]))
+                else:
+                    q.append(K.one)
+                    H, rem = poly.divmod(hk, q)
+                    if not rem:
+                        return q, H
+    raise ReconstructionFailed(
+        f"no quadratic factor over {K.label} found at {prec} bits")
+
+
+#: the certificate looks for degree-1 primes of K above p below this bound
+IRREDUCIBILITY_PRIME_BOUND = 200
+
+
+def _irreducibility_primes(q, H, K):
+    """Degree-1 primes P = (p, theta - a) of K proving the polynomials q and
+    H irreducible over K; ReconstructionFailed when the primes below
+    IRREDUCIBILITY_PRIME_BOUND do not suffice.
+
+    P is used when p divides neither disc(K) nor a coordinate denominator
+    and both leading coefficients are units at P.  By Gauss's lemma in the
+    valuation ring at P, a factor of degree d over K reduces to a factor of
+    degree d mod P, so d is a sum of the degrees of some irreducible factors
+    mod P, counted with multiplicity.  A polynomial is irreducible once the
+    sums common to all P are only 0 and its degree (Musser, JACM 25, 1978).
+    Returns the P that narrowed some common sums, in increasing order.
+    """
+    polys = (q, H)
+    disc = K.discriminant()
+    den = math.lcm(*(x.denominator for f in polys for c in f
+                     for x in c.coords))
+    sums = [set(range(len(f))) for f in polys]
+    used = []
+    for p in sp.primerange(2, IRREDUCIBILITY_PRIME_BOUND):
+        if disc % p == 0 or den % p == 0:
+            continue
+        for a in range(p):
+            if sum(c * a**k for k, c in enumerate(K.min_poly)) % p:
+                continue
+            powers = [pow(a, k, p) for k in range(K.degree)]
+            reduced = [[sum(x * y for x, y in zip(c.coords_mod(p), powers)) % p
+                        for c in f] for f in polys]
+            if not all(f[-1] for f in reduced):
+                continue
+            narrowed = False
+            for k, f in enumerate(reduced):
+                here = {0}
+                for g, m in factor_fp(f, p)[1]:
+                    for _ in range(m):
+                        here |= {d + len(g) - 1 for d in here}
+                narrowed |= not sums[k] <= here
+                sums[k] &= here
+            if narrowed:
+                used.append((p, a))
+            if all(s == {0, len(f) - 1} for s, f in zip(sums, polys)):
+                return tuple(used)
+    raise ReconstructionFailed(
+        f"no irreducibility certificate over {K.label} from the degree-1 "
+        f"primes below {IRREDUCIBILITY_PRIME_BOUND}")
 
 
 @lru_cache(maxsize=None)
@@ -1020,14 +1128,28 @@ def unit_sieve(i, primes=DEFAULT_SIEVE_PRIMES, use_mod25=True, depth=3):
 @lru_cache(maxsize=None)
 def _fifth_powers_mod25(rep):
     """All fifth powers in O/25O; (a + 5b)^5 = a^5 mod 25, so the bases only
-    need to run over O/5O."""
-    K = coefficient_field(rep)
-    T = [int(c) for c in K.min_poly]
-    out = set()
-    for base in itertools.product(range(5), repeat=6):
-        w2 = _mul25(base, base, T)
-        out.add(tuple(_mul25(_mul25(w2, w2, T), base, T)))
-    return out
+    need to run over O/5O.  The bases are raised to the fifth power as rows
+    of integer arrays, 5^5 at a time to keep the arrays small."""
+    import numpy as np
+
+    T = np.array(coefficient_field(rep).min_poly, dtype=np.int64)
+
+    def mul(a, b):
+        # |entries| < 6 * 24^2 + 5 * 24 * max|T|, far inside int64
+        out = np.zeros((len(a), 11), dtype=np.int64)
+        for k in range(6):
+            out[:, k:k + 6] += a[:, k:k + 1] * b
+        for k in range(10, 5, -1):
+            out[:, k - 6:k] -= (out[:, k:k + 1] % 25) * T[:6]
+        return out[:, :6] % 25
+
+    fifths = set()
+    for first in range(5):
+        w = np.stack([g.ravel() for g in np.meshgrid(
+            first, *[np.arange(5)] * 5, indexing="ij")], axis=1)
+        w2 = mul(w, w)
+        fifths.update(map(tuple, mul(mul(w2, w2), w).tolist()))
+    return fifths
 
 
 def _mul25(a, b, T):

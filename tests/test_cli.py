@@ -2,10 +2,11 @@
 
 import json
 from importlib import resources
+from types import SimpleNamespace
 
 import pytest
 
-from gfe25 import cli, frey
+from gfe25 import bforms, cli, frey
 
 
 def _gfe(capsys, *argv):
@@ -122,3 +123,19 @@ def test_solutions_reads_cached_upstream_reports(capsys, tmp_path,
     assert code == 10
     assert _without_seconds(json.loads(out)) == fresh
     assert entry.is_file()
+
+
+def test_disagreeing_forms_data_exits_2(capsys, tmp_path, monkeypatch):
+    # the syzygy stage checks data/forms.json against the embedded table
+    payload = json.loads(
+        resources.files("gfe25").joinpath("data/forms.json").read_text())
+    payload[0]["alphas"][0] = str(int(payload[0]["alphas"][0]) + 1)
+    (tmp_path / "data").mkdir()
+    (tmp_path / "data" / "forms.json").write_text(json.dumps(payload))
+    monkeypatch.setattr(bforms, "resources",
+                        SimpleNamespace(files=lambda package: tmp_path))
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    code, out, err = _gfe(capsys, "run", "--stage", "syzygy", "--no-cache")
+    assert code == 2
+    assert "forms" in err and "error:" in err
+    assert out == ""

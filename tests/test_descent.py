@@ -9,8 +9,8 @@ from fractions import Fraction as Fr
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gfe25 import descent as D
-from gfe25.algebra import nf_fifth_root
+from gfe25 import descent as D, poly
+from gfe25.algebra import coefficient_field, factor_fp, nf_fifth_root
 from gfe25.bforms import BinaryForm, edwards_triple, evaluate_triple
 from gfe25.search import AffinePoint, InfinitePoint
 
@@ -270,6 +270,52 @@ def test_sextic_split_digests():
         assert digest == SPLIT_DIGESTS[i], i
 
 
+def test_sextic_split_certificate_primes_prove_irreducibility():
+    # recompute the certificate from the recorded primes alone: at each
+    # P = (p, theta - a), the subset sums of the factor degrees of q and H
+    # mod P; only {0, deg} may survive the intersection
+    for i in (6, 16):
+        s = D.sextic_split(i)
+        K = s.field
+        left = {2: set(range(3)), 10: set(range(11))}
+        for p, a in s.irreducibility_primes:
+            assert K.discriminant() % p != 0
+            assert sum(c * a**k for k, c in enumerate(K.min_poly)) % p == 0
+            for f in (s.q.coeffs, s.H.coeffs):
+                red = [sum(x * a**k for k, x in enumerate(c.coords_mod(p))) % p
+                       for c in f]
+                assert red[-1] != 0
+                degrees = [len(g) - 1 for g, m in factor_fp(red, p)[1]
+                           for _ in range(m)]
+                sums = {sum(c) for r in range(len(degrees) + 1)
+                        for c in itertools.combinations(degrees, r)}
+                left[len(f) - 1] &= sums
+        assert left == {2: {0, 2}, 10: {0, 10}}
+
+
+def test_irreducibility_certificate_refuses_reducible_forms():
+    K = coefficient_field(16)
+    t = K.gen
+    q = list(D.sextic_split(16).q.coeffs)
+    quartic = [t + 1, t, K.zero, K.from_int(3), K.one]
+    sextic = [K.from_int(2), t * t, K.zero, t, K.zero, K.from_int(-1), K.one]
+    with pytest.raises(D.ReconstructionFailed):
+        D._irreducibility_primes(q, poly.mul(quartic, sextic), K)
+    H = list(D.sextic_split(16).H.coeffs)
+    split_q = poly.mul([t, K.one], [t + 2, K.one])
+    with pytest.raises(D.ReconstructionFailed):
+        D._irreducibility_primes(split_q, H, K)
+
+
+def test_quadratic_factor_needs_the_right_field():
+    # h_16 has no quadratic factor over K5: every candidate pair of roots
+    # fails at every precision
+    h = edwards_triple(16).h
+    monic = [Fr(c) / h.coeff(12) for c in h.coeffs]
+    with pytest.raises(D.ReconstructionFailed):
+        D._quadratic_factor(monic, coefficient_field(5))
+
+
 def test_generator_shells_order_the_box():
     # shells r = 0..2 list the box [-2, 2]^6 once each, by sup-norm and then
     # in the box's lexicographic order (sorted() is stable)
@@ -347,3 +393,14 @@ def test_unit_sieve_catalan_witness():
 
 def test_unit_sieve_one_empty_case():
     assert D.unit_sieve(9) == []
+
+
+def test_fifth_powers_mod25_match_products():
+    # the array pass against the definition: every base of O/5O raised to
+    # the fifth power in Z[x]/(25, T) by Python products
+    T = list(coefficient_field(22).min_poly)
+    slow = set()
+    for base in itertools.product(range(5), repeat=6):
+        w2 = D._mul25(base, base, T)
+        slow.add(tuple(D._mul25(D._mul25(w2, w2, T), base, T)))
+    assert D._fifth_powers_mod25(22) == slow

@@ -53,3 +53,15 @@ def test_no_sympy_resultant():
                   if isinstance(node, ast.Attribute) and node.attr == "resultant"
                   and isinstance(node.value, ast.Name) and node.value.id in aliases]
     assert not found, f"sympy resultants in the package: {found}"
+
+
+def test_descent_splits_without_factor_nf():
+    # the sextic split finds q numerically and proves it exactly; the
+    # factorization over number fields is not a second path to it
+    path = pathlib.Path(gfe25.__file__).parent / "descent.py"
+    tree = ast.parse(path.read_text(), str(path))
+    found = [node.lineno for node in ast.walk(tree)
+             if (isinstance(node, ast.Name) and node.id == "factor_nf")
+             or (isinstance(node, ast.Attribute) and node.attr == "factor_nf")
+             or (isinstance(node, ast.alias) and node.name == "factor_nf")]
+    assert not found, f"descent.py uses factor_nf at lines {found}"
