@@ -406,6 +406,77 @@ class Fq:
             return self.element([pow(norm, (p - 1) // 5, p)])
         return self.pow(a, (self.q - 1) // 5)
 
+    def fifth_power_classes(self, rows):
+        """fifth_power_class of every row of an (n, f) integer array, as an
+        int64 array of n labels from _mu5_powers.
+
+        The character a^((q-1)/5) takes one of two branches, as in
+        _fifth_power_character.  When p = 1 mod 5 it is N(a)^((p-1)/5), read
+        off a table of length p; the norm N(a) = a * a^p * ... * a^(p^(f-1))
+        is the product of the Frobenius conjugates, each the previous one
+        times the Frobenius matrix.  Otherwise a^((q-1)/5) is taken in
+        F_p[y]/(g) by square-and-multiply on the rows.  A row product sums f
+        products of residues, so the rows are int64 while f * p^2 < 2^63 and
+        Python ints above that.
+        """
+        import numpy as np
+
+        dtype = np.int64 if self.f * self.p**2 < 2**63 else object
+        rows = np.asarray(rows, dtype=dtype).reshape(-1, self.f) % self.p
+        if (rows == 0).all(axis=1).any():
+            raise ZeroInput("fifth_power_classes of zero")
+        if (self.q - 1) % 5 != 0:
+            return np.zeros(len(rows), dtype=np.int64)
+        if (self.p - 1) % 5 == 0:
+            frob = np.array(self._frobenius_matrix(), dtype=dtype)
+            norm, conj = rows, rows
+            for _ in range(self.f - 1):
+                conj = conj @ frob % self.p
+                norm = self._mul_rows(norm, conj)
+            return np.array(self._norm_classes())[norm[:, 0].astype(np.int64)]
+        out, base, e = np.zeros_like(rows), rows, (self.q - 1) // 5
+        out[:, 0] = 1
+        while e:
+            if e & 1:
+                out = self._mul_rows(out, base)
+            e >>= 1
+            if e:
+                base = self._mul_rows(base, base)
+        labels = np.array(self._mu5_powers(), dtype=dtype)
+        hits = (out[:, None, :] == labels[None, :, :]).all(axis=2)
+        if not hits.any(axis=1).all():
+            raise ArithmeticError("exponent test failed to land in mu_5")
+        return hits.argmax(axis=1)
+
+    def _mul_rows(self, a, b):
+        """Row-by-row products in F_p[y]/(g) of two (n, f) arrays."""
+        import numpy as np
+
+        f, p = self.f, self.p
+        g = np.array(self.modpoly[:f], dtype=a.dtype)
+        out = np.zeros((len(a), 2 * f - 1), dtype=a.dtype)
+        for k in range(f):
+            out[:, k:k + f] += a[:, k:k + 1] * b
+        out %= p
+        for k in range(2 * f - 2, f - 1, -1):
+            # y^f = -(g_0 + ... + g_{f-1} y^(f-1))
+            out[:, k - f:k] = (out[:, k - f:k] - out[:, k:k + 1] * g) % p
+        return out[:, :f]
+
+    @lru_cache(maxsize=None)
+    def _frobenius_matrix(self):
+        """M with a^p = a @ M for a row a: row k holds (y^k)^p."""
+        return [self.pow(self.element([0] * k + [1]), self.p)
+                for k in range(self.f)]
+
+    @lru_cache(maxsize=None)
+    def _norm_classes(self):
+        """For p = 1 mod 5: the class label of each n in F_p^x at index n,
+        i.e. the k with n^((p-1)/5) = _mu5_powers()[k]; 0 at index 0."""
+        label = {a[0]: k for k, a in enumerate(self._mu5_powers())}
+        return [0] + [label[pow(n, (self.p - 1) // 5, self.p)]
+                      for n in range(1, self.p)]
+
     @lru_cache(maxsize=None)
     def _mu5_powers(self):
         gen, out = self._mu5_generator(), [self.one]

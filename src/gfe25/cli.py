@@ -41,12 +41,11 @@ from .search import (
 # ---------------------------------------------------------------------------
 # assumption tags for conditional verdicts
 
-UNIT_DATA = "unit-data-completeness"
 CLASS_NUMBER = "class-number-prime-to-5"
 SELMER_D1D2 = "paper-selmer-emptiness-D1D2"
 CHABAUTY = "paper-chabauty-completeness"
 # the order reports list them in
-TAGS = (UNIT_DATA, CLASS_NUMBER, SELMER_D1D2, CHABAUTY)
+TAGS = (CLASS_NUMBER, SELMER_D1D2, CHABAUTY)
 
 # simplified genus-4 twist models (imported display data) and the Mumford
 # divisors certified on them
@@ -500,11 +499,11 @@ def _stage_sextic(cfg):
     arts["catalan"] = sorted(catalan)
     if catalan != {(3, -2, 1), (-3, -2, 1)}:
         fails.append(f"Catalan witness gave {sorted(catalan)}")
-    # the unit generators are imported data; their fundamental-unit
-    # completeness is certified only up to the fifth-power-class rank check.
-    # Reading H(u, v) = unit * w^5 off the fifth-power ideal (H(u, v))
-    # needs 5 to be prime to the class number of K, which nothing checks.
-    return fails, [UNIT_DATA, CLASS_NUMBER], arts
+    # verify_unit_data proves that the generators span the units modulo
+    # fifth powers.  Reading H(u, v) = unit * w^5 off the fifth-power ideal
+    # (H(u, v)) needs 5 to be prime to the class number of K, which nothing
+    # checks.
+    return fails, [CLASS_NUMBER], arts
 
 
 def _expected_table1():
@@ -584,8 +583,10 @@ def _stage_solutions(cfg, genus2, gauss, sqrt5):
     if arts["table"] != expected["rows"]:
         fails.append(f"summary table: got {arts['table']}, "
                      f"expected {expected['rows']}")
-    # the assembled table inherits every imported fact used upstream
-    tags = {UNIT_DATA}.union(*(r.assumptions for r in (genus2, gauss, sqrt5)))
+    # the assembled table inherits every imported fact used upstream,
+    # including the sextic stage's, whose residual equations it lists
+    tags = {CLASS_NUMBER}.union(
+        *(r.assumptions for r in (genus2, gauss, sqrt5)))
     return fails, sorted(tags, key=TAGS.index), arts
 
 
@@ -816,7 +817,7 @@ def cmd_unitsieve(args):
         inputs=_stage_digest(f"unitsieve-{args.i}",
                              {"primes": list(primes), "depth": args.depth,
                               "mod25": args.mod25}, _data_digest()),
-        verdict="conditional-pass", assumptions=[UNIT_DATA],
+        verdict="conditional-pass", assumptions=[CLASS_NUMBER],
         artifacts={"i": args.i, "primes": list(primes),
                    "survivors": [list(e) for e in survivors]},
         seconds=time.perf_counter() - t0)

@@ -951,9 +951,20 @@ def _class_vector(elem, splits):
 
 
 def verify_unit_data(rep, gens=None, cert_primes=None):
-    """Exact norm/integrality checks plus an independence certificate."""
+    """Prove that the three generators span O_K^x modulo fifth powers.
+
+    Sturm counting gives K exactly two real places, so its signature is
+    (2, 2): the unit rank is 3 and the only roots of unity are +-1, which
+    are fifth powers.  O_K^x / (O_K^x)^5 is then F_5^3.  The generators are
+    checked to be integral units, and their fifth-power classes at the
+    certification primes to have rank 3 mod 5, so they span it.
+    """
     if gens is None:
         gens, cert_primes = load_unit_data(rep)
+    K = coefficient_field(rep)
+    real_places = sp.Poly(K.min_poly[::-1], sp.Symbol("x")).count_roots()
+    if real_places != 2:
+        raise BadUnitData(f"{K.label} has {real_places} real places, not 2")
     if len(gens) != 3:
         raise BadUnitData("need exactly three generators")
     for g in gens:
@@ -961,7 +972,6 @@ def verify_unit_data(rep, gens=None, cert_primes=None):
             raise BadUnitData(f"generator {g!r} is not a unit")
         if not _is_order_integral(g, rep):
             raise BadUnitData(f"generator {g!r} is not an algebraic integer")
-    K = coefficient_field(rep)
     splits = [residue_split(K, q) for q in cert_primes]
     rows = [_class_vector(g, splits) for g in gens]
     if any(r is None for r in rows) or _rank_mod5(rows) != 3:
@@ -995,68 +1005,69 @@ def _hensel_lift(T, g, p, k):
 def _local_targets(split, rs, p, depth):
     """Fifth-power-class vectors of H at the points of P^1(Z_p), refined.
 
-    Returns a list of per-slot tuples with entries in 0..4 (class of the unit
-    part of H at that slot), or None when the valuation stayed undetermined at
-    the cutoff depth.  Points where some local valuation of H is visibly not
-    divisible by 5 are dropped entirely.
+    Returns a set of per-slot tuples with entries in 0..4 (class of the unit
+    part of H at that slot), or None when the valuation stayed undetermined
+    at the cutoff depth.  Points where some local valuation of H is visibly
+    not divisible by 5 are dropped entirely.
+
+    The points of one level are the rows of the integer arrays u, v; level 1
+    holds the p + 1 points (t, 1) and (1, 0).  At level L, H(u, v) is
+    evaluated at each slot j in Z[x]/(p^L, G_j), for G_j the Hensel lift of
+    the j-th local factor, by homogeneous Horner reduced mod p^L after every
+    step.  Since p does not divide disc(K), every P_j is unramified, so the
+    valuation of H(u, v) at P_j is the smallest valuation of its coordinates,
+    capped at L.  A point is dropped when some slot has valuation v < L with
+    v not divisible by 5; a slot with v < L and 5 | v is classified from the
+    unit part (acc // p^v) mod p.  A point is finished when no slot is
+    undetermined or L = depth; every other point has p children, stepped in
+    u on the affine chart and in v at infinity, which make up level L + 1.
+
+    A Horner step sums two products of residues mod p^L, so int64 holds it
+    exactly while p^depth < 2^31; above that the arrays hold Python ints.
     """
+    import numpy as np
+
     K = split.field
     T = [int(c) for c in K.min_poly]
     pk = p**depth
-    slots = list(range(len(rs.residue_fields)))
-    lifted = [_hensel_lift(T, list(rs.factors[j][0]), p, depth) for j in slots]
-
-    hred = [[poly.divmod_mod(c.coords_mod(pk), lifted[j], pk)[1] for j in slots]
-            for c in split.H.coeffs]
-
-    def profile(u, v, level):
-        """Per-slot (valuation, class-or-None) at precision p**level."""
-        pl = p**level
-        out = []
-        for j in slots:
-            f = len(lifted[j]) - 1
-            acc = [0] * f
-            for m in range(11):
-                s = pow(u, m, pl) * pow(v, 10 - m, pl) % pl
-                if s:
-                    cj = hred[m][j]
-                    for t in range(f):
-                        acc[t] = (acc[t] + s * cj[t]) % pl
-            val = level
-            for x in acc:
-                if x:
-                    val = min(val, max(w for w in range(level + 1)
-                                       if x % p**w == 0))
-            if val >= level:
-                out.append((level, None))
-            elif val % 5:
-                return None
-            else:
-                fq = rs.residue_fields[j]
-                cls = fq.fifth_power_class(
-                    fq.element([(x // p**val) % p for x in acc]))
-                out.append((val, cls))
-        return out
-
+    dtype = np.int64 if pk < 2**31 else object
+    fields = rs.residue_fields
+    lifted = [_hensel_lift(T, list(fac), p, depth) for fac, _ in rs.factors]
+    # hred[j][m]: the coordinates of H's coefficient m in Z[x]/(p^depth, G_j)
+    hred = [np.array([poly.divmod_mod(c.coords_mod(pk), G, pk)[1]
+                      for c in split.H.coeffs], dtype=dtype) for G in lifted]
+    u = np.array([*range(p), 1], dtype=dtype)
+    v = np.array([1] * p + [0], dtype=dtype)
+    affine = v == 1
     targets = set()
-
-    def visit(u, v, kind, level):
-        prof = profile(u, v, level)
-        if prof is None:
-            return
-        if all(c is not None for _, c in prof) or level == depth:
-            targets.add(tuple(c for _, c in prof))
-            return
+    for level in range(1, depth + 1):
         pl = p**level
-        for s in range(p):
-            if kind == "affine":
-                visit(u + pl * s, v, kind, level + 1)
-            else:
-                visit(u, v + pl * s, kind, level + 1)
-
-    for t in range(p):
-        visit(t, 1, "affine", 1)
-    visit(1, 0, "inf", 1)
+        ppow = np.array([p**w for w in range(level + 1)], dtype=dtype)
+        keep = np.ones(len(u), dtype=bool)
+        classes = np.full((len(u), len(fields)), -1)  # -1: undetermined
+        for j, fq in enumerate(fields):
+            coeffs = hred[j] % pl
+            acc = np.repeat(coeffs[-1:], len(u), axis=0)
+            vpow = np.ones_like(v)
+            for c in coeffs[-2::-1]:
+                vpow = vpow * v % pl
+                acc = (acc * u[:, None] + c * vpow[:, None]) % pl
+            val = sum((acc % ppow[w] == 0).all(axis=1)
+                      for w in range(1, level + 1))
+            keep &= (val == level) | (val % 5 == 0)
+            known = keep & (val < level)
+            unit = acc[known] // ppow[val[known]][:, None] % p
+            classes[known, j] = fq.fifth_power_classes(unit)
+        done = keep & ((classes >= 0).all(axis=1) | (level == depth))
+        targets.update(tuple(None if c < 0 else c for c in row)
+                       for row in classes[done].tolist())
+        grow = keep & ~done
+        if not grow.any():
+            break
+        affine = np.repeat(affine[grow], p)
+        step = np.tile(np.array(range(p), dtype=dtype) * pl, int(grow.sum()))
+        u = np.repeat(u[grow], p) + np.where(affine, step, 0)
+        v = np.repeat(v[grow], p) + np.where(affine, 0, step)
     return targets
 
 
@@ -1113,8 +1124,11 @@ def unit_sieve(i, primes=DEFAULT_SIEVE_PRIMES, use_mod25=True, depth=3):
 
         fifths = _fifth_powers_mod25(rep)
         pairs = [(u, 1) for u in range(25)] + [(1, 5 * t) for t in range(5)]
-        hvals = [split.H.evaluate(K.from_int(u), K.from_int(v)).coords_mod(25)
-                 for u, v in pairs]
+        # H(u, v) mod 25 is linear in the coordinates of H's coefficients,
+        # whose denominators divide the order index and so are prime to 5
+        hcoords = [c.coords_mod(25) for c in split.H.coeffs]
+        hvals = [[sum(u**m * v**(10 - m) * c[k] for m, c in enumerate(hcoords))
+                  % 25 for k in range(6)] for u, v in pairs]
         kept = set()
         for e in survivors:
             eta = gens[0] ** e[0] * gens[1] ** e[1] * gens[2] ** e[2]

@@ -116,8 +116,7 @@ def test_sqrt5_descent(pipeline):
 def test_sextic_descent(pipeline):
     with scorecard(7, "sextic splitting and unit sieve"):
         r = _clean(pipeline["sextic"], budget=900)
-        assert r.assumptions == ["unit-data-completeness",
-                                 "class-number-prime-to-5"]
+        assert r.assumptions == ["class-number-prime-to-5"]
         assert all(s["irreducibility_primes"]
                    for s in r.artifacts["splits"].values())
         surv = r.artifacts["survivors"]

@@ -157,6 +157,26 @@ def test_fq_fifth_power_class_matches_definition(fq, data):
     assert fq.fifth_power_class(a) == k
 
 
+# every residue field of K16 at 11, 71, 101 (p = 1 mod 5), 13 and 19, and of
+# K5 at 7 (p != 1 mod 5, with slots f = 4 and 2 where q = 1 mod 5)
+SIEVE_FIELDS = [fq for rep, p in ((16, 11), (16, 71), (16, 101), (16, 13),
+                                  (16, 19), (5, 7))
+                for fq in alg.residue_split(alg.coefficient_field(rep),
+                                            p).residue_fields]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(SIEVE_FIELDS), st.data())
+def test_fifth_power_classes_match_scalar_class(fq, data):
+    rows = data.draw(st.lists(
+        st.lists(st.integers(0, fq.p - 1), min_size=fq.f, max_size=fq.f)
+        .filter(any), min_size=1, max_size=12))
+    assert fq.fifth_power_classes(rows).tolist() == \
+        [fq.fifth_power_class(fq.element(r)) for r in rows]
+    with pytest.raises(alg.ZeroInput):
+        fq.fifth_power_classes(rows + [[0] * fq.f])
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.integers(-3, 3), min_size=6, max_size=6),
        st.integers(-3, 12))

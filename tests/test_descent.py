@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gfe25 import descent as D, poly
-from gfe25.algebra import coefficient_field, factor_fp, nf_fifth_root
+from gfe25.algebra import (NumberField, coefficient_field, factor_fp,
+                           nf_fifth_root, residue_split)
 from gfe25.bforms import BinaryForm, edwards_triple, evaluate_triple
 from gfe25.search import AffinePoint, InfinitePoint
 
@@ -363,6 +364,89 @@ def test_unit_data_rejects_dependent_sets():
     bad = [gens[0], gens[1], gens[0] * gens[1]]
     with pytest.raises(D.BadUnitData):
         D.verify_unit_data(22, bad, qs)
+
+
+def test_unit_data_rejects_other_signatures(monkeypatch):
+    # completeness rests on signature (2, 2); x^6 + 1 has no real place
+    gens, qs = D.load_unit_data(22)
+    monkeypatch.setattr(D, "coefficient_field",
+                        lambda rep: NumberField([1, 0, 0, 0, 0, 0, 1], "x6"))
+    with pytest.raises(D.BadUnitData, match="real places"):
+        D.verify_unit_data(22, gens, qs)
+
+
+def _recursive_local_targets(split, rs, p, depth):
+    """The point-by-point refinement of P^1(Z_p) that _local_targets replaced,
+    kept as its oracle."""
+    T = [int(c) for c in split.field.min_poly]
+    pk = p**depth
+    slots = list(range(len(rs.residue_fields)))
+    lifted = [D._hensel_lift(T, list(rs.factors[j][0]), p, depth)
+              for j in slots]
+    hred = [[poly.divmod_mod(c.coords_mod(pk), lifted[j], pk)[1]
+             for j in slots] for c in split.H.coeffs]
+
+    def profile(u, v, level):
+        pl = p**level
+        out = []
+        for j in slots:
+            f = len(lifted[j]) - 1
+            acc = [0] * f
+            for m in range(11):
+                s = pow(u, m, pl) * pow(v, 10 - m, pl) % pl
+                if s:
+                    for t in range(f):
+                        acc[t] = (acc[t] + s * hred[m][j][t]) % pl
+            val = level
+            for x in acc:
+                if x:
+                    val = min(val, max(w for w in range(level + 1)
+                                       if x % p**w == 0))
+            if val >= level:
+                out.append(None)
+            elif val % 5:
+                return None
+            else:
+                fq = rs.residue_fields[j]
+                out.append(fq.fifth_power_class(
+                    fq.element([(x // p**val) % p for x in acc])))
+        return out
+
+    targets = set()
+
+    def visit(u, v, affine, level):
+        prof = profile(u, v, level)
+        if prof is None:
+            return
+        if None not in prof or level == depth:
+            targets.add(tuple(prof))
+            return
+        for s in range(p):
+            step = p**level * s
+            visit(u + step * affine, v + step * (not affine), affine,
+                  level + 1)
+
+    for t in range(p):
+        visit(t, 1, True, 1)
+    visit(1, 0, False, 1)
+    return targets
+
+
+# (index, prime, depth): default primes at depths 1..3; three cases with
+# p^depth > 2^31, where the arrays must hold Python ints; and K16 at 13
+# (f = 4) and 19 (f = 2 twice), where p != 1 mod 5 but q = 1 mod 5
+LOCAL_TARGET_CASES = (
+    [(i, p, d) for i in (6, 16, 22) for p in (11, 31, 101) for d in (1, 2, 3)]
+    + [(16, 241, 4), (22, 101, 5), (6, 41, 6)]
+    + [(16, 13, 3), (16, 19, 3)])
+
+
+@pytest.mark.parametrize("i,p,depth", LOCAL_TARGET_CASES)
+def test_local_targets_match_recursive_reference(i, p, depth):
+    split = D.sextic_split(i)
+    rs = residue_split(split.field, p)
+    assert D._local_targets(split, rs, p, depth) == \
+        _recursive_local_targets(split, rs, p, depth)
 
 
 def test_unit_sieve_monotone_and_order_independent():
