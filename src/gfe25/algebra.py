@@ -7,6 +7,7 @@ of Fractions over Z[theta]) that is cheap enough for the inner descent loops.
 Polynomials at this module's boundaries are ascending coefficient lists.
 """
 
+import itertools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
@@ -386,82 +387,63 @@ class Fq:
         The class is the k with a^((q-1)/5) = gen^k, for the element gen of
         order 5 from _mu5_generator.
         """
-        if self.is_zero(a):
-            raise ZeroInput("fifth_power_class of zero")
-        if (self.q - 1) % 5 != 0:
-            return 0
-        chi = self._fifth_power_character(a)
-        powers = self._mu5_powers()
-        if chi not in powers:
-            raise ArithmeticError("exponent test failed to land in mu_5")
-        return powers.index(chi)
-
-    def _fifth_power_character(self, a):
-        """a^((q-1)/5).  When p = 1 mod 5, mu_5 lies in F_p and this is
-        N(a)^((p-1)/5), where the norm N(a) to F_p is Res(modpoly, a) mod p;
-        no power is then taken in F_q."""
-        p = self.p
-        if (p - 1) % 5 == 0:
-            norm = poly.resultant_mod(self.modpoly, a, p)
-            return self.element([pow(norm, (p - 1) // 5, p)])
-        return self.pow(a, (self.q - 1) // 5)
+        return int(self.fifth_power_classes([a])[0])
 
     def fifth_power_classes(self, rows):
         """fifth_power_class of every row of an (n, f) integer array, as an
-        int64 array of n labels from _mu5_powers.
-
-        The character a^((q-1)/5) takes one of two branches, as in
-        _fifth_power_character.  When p = 1 mod 5 it is N(a)^((p-1)/5), read
-        off a table of length p; the norm N(a) = a * a^p * ... * a^(p^(f-1))
-        is the product of the Frobenius conjugates, each the previous one
-        times the Frobenius matrix.  Otherwise a^((q-1)/5) is taken in
-        F_p[y]/(g) by square-and-multiply on the rows.  A row product sums f
-        products of residues, so the rows are int64 while f * p^2 < 2^63 and
-        Python ints above that.
-        """
+        int64 array of n labels from _mu5_powers."""
         import numpy as np
 
-        dtype = np.int64 if self.f * self.p**2 < 2**63 else object
-        rows = np.asarray(rows, dtype=dtype).reshape(-1, self.f) % self.p
+        rows = self._rows(rows)
         if (rows == 0).all(axis=1).any():
             raise ZeroInput("fifth_power_classes of zero")
         if (self.q - 1) % 5 != 0:
             return np.zeros(len(rows), dtype=np.int64)
-        if (self.p - 1) % 5 == 0:
-            frob = np.array(self._frobenius_matrix(), dtype=dtype)
-            norm, conj = rows, rows
-            for _ in range(self.f - 1):
-                conj = conj @ frob % self.p
-                norm = self._mul_rows(norm, conj)
-            return np.array(self._norm_classes())[norm[:, 0].astype(np.int64)]
-        out, base, e = np.zeros_like(rows), rows, (self.q - 1) // 5
-        out[:, 0] = 1
-        while e:
-            if e & 1:
-                out = self._mul_rows(out, base)
-            e >>= 1
-            if e:
-                base = self._mul_rows(base, base)
-        labels = np.array(self._mu5_powers(), dtype=dtype)
-        hits = (out[:, None, :] == labels[None, :, :]).all(axis=2)
+        labels = np.array(self._mu5_powers(), dtype=rows.dtype)
+        hits = (self._character(rows)[:, None, :] == labels[None]).all(axis=2)
         if not hits.any(axis=1).all():
             raise ArithmeticError("exponent test failed to land in mu_5")
         return hits.argmax(axis=1)
 
-    def _mul_rows(self, a, b):
-        """Row-by-row products in F_p[y]/(g) of two (n, f) arrays."""
+    def _rows(self, rows):
+        """rows as an (n, f) array reduced mod p, int64 or Python ints as
+        poly.mul_rows_mod chooses for the modulus p."""
         import numpy as np
 
-        f, p = self.f, self.p
-        g = np.array(self.modpoly[:f], dtype=a.dtype)
-        out = np.zeros((len(a), 2 * f - 1), dtype=a.dtype)
-        for k in range(f):
-            out[:, k:k + f] += a[:, k:k + 1] * b
-        out %= p
-        for k in range(2 * f - 2, f - 1, -1):
-            # y^f = -(g_0 + ... + g_{f-1} y^(f-1))
-            out[:, k - f:k] = (out[:, k - f:k] - out[:, k:k + 1] * g) % p
-        return out[:, :f]
+        dtype = np.int64 if self.f * self.p**2 < 2**63 else object
+        return np.asarray(rows, dtype=dtype).reshape(-1, self.f) % self.p
+
+    def _character(self, rows):
+        """a^((q-1)/5) for every row a of an array from _rows, for q = 1 mod 5.
+
+        When p = 1 mod 5, mu_5 lies in F_p and the character is
+        N(a)^((p-1)/5), read off a table of length p; the norm
+        N(a) = a * a^p * ... * a^(p^(f-1)) is the product of the Frobenius
+        conjugates, each the previous one times the Frobenius matrix.
+        Otherwise a^((q-1)/5) is taken by square-and-multiply on the rows.
+        """
+        import numpy as np
+
+        p, g = self.p, self.modpoly
+        if (p - 1) % 5 == 0:
+            frob = np.array(self._frobenius_matrix(), dtype=rows.dtype)
+            norm, conj = rows, rows
+            for _ in range(self.f - 1):
+                conj = conj @ frob % p
+                norm = poly.mul_rows_mod(norm, conj, g, p)
+            out = np.zeros_like(rows)
+            out[:, 0] = np.array(self._norm_characters())[
+                norm[:, 0].astype(np.int64)]
+            return out
+        out, base, e = np.zeros_like(rows), rows, (self.q - 1) // 5
+        out[:, 0] = 1
+        while e:
+            if e & 1:
+                out = poly.mul_rows_mod(out, base, g, p)
+            e >>= 1
+            if e:
+                base = poly.mul_rows_mod(base, base, g, p)
+        return out
 
     @lru_cache(maxsize=None)
     def _frobenius_matrix(self):
@@ -470,12 +452,9 @@ class Fq:
                 for k in range(self.f)]
 
     @lru_cache(maxsize=None)
-    def _norm_classes(self):
-        """For p = 1 mod 5: the class label of each n in F_p^x at index n,
-        i.e. the k with n^((p-1)/5) = _mu5_powers()[k]; 0 at index 0."""
-        label = {a[0]: k for k, a in enumerate(self._mu5_powers())}
-        return [0] + [label[pow(n, (self.p - 1) // 5, self.p)]
-                      for n in range(1, self.p)]
+    def _norm_characters(self):
+        """For p = 1 mod 5: n^((p-1)/5) mod p at index n, for n in F_p."""
+        return [pow(n, (self.p - 1) // 5, self.p) for n in range(self.p)]
 
     @lru_cache(maxsize=None)
     def _mu5_powers(self):
@@ -486,17 +465,19 @@ class Fq:
 
     @lru_cache(maxsize=None)
     def _mu5_generator(self):
-        # deterministic scan for an element of exact order 5
-        count = 0
-        for trial in _element_scan(self):
-            count += 1
-            if count > 10000:
-                break
-            if self.is_zero(trial):
-                continue
-            g = self._fifth_power_character(trial)
-            if g != self.one:
-                return g
+        """The character of the first element of _element_scan that is not a
+        fifth power, among its first 10000; it has exact order 5.  The scan
+        is read in chunks of doubling size, so an early hit builds a short
+        array."""
+        import numpy as np
+
+        scan, size = itertools.islice(_element_scan(self), 10000), 8
+        while chunk := list(itertools.islice(scan, size)):
+            chi = self._character(self._rows(chunk))
+            hit = (chi != np.array(self.one, dtype=chi.dtype)).any(axis=1)
+            if hit.any():
+                return self.element(chi[hit.argmax()].tolist())
+            size *= 2
         raise ArithmeticError("no fifth-power-class generator found")
 
     def __hash__(self):
@@ -521,7 +502,7 @@ def _element_scan(fq):
                         yield fq.element([a, b, c])
 
 
-@dataclass
+@dataclass(frozen=True)
 class ResidueSplit:
     field: NumberField
     p: int
@@ -537,7 +518,10 @@ class ResidueSplit:
         return self.residue_fields[j].element(coeffs)
 
 
+@lru_cache(maxsize=None)
 def residue_split(K, p):
+    """The local factors of K's minimal polynomial mod p and their residue
+    fields; cached, since it depends only on K and p."""
     disc = K.discriminant()
     index_risk = disc % (p * p) == 0
     lead, facs = factor_fp(K.min_poly, p)

@@ -77,6 +77,8 @@ SIEVE_EMPTY = (8, 9, 15, 21)
 # would force; representatives are tied to the sieve witnesses above
 RESIDUAL_INDICES = (22, 6, 24, 5, 16)
 SQRT5_INDICES = (2, 10, 26)  # h splits into two sextics over Q(sqrt5)
+# h irreducible over Q(sqrt5) and no sextic split; no (u, v) survives at 2
+EMPTY_AT_2_INDICES = (7, 11, 19)
 
 
 class DataProblem(Exception):
@@ -204,7 +206,7 @@ FACTORIZATION_TYPES = {
     descent.GAUSS_INDICES: ("Q", [4, 8]),
     SQRT5_INDICES: ("golden", [6, 6]),
     descent.SEXTIC_INDICES: ("golden", [12]),
-    (7, 11, 19): ("golden", [12]),
+    EMPTY_AT_2_INDICES: ("golden", [12]),
 }
 
 
@@ -234,13 +236,14 @@ def _stage_table5(cfg):
             if not ok:
                 fails.append(f"residue classes for i={i}, p={p}: "
                              f"got {sorted(got)}, expected {sorted(want)}")
-    for i in (7, 11, 19):
+    for i in EMPTY_AT_2_INDICES:
         classes = padic.sieve_residue_classes(i, 2).classes
         if classes:
             fails.append(f"expected no surviving classes for i={i} at p=2, "
                          f"got {[str(c) for c in classes]}")
     return fails, [], {"rows_checked": len(rows),
-                       "empty_at_2": [7, 11, 19], "table": rows}
+                       "empty_at_2": list(EMPTY_AT_2_INDICES),
+                       "table": rows}
 
 
 def _stage_genus2(cfg):
@@ -849,7 +852,7 @@ def cmd_mumford(args):
 
 def cmd_frey(args):
     if args.scan == "all":
-        indices = list(frey.IRREDUCIBLE_INDICES)
+        indices = list(descent.SEXTIC_INDICES)
     else:
         indices = [int(args.scan)]
     by_i = {r["i"]: r for r in frey.ito_w_rows()}
@@ -955,7 +958,7 @@ def _build_parser():
     p = sub.add_parser("frey", help="congruence scans for the Frey-curve "
                                     "irreducibility hypotheses")
     p.add_argument("--scan", default="all",
-                   choices=["all", *map(str, frey.IRREDUCIBLE_INDICES)],
+                   choices=["all", *map(str, descent.SEXTIC_INDICES)],
                    help="'all' or a single index")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_frey)

@@ -575,7 +575,6 @@ class SexticSplit:
     res_norm: int               # |Norm(Res(q, H))|
     res_support: tuple          # rational primes in the norm
     primes_above_5: int         # how many primes above 5 divide the resultant
-    flagged_primes: tuple       # factor-base primes skipped for index risk
     irreducibility_primes: tuple  # degree-1 primes (p, a) certifying q, H
 
 
@@ -746,18 +745,6 @@ def sextic_split(i):
         if x != y:
             raise SplitInconsistent(f"q * H does not rebuild h_{i}")
     certificate = _irreducibility_primes(q_form.coeffs, H_form.coeffs, K)
-    # factor-base primitivity certificate
-    flagged = []
-    for p in sp.primerange(2, 101):
-        rs = residue_split(K, p)
-        if rs.index_risk:
-            flagged.append(p)
-            continue
-        for j in range(len(rs.residue_fields)):
-            if all(rs.residue_fields[j].is_zero(rs.reduce(c, j))
-                   for c in H_form.coeffs):
-                raise ContentNotClearable(
-                    f"H_{i} has residual content at a prime above {p}")
     q_int = q_form.map_coeffs(lambda c: c * scalar)
     res = binary_resultant(q_int, H_form)
     res_norm = res.norm()
@@ -772,7 +759,7 @@ def sextic_split(i):
     above5 = sum(1 for j in range(len(rs5.residue_fields))
                  if rs5.residue_fields[j].is_zero(rs5.reduce(res, j)))
     return SexticSplit(i, K, q_form, H_form, scalar, res_norm, support,
-                       above5, tuple(flagged), certificate)
+                       above5, certificate)
 
 
 #: working precisions in bits for finding q; PSLQ needed about 200 bits
@@ -1088,33 +1075,33 @@ def check_sieve_primes(primes, rep):
 
 
 def unit_sieve(i, primes=DEFAULT_SIEVE_PRIMES, use_mod25=True, depth=3):
-    """Surviving subset of the 125 unit classes twisting H_i(u, v) = w^5."""
+    """Surviving subset of the 125 unit classes twisting H_i(u, v) = w^5.
+
+    At each prime, the class vector of every surviving exponent e is
+    e @ gen_classes mod 5, and e survives when some local target agrees
+    with it at every slot where the target is determined (-1 stands for
+    None).  A slot whose residue field has q != 1 mod 5 gives class 0 to
+    targets and generators alike, so it never separates anything.
+    """
+    import numpy as np
+
     rep = FIELD_REP[i]
     K = coefficient_field(rep)
     check_sieve_primes(primes, rep)
     split = sextic_split(i)
     gens = verify_unit_data(rep)
-    survivors = set(itertools.product(range(5), repeat=3))
+    survivors = np.array(list(itertools.product(range(5), repeat=3)))
     for p in primes:
         rs = residue_split(K, p)
-        nslots = len(rs.residue_fields)
-        active = [j for j in range(nslots)
-                  if rs.residue_fields[j].q % 5 == 1]
-        gen_classes = []
-        for g in gens:
-            gen_classes.append([rs.residue_fields[j].fifth_power_class(
-                rs.reduce(g, j)) if j in active else 0 for j in range(nslots)])
-        targets = _local_targets(split, rs, p, depth)
-        alive = set()
-        for e in survivors:
-            evec = [sum(e[k] * gen_classes[k][j] for k in range(3)) % 5
-                    for j in range(nslots)]
-            for t in targets:
-                if all(t[j] is None or j not in active or t[j] == evec[j]
-                       for j in range(nslots)):
-                    alive.add(e)
-                    break
-        survivors &= alive
+        gen_classes = np.array(
+            [fq.fifth_power_classes([rs.reduce(g, j) for g in gens])
+             for j, fq in enumerate(rs.residue_fields)]).T
+        targets = np.array([[-1 if c is None else c for c in t]
+                            for t in _local_targets(split, rs, p, depth)]
+                           ).reshape(-1, len(rs.residue_fields))
+        classes = survivors @ gen_classes % 5
+        match = (targets[None] < 0) | (targets[None] == classes[:, None])
+        survivors = survivors[match.all(axis=2).any(axis=1)]
     if use_mod25:
         T = [int(c) for c in K.min_poly]
         B, _ = _maximal_order_basis(rep)
@@ -1127,16 +1114,18 @@ def unit_sieve(i, primes=DEFAULT_SIEVE_PRIMES, use_mod25=True, depth=3):
         # H(u, v) mod 25 is linear in the coordinates of H's coefficients,
         # whose denominators divide the order index and so are prime to 5
         hcoords = [c.coords_mod(25) for c in split.H.coeffs]
-        hvals = [[sum(u**m * v**(10 - m) * c[k] for m, c in enumerate(hcoords))
-                  % 25 for k in range(6)] for u, v in pairs]
-        kept = set()
-        for e in survivors:
+        hvals = np.array([[sum(u**m * v**(10 - m) * c[k]
+                               for m, c in enumerate(hcoords)) % 25
+                           for k in range(6)] for u, v in pairs])
+        kept = []
+        for e in survivors.tolist():
             eta = gens[0] ** e[0] * gens[1] ** e[1] * gens[2] ** e[2]
-            inv25 = eta.inverse().coords_mod(25)
-            if any(tuple(_mul25(hv, inv25, T)) in fifths for hv in hvals):
-                kept.add(e)
-        survivors = kept
-    return sorted(survivors)
+            inv25 = np.array([eta.inverse().coords_mod(25)] * len(hvals))
+            twisted = poly.mul_rows_mod(hvals, inv25, T, 25)
+            if any(tuple(w) in fifths for w in twisted.tolist()):
+                kept.append(e)
+        survivors = np.array(kept).reshape(-1, 3)
+    return sorted(map(tuple, survivors.tolist()))
 
 
 @lru_cache(maxsize=None)
@@ -1146,29 +1135,15 @@ def _fifth_powers_mod25(rep):
     of integer arrays, 5^5 at a time to keep the arrays small."""
     import numpy as np
 
-    T = np.array(coefficient_field(rep).min_poly, dtype=np.int64)
-
-    def mul(a, b):
-        # |entries| < 6 * 24^2 + 5 * 24 * max|T|, far inside int64
-        out = np.zeros((len(a), 11), dtype=np.int64)
-        for k in range(6):
-            out[:, k:k + 6] += a[:, k:k + 1] * b
-        for k in range(10, 5, -1):
-            out[:, k - 6:k] -= (out[:, k:k + 1] % 25) * T[:6]
-        return out[:, :6] % 25
-
+    T = coefficient_field(rep).min_poly
     fifths = set()
     for first in range(5):
         w = np.stack([g.ravel() for g in np.meshgrid(
             first, *[np.arange(5)] * 5, indexing="ij")], axis=1)
-        w2 = mul(w, w)
-        fifths.update(map(tuple, mul(mul(w2, w2), w).tolist()))
+        w2 = poly.mul_rows_mod(w, w, T, 25)
+        w4 = poly.mul_rows_mod(w2, w2, T, 25)
+        fifths.update(map(tuple, poly.mul_rows_mod(w4, w, T, 25).tolist()))
     return fifths
-
-
-def _mul25(a, b, T):
-    """a*b in Z[x]/(25, T) for monic T, as a residue vector."""
-    return poly.divmod_mod(poly.mul_mod(a, b, 25), T, 25)[1]
 
 
 def class_unit(rep, exponents):

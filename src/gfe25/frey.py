@@ -13,8 +13,7 @@ from fractions import Fraction
 from importlib import resources
 
 from .bforms import evaluate_triple
-
-IRREDUCIBLE_INDICES = (5, 6, 8, 9, 13, 14, 15, 16, 21, 22, 23, 24)
+from .descent import SEXTIC_INDICES
 
 
 class SingularCurve(Exception):
@@ -78,7 +77,7 @@ def congruence_scan(i):
     """Scan (u, v) mod 8 (not both even) and mod 9 (not both divisible by 3)
     for the pairs (a, b) = (+-f_i, g_i) and check the irreducibility
     hypotheses on every combined class mod 72."""
-    if i not in IRREDUCIBLE_INDICES:
+    if i not in SEXTIC_INDICES:
         raise ValueError(f"i={i} is not one of the irreducible-type indices")
     mod8 = set()
     for u in range(8):

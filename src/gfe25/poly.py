@@ -10,9 +10,9 @@ polynomial is [].  Three kinds of arithmetic are provided:
   the Euclidean resultant (Cohen, 3.3); results carry no trailing zeros;
 * modulo an integer m, on ints only: products, and division by a monic
   polynomial whose remainder is a residue vector of exactly deg(divisor)
-  entries in [0, m); and, over F_p, the extended Euclidean algorithm, which
-  gives the Bezout identities behind Hensel lifting (Cohen, 3.5.3), and the
-  Euclidean resultant (Cohen, 3.3);
+  entries in [0, m); products in (Z/m)[y]/(g) of the rows of two integer
+  arrays; and, over F_p, the extended Euclidean algorithm, which gives the
+  Bezout identities behind Hensel lifting (Cohen, 3.5.3);
 * exact k-th roots of integers and Fractions.
 
 This module imports nothing from the package.
@@ -143,6 +143,28 @@ def divmod_mod(a, b, m):
     return q, [c % m for c in r[:db]]
 
 
+def mul_rows_mod(a, b, g, m):
+    """Row-by-row products in (Z/m)[y]/(g) of two (n, f) integer arrays with
+    entries in [0, m), for g monic of degree f; an (n, f) array in [0, m).
+
+    A product coefficient sums at most f products of residues, so the arrays
+    are int64 while f * m^2 < 2^63 and hold Python ints above that."""
+    import numpy as np
+
+    f = len(g) - 1
+    dtype = np.int64 if f * m * m < 2**63 else object
+    a, b = np.asarray(a, dtype=dtype), np.asarray(b, dtype=dtype)
+    low = np.array([c % m for c in g[:f]], dtype=dtype)
+    out = np.zeros((len(a), 2 * f - 1), dtype=dtype)
+    for k in range(f):
+        out[:, k:k + f] += a[:, k:k + 1] * b
+    out %= m
+    for k in range(2 * f - 2, f - 1, -1):
+        # y^f = -(g_0 + ... + g_(f-1) y^(f-1))
+        out[:, k - f:k] = (out[:, k - f:k] - out[:, k:k + 1] * low) % m
+    return out[:, :f]
+
+
 def gcdext_mod(a, b, p):
     """(g, s, t) with s*a + t*b == g mod p and g the monic gcd over F_p.
 
@@ -161,29 +183,6 @@ def gcdext_mod(a, b, p):
         return [], s0, t0
     inv = pow(r0[-1], -1, p)
     return tuple(_reduced(_scaled(x, inv), p) for x in (r0, s0, t0))
-
-
-def resultant_mod(a, b, p):
-    """Res(a, b) over F_p, in [0, p), for p prime; the degrees are those of
-    a and b reduced mod p.
-
-    For monic a this is the norm of b from F_p[x]/(a) to F_p."""
-    a, b = _reduced(a, p), _reduced(b, p)
-    if not a or not b:
-        return 0
-    res = 1
-    while len(b) > 1:
-        # Res(a, b) = (-1)^(deg a deg b) lc(b)^(deg a - deg r) Res(b, r)
-        # for r = a mod b
-        inv = pow(b[-1], -1, p)
-        r = trim(divmod_mod(a, [c * inv for c in b], p)[1])
-        if not r:
-            return 0
-        if (len(a) - 1) * (len(b) - 1) % 2:
-            res = -res
-        res = res * pow(b[-1], len(a) - len(r), p) % p
-        a, b = b, r
-    return res * pow(b[0], len(a) - 1, p) % p
 
 
 def _reduced(a, p):

@@ -1,5 +1,6 @@
 """Tests for number-field arithmetic, factorization, and residue splittings."""
 
+import itertools
 import warnings
 from fractions import Fraction
 
@@ -136,27 +137,6 @@ FIELDS_WITH_MU5 = [fq for p in (11, 71, 101) for fq in
                    ] + [alg.Fq(7, [1, 1, 0, 0, 1])]
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.sampled_from(FIELDS_WITH_MU5), st.data())
-def test_fq_fifth_power_class_matches_definition(fq, data):
-    assert [F.f for F in FIELDS_WITH_MU5] == [1, 5, 3, 3, 1, 1, 2, 2, 4]
-    # the class k of a is defined by a^((q-1)/5) = gen^k
-    coeffs = data.draw(st.lists(st.integers(0, fq.p - 1),
-                                min_size=fq.f, max_size=fq.f))
-    a = fq.element(coeffs)
-    if fq.is_zero(a):
-        a = fq.one
-    chi = fq.pow(a, (fq.q - 1) // 5)
-    gen, acc = fq._mu5_generator(), fq.one
-    assert gen != fq.one and fq.pow(gen, 5) == fq.one
-    for k in range(5):
-        if chi == acc:
-            break
-        acc = fq.mul(acc, gen)
-    assert chi == acc
-    assert fq.fifth_power_class(a) == k
-
-
 # every residue field of K16 at 11, 71, 101 (p = 1 mod 5), 13 and 19, and of
 # K5 at 7 (p != 1 mod 5, with slots f = 4 and 2 where q = 1 mod 5)
 SIEVE_FIELDS = [fq for rep, p in ((16, 11), (16, 71), (16, 101), (16, 13),
@@ -165,16 +145,44 @@ SIEVE_FIELDS = [fq for rep, p in ((16, 11), (16, 71), (16, 101), (16, 13),
                                             p).residue_fields]
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.sampled_from(SIEVE_FIELDS), st.data())
-def test_fifth_power_classes_match_scalar_class(fq, data):
+def _class_by_definition(fq, a):
+    # the k with a^((q-1)/5) = gen^k, by scalar powers; 0 when q != 1 mod 5
+    if (fq.q - 1) % 5:
+        return 0
+    chi = fq.pow(a, (fq.q - 1) // 5)
+    gen, acc = fq._mu5_generator(), fq.one
+    assert gen != fq.one and fq.pow(gen, 5) == fq.one
+    for k in range(5):
+        if chi == acc:
+            return k
+        acc = fq.mul(acc, gen)
+    raise AssertionError(f"{chi} is not a power of {gen}")
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(FIELDS_WITH_MU5 + SIEVE_FIELDS), st.data())
+def test_fq_fifth_power_class_matches_definition(fq, data):
+    assert [F.f for F in FIELDS_WITH_MU5] == [1, 5, 3, 3, 1, 1, 2, 2, 4]
     rows = data.draw(st.lists(
         st.lists(st.integers(0, fq.p - 1), min_size=fq.f, max_size=fq.f)
         .filter(any), min_size=1, max_size=12))
-    assert fq.fifth_power_classes(rows).tolist() == \
-        [fq.fifth_power_class(fq.element(r)) for r in rows]
+    want = [_class_by_definition(fq, fq.element(r)) for r in rows]
+    assert fq.fifth_power_classes(rows).tolist() == want
+    assert fq.fifth_power_class(fq.element(rows[0])) == want[0]
     with pytest.raises(alg.ZeroInput):
         fq.fifth_power_classes(rows + [[0] * fq.f])
+
+
+def test_mu5_generator_is_first_scanned_character_off_one():
+    # the generator fixes the class labels, so the sieve survivors depend
+    # on it: it is the character of the first scanned non-fifth power
+    for fq in FIELDS_WITH_MU5 + SIEVE_FIELDS:
+        if (fq.q - 1) % 5:
+            continue
+        e = (fq.q - 1) // 5
+        scan = itertools.islice(alg._element_scan(fq), 10000)
+        want = next(c for c in (fq.pow(a, e) for a in scan) if c != fq.one)
+        assert fq._mu5_generator() == want
 
 
 @settings(max_examples=60, deadline=None)

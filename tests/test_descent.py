@@ -259,6 +259,14 @@ SPLIT_DIGESTS = {
 }
 
 
+def test_sextic_split_content_is_trivial():
+    # H is primitive: its content ideal is O_K, so no prime of K divides
+    # every coefficient of H
+    for i in D.SEXTIC_INDICES:
+        s = D.sextic_split(i)
+        assert D._content_ideal_basis(s.H.coeffs, D.FIELD_REP[i])[1] == 1
+
+
 def test_sextic_split_digests():
     def coords(c):
         return [str(x) for x in c.coords]
@@ -457,6 +465,16 @@ def test_unit_sieve_monotone_and_order_independent():
     assert swapped == bigger
 
 
+def test_unit_sieve_survivors_without_mod25():
+    # the local sieve alone; a target's None slot matches every class
+    assert D.unit_sieve(16, use_mod25=False) == [
+        (0, 1, 1), (0, 2, 3), (2, 0, 0), (4, 0, 0), (4, 2, 2), (4, 3, 4)]
+    assert D.unit_sieve(24, use_mod25=False) == [
+        (1, 1, 4), (2, 4, 0), (4, 4, 2)]
+    # 13 and 19 (p != 1 mod 5) sieve nothing here, 11 keeps 75 classes
+    assert len(D.unit_sieve(16, primes=(13, 19, 11), use_mod25=False)) == 75
+
+
 def test_unit_sieve_rejects_bad_prime():
     with pytest.raises(D.IndexRisk):
         D.unit_sieve(22, primes=(5,))
@@ -483,8 +501,12 @@ def test_fifth_powers_mod25_match_products():
     # the array pass against the definition: every base of O/5O raised to
     # the fifth power in Z[x]/(25, T) by Python products
     T = list(coefficient_field(22).min_poly)
+
+    def mul(a, b):
+        return poly.divmod_mod(poly.mul_mod(a, b, 25), T, 25)[1]
+
     slow = set()
     for base in itertools.product(range(5), repeat=6):
-        w2 = D._mul25(base, base, T)
-        slow.add(tuple(D._mul25(D._mul25(w2, w2, T), base, T)))
+        w2 = mul(base, base)
+        slow.add(tuple(mul(mul(w2, w2), base)))
     assert D._fifth_powers_mod25(22) == slow

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gfe25 import frey
+from gfe25.descent import SEXTIC_INDICES
 
 
 def test_frey_curve_examples():
@@ -34,7 +35,7 @@ def test_irred_hypotheses_examples():
 
 
 def test_congruence_scans_all_hold():
-    for i in frey.IRREDUCIBLE_INDICES:
+    for i in SEXTIC_INDICES:
         sc = frey.congruence_scan(i)
         assert sc.all_hypotheses_hold, i
         assert sc.mod8_pairs and sc.mod9_pairs
@@ -58,7 +59,7 @@ def test_symplectic_ratio():
 def test_ito_w_table_shape():
     rows = frey.ito_w_rows()
     by_i = {r["i"]: r for r in rows}
-    assert set(frey.IRREDUCIBLE_INDICES) <= set(by_i)
+    assert set(SEXTIC_INDICES) <= set(by_i)
     assert by_i[22]["W"] == "54a1" and by_i[22]["type"] == "-"
     assert by_i[6]["W"] == "96a1"
     assert all(r["type"] == "+" for r in rows if r["cm"])

@@ -2,6 +2,7 @@
 
 from fractions import Fraction as Fr
 
+import numpy as np
 import sympy as sp
 from hypothesis import assume, given, settings, strategies as st
 
@@ -84,44 +85,29 @@ def test_fraction_root():
     assert poly.fraction_root(0, 2) == 0
 
 
-def _sympy_resultant_mod(a, b, p):
-    x = sp.Symbol("x")
-    return int(sp.resultant(sp.Poly(a[::-1], x), sp.Poly(b[::-1], x))) % p
-
-
-@settings(max_examples=200, deadline=None)
-@given(int_polys, int_polys, st.sampled_from(SMALL_PRIMES))
-def test_resultant_mod_matches_sympy(a, b, p):
-    a, b = _mod(a, p), _mod(b, p)
-    assume(a and b)
-    if len(a) < len(b):
-        a, b = b, a
-    got = poly.resultant_mod(a, b, p)
-    assert got == _sympy_resultant_mod(a, b, p)
-    # sympy is the reference only for deg a >= deg b: sympy 1.14 gives
-    # Res(x, x^3 + 1) = -1, where the Sylvester determinant is 1; the other
-    # order follows from Res(b, a) = (-1)^(deg a deg b) Res(a, b)
-    sign = -1 if (len(a) - 1) * (len(b) - 1) % 2 else 1
-    assert poly.resultant_mod(b, a, p) == sign * got % p
+# moduli for the row products: primes and 25 held in int64, and a prime
+# with f * m^2 >= 2^63, where the rows hold Python ints
+ROW_MODULI = (2, 7, 31, 25, 2**61 - 1)
 
 
 @settings(max_examples=100, deadline=None)
-@given(int_polys, int_polys, int_polys, st.sampled_from(SMALL_PRIMES))
-def test_resultant_mod_vanishes_on_common_factor(c, a, b, p):
-    c = _mod(c, p)
-    assume(len(c) > 1)
-    a, b = _mod(poly.mul(c, a), p), _mod(poly.mul(c, b), p)
-    assume(a and b)
-    assert poly.resultant_mod(a, b, p) == 0
-
-
-@settings(max_examples=100, deadline=None)
-@given(int_polys, st.integers(-60, 60), st.sampled_from(SMALL_PRIMES))
-def test_resultant_mod_norm_of_constant(g, c, p):
-    # for monic g, Res(g, c) is the norm of c from F_p[x]/(g), c^deg g
-    g = [x % p for x in g] + [1]
-    assume(len(g) > 1)
-    assert poly.resultant_mod(g, [c], p) == pow(c, len(g) - 1, p)
+@given(st.sampled_from(ROW_MODULI), st.integers(1, 6), st.data())
+def test_mul_rows_mod_matches_products(m, f, data):
+    residues = st.integers(0, m - 1)
+    g = data.draw(st.lists(residues, min_size=f, max_size=f)) + [1]
+    a, b = (data.draw(st.lists(st.lists(residues, min_size=f, max_size=f),
+                               min_size=1, max_size=5)) for _ in range(2))
+    b = (b * len(a))[:len(a)]
+    want = [poly.divmod_mod(poly.mul_mod(x, y, m), g, m)[1]
+            for x, y in zip(a, b)]
+    # int64 or object input rows alike; the kernel picks the row type
+    for dtype in (np.int64, object):
+        if dtype is np.int64 and m > 2**31:
+            continue
+        got = poly.mul_rows_mod(np.array(a, dtype=dtype),
+                                np.array(b, dtype=dtype), g, m)
+        assert got.dtype == (np.int64 if f * m * m < 2**63 else object)
+        assert got.tolist() == want
 
 
 def _sympy_resultant(a, b):

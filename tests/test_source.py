@@ -65,3 +65,25 @@ def test_descent_splits_without_factor_nf():
              or (isinstance(node, ast.Attribute) and node.attr == "factor_nf")
              or (isinstance(node, ast.alias) and node.name == "factor_nf")]
     assert not found, f"descent.py uses factor_nf at lines {found}"
+
+
+def test_private_names_are_used():
+    # a private function or method that nothing in the package refers to is
+    # dead code, or code kept alive only for a test
+    defined, used = [], set()
+    for path in sorted(pathlib.Path(gfe25.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for node in tree.body:
+            body = node.body if isinstance(node, ast.ClassDef) else [node]
+            defined += [(f"{path.name}:{d.lineno}", d.name) for d in body
+                        if isinstance(d, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and d.name.startswith("_") and not d.name.endswith("__")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name)
+    found = [f"{where} {name}" for where, name in defined if name not in used]
+    assert not found, f"private functions nothing refers to: {found}"
