@@ -173,6 +173,20 @@ def test_fq_fifth_power_class_matches_definition(fq, data):
         fq.fifth_power_classes(rows + [[0] * fq.f])
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(SIEVE_FIELDS), st.data())
+def test_fifth_power_classes_match_scalar_class(fq, data):
+    # a batch classifies each row as that row alone does: no row of the
+    # array arithmetic leaks into another
+    rows = data.draw(st.lists(
+        st.lists(st.integers(0, fq.p - 1), min_size=fq.f, max_size=fq.f)
+        .filter(any), min_size=1, max_size=12))
+    assert fq.fifth_power_classes(rows).tolist() == \
+        [fq.fifth_power_class(fq.element(r)) for r in rows]
+    with pytest.raises(alg.ZeroInput):
+        fq.fifth_power_classes(rows + [[0] * fq.f])
+
+
 def test_mu5_generator_is_first_scanned_character_off_one():
     # the generator fixes the class labels, so the sieve survivors depend
     # on it: it is the character of the first scanned non-fifth power
