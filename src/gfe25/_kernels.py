@@ -1,25 +1,41 @@
 """Modular prescreen kernel for the rational point search.
 
-The search tests whether N = sum_k c_k p^k q^(d-k) (times q for odd degree)
-is a perfect square.  Almost all candidates fail already modulo
-M = 63 * 64 * 65 = 262080, whose square residues make up ~3.5% of classes,
-so the hot loop only does modular Horner evaluation, vectorized with numpy,
-against a residue table.
+The search tests whether T = sum_k c_k p^k q^(d-k) (times q for odd degree)
+is a perfect square.  A square is a square modulo every m, so the kernel
+evaluates T by Horner in int64 numpy arrays modulo two coprime moduli and
+looks each residue up in a table of the squares mod m:
+
+- M1 = 63 * 64 * 65 = 262080, where 1.54% of the classes are squares;
+- M2 = 11 * 13 * 17 * 19 * 23 = 1062347, where 4.3% are.
+
+Values of a curve are not spread evenly over the classes.  On the genus-2
+curves y^2 = x^5 + 32000 and y^2 = x^5 + 8000 at height 1000, 2.9% of the
+coprime pairs pass M1 (5.5% of the whole box, where a common factor of p
+and q makes T more often a square).  Only those pairs are evaluated mod M2;
+0.54% of the box passes both, about 10,800 pairs per curve, of which about
+3,300 are coprime.  The kernel only discards; the caller checks every pair
+it keeps exactly.
 """
+
+import functools
 
 import numpy as np
 
-MODULUS = 63 * 64 * 65  # pairwise-coprime smooth moduli folded into one
+MODULI = (63 * 64 * 65, 11 * 13 * 17 * 19 * 23)
+_HALF = 1 << 62  # two terms below this sum to less than 2^63
 
 
+@functools.cache
 def _square_table(mod):
+    """Boolean table of the squares mod `mod`.  It is built on first use, so
+    runs that never search do not pay for it, and in slices of r, so that
+    building it needs little memory beyond the table itself."""
     t = np.zeros(mod, dtype=np.bool_)
-    r = np.arange(mod // 2 + 1, dtype=np.int64)
-    t[(r * r) % mod] = True
+    half = mod // 2 + 1
+    for start in range(0, half, 1 << 16):
+        r = np.arange(start, min(start + (1 << 16), half), dtype=np.int64)
+        t[r * r % mod] = True
     return t
-
-
-_SQ = _square_table(MODULUS)
 
 
 def active_backend():
@@ -27,19 +43,53 @@ def active_backend():
     return "numpy"
 
 
-def prescreen(coeffs, ps, qs, odd):
-    """Boolean mask: candidate (p, q) pairs whose square test survives mod M.
+def _value_mod(coeffs, ps, qs, odd, mod):
+    """T mod `mod` at each pair: Horner in p with the q-powers carried along.
 
-    coeffs are plain ints (ascending)."""
-    mod = MODULUS
+    Reducing mod `mod` costs far more than a product, so the arrays are
+    reduced only where a bound on their absolute values, kept alongside,
+    says that the next step could leave int64."""
+    P, Q1 = (int(np.abs(a).max(initial=0)) for a in (ps, qs))
+    if P >= mod:
+        ps, P = ps % mod, mod
+    if Q1 >= mod:
+        qs, Q1 = qs % mod, mod
     cm = [c % mod for c in coeffs]
-    ps = np.asarray(ps, dtype=np.int64) % mod
-    qs = np.asarray(qs, dtype=np.int64) % mod
     acc = np.full(ps.shape, cm[-1], dtype=np.int64)
     qpow = np.ones_like(ps)
-    for k in range(len(cm) - 2, -1, -1):
-        qpow = (qpow * qs) % mod
-        acc = (acc * ps + cm[k] * qpow) % mod
+    A, Q = cm[-1], 1
+    for c in reversed(cm[:-1]):
+        if Q * Q1 >= _HALF:
+            qpow %= mod
+            Q = mod
+        qpow *= qs
+        Q *= Q1
+        if c * Q >= _HALF:
+            qpow %= mod
+            Q = mod
+        if A * P >= _HALF:
+            acc %= mod
+            A = mod
+        acc *= ps
+        if c:
+            acc += c * qpow
+        A = A * P + c * Q
     if odd:
-        acc = (acc * qs) % mod
-    return _SQ[acc]
+        if A * Q1 >= _HALF:
+            acc %= mod
+        acc *= qs
+    return acc % mod
+
+
+def prescreen(coeffs, ps, qs, odd):
+    """Boolean mask: the (p, q) pairs whose T is a square mod M1 and mod M2.
+
+    coeffs are ints (ascending, any size); ps and qs are integer arrays."""
+    ps = np.asarray(ps, dtype=np.int64)
+    qs = np.asarray(qs, dtype=np.int64)
+    m1, m2 = MODULI
+    mask = _square_table(m1)[_value_mod(coeffs, ps, qs, odd, m1)]
+    keep = np.flatnonzero(mask)
+    mask[keep] = _square_table(m2)[_value_mod(coeffs, ps[keep], qs[keep],
+                                              odd, m2)]
+    return mask

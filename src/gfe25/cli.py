@@ -716,12 +716,14 @@ def parse_curve(spec):
     try:
         expr = sp.sympify(spec.replace("^", "**"))
         P = sp.Poly(expr, sp.Symbol("x"))
-        coeffs = tuple(int(c) for c in reversed(P.all_coeffs()))
+        coeffs = tuple(int(c) if c.is_Integer else c
+                       for c in reversed(P.all_coeffs()))
         return HyperellipticModel(coeffs, spec)
-    except (sp.SympifyError, TypeError, ValueError) as e:
+    except (sp.SympifyError, sp.PolynomialError, TypeError, ValueError) as e:
         raise DataProblem(
             f"cannot interpret curve {spec!r} (named curves: "
-            f"{', '.join(sorted(named))}; or a polynomial in x): {e}") from e
+            f"{', '.join(sorted(named))}; or a polynomial in x with integer "
+            f"coefficients): {e}") from e
 
 
 def _parse_rational_list(text):

@@ -2,8 +2,11 @@
 membership checks on their Jacobians."""
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
+
+import numpy as np
 
 from . import _kernels, poly
 
@@ -16,6 +19,8 @@ class HyperellipticModel:
     label: str = ""
 
     def __post_init__(self):
+        if not all(isinstance(c, numbers.Integral) for c in self.coeffs):
+            raise ValueError("F must have integer coefficients")
         if not (3 <= self.degree <= 10):
             raise ValueError("degree out of range 3..10")
         if not self._squarefree():
@@ -74,14 +79,19 @@ class InfinitePoint:
 # ---------------------------------------------------------------------------
 # rational point search
 
-_BATCH = 1 << 15
+_BATCH = 1 << 15  # box points per block; a block is always whole q-rows
 
 
-def rational_points(model, H, prescreen=True):
+def rational_points(model, H):
     """All points of naive height <= H (|num(x)|, den(x) <= H), plus infinity.
 
-    Exact arithmetic throughout; the optional modular prescreen only discards
-    candidates, every reported point is verified against the curve equation."""
+    The box |p| <= H, 1 <= q <= H is walked in blocks of whole q-rows, each
+    an int64 array of about _BATCH pairs and at least one row, so memory is
+    bounded by the block, not by H^2.  `_kernels.prescreen` screens each
+    block modulo two moduli and only discards.  Its survivors are tested for
+    gcd(p, q) = 1 and then, as Python ints, for an exact square root of the
+    homogeneous value; every point found is checked against y^2 = F(x) in
+    exact rationals."""
     if H < 1:
         raise ValueError("height bound must be >= 1")
     d = model.degree
@@ -89,15 +99,16 @@ def rational_points(model, H, prescreen=True):
     odd = d % 2 == 1
     points = list(model.infinity_points())
 
-    pairs = [(p, q) for q in range(1, H + 1)
-             for p in range(-H, H + 1) if math.gcd(p, q) == 1]
-    for start in range(0, len(pairs), _BATCH):
-        chunk = pairs[start:start + _BATCH]
-        if prescreen:
-            mask = _kernels.prescreen(coeffs, [p for p, _ in chunk],
-                                      [q for _, q in chunk], odd)
-            chunk = [pq for pq, ok in zip(chunk, mask) if ok]
-        for p, q in chunk:
+    row = np.arange(-H, H + 1, dtype=np.int64)
+    rows = max(1, _BATCH // row.size)
+    for q0 in range(1, H + 1, rows):
+        q_block = np.arange(q0, min(q0 + rows, H + 1), dtype=np.int64)
+        ps = np.tile(row, q_block.size)
+        qs = np.repeat(q_block, row.size)
+        mask = _kernels.prescreen(coeffs, ps, qs, odd)
+        ps, qs = ps[mask], qs[mask]
+        coprime = np.gcd(ps, qs) == 1
+        for p, q in zip(ps[coprime].tolist(), qs[coprime].tolist()):
             N = _homogeneous_value(coeffs, p, q)
             T = N * q if odd else N
             if T < 0:

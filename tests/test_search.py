@@ -1,9 +1,16 @@
 """Tests for rational point search and Mumford checks."""
 
+import functools
+import math
+import random
+import tracemalloc
 from fractions import Fraction as Fr
 
+import numpy as np
 import pytest
 
+from gfe25 import _kernels as K
+from gfe25 import poly
 from gfe25 import search as S
 
 # M_4: y^2 = 3x(x^4 - 10x^2 + 5)(x^5 + 10x^4 - 10x^3 - 20x^2 + 5x + 2)
@@ -50,13 +57,169 @@ def test_infinity_branch_rules():
     assert len(S.HyperellipticModel(D1T).infinity_points()) == 2
 
 
-def test_completeness_against_naive_oracle():
-    # per-x enumeration without the modular prescreen
-    for coeffs in ((32000, 0, 0, 0, 0, 1), F4, D1T):
-        m = S.HyperellipticModel(coeffs)
-        fast = S.rational_points(m, 30)
-        slow = S.rational_points(m, 30, prescreen=False)
-        assert fast == slow
+# y^2 = 9x^6 + 6x^5 + x^4 + x^3 - 6x^2 - 2x + 1: even degree, square
+# leading coefficient, points with denominators up to 20
+SQUARE_LEAD = (1, -2, -6, 1, 1, 6, 9)
+
+
+def _oracle_affine_points(coeffs, H):
+    """Affine points of height <= H, one x = p/q at a time: y exists iff
+    F(x) >= 0 has a square numerator and denominator in lowest terms."""
+    found = set()
+    for q in range(1, H + 1):
+        for p in range(-H, H + 1):
+            if math.gcd(p, q) != 1:
+                continue
+            x = Fr(p, q)
+            v = sum(c * x**k for k, c in enumerate(coeffs))
+            a, b = math.isqrt(max(v.numerator, 0)), math.isqrt(v.denominator)
+            if v >= 0 and a * a == v.numerator and b * b == v.denominator:
+                found |= {(x, Fr(a, b)), (x, Fr(-a, b))}
+    return sorted(found)
+
+
+def _affine(points):
+    return [(pt.x, pt.y) for pt in points if isinstance(pt, S.AffinePoint)]
+
+
+@pytest.mark.parametrize("batch", [None, 1, 200])
+@pytest.mark.parametrize("coeffs", [(32000, 0, 0, 0, 0, 1), F4, D1T,
+                                    SQUARE_LEAD])
+def test_completeness_against_per_x_oracle(coeffs, batch, monkeypatch):
+    # batch 1 forces one q-row per block, 200 three rows of 61
+    if batch:
+        monkeypatch.setattr(S, "_BATCH", batch)
+    m = S.HyperellipticModel(coeffs)
+    pts = S.rational_points(m, 30)
+    assert _affine(pts) == _oracle_affine_points(coeffs, 30)
+    assert pts[:len(m.infinity_points())] == m.infinity_points()
+
+
+def test_completeness_over_several_blocks():
+    H = 150
+    assert H > S._BATCH // (2 * H + 1)  # the box spans more than one block
+    m = S.HyperellipticModel(SQUARE_LEAD)
+    expected = _oracle_affine_points(SQUARE_LEAD, H)
+    assert (Fr(-23, 20), Fr(16671, 8000)) in expected
+    assert _affine(S.rational_points(m, H)) == expected
+
+
+def _planted_curve(rng, xs, y1):
+    """F = y1^2 + prod (q x - p) * G(x) with G random: F(p/q) = y1^2."""
+    k = len(xs)
+    G = [rng.randrange(-10**6, 10**6) for _ in range(rng.randrange(
+        max(0, 3 - k), 10 - k))] + [rng.choice([-3, -1, 1, 2, 5])]
+    F = G
+    for x in xs:
+        F = poly.mul(F, [-x.numerator, x.denominator])
+    return tuple(F[0] + y1 * y1 if i == 0 else c for i, c in enumerate(F))
+
+
+def _coprime_x(rng, q, H):
+    while True:
+        p = rng.choice([H, -H, rng.randrange(-H, H + 1)])
+        if math.gcd(p, q) == 1:
+            return Fr(p, q)
+
+
+def test_planted_points_on_both_sides_of_a_block_boundary():
+    rng = random.Random(25)
+    H = 200
+    rows = S._BATCH // (2 * H + 1)  # q-rows per block
+    assert 1 < rows < H
+    edges = (1, rows - 1, rows, rows + 1, rows + 2, H)
+    for q in edges * 2:
+        xs = {_coprime_x(rng, q, H)}
+        xs |= {_coprime_x(rng, rng.choice(edges), H)
+               for _ in range(rng.randrange(3))}
+        y1 = rng.choice([0, 1, rng.randrange(10**9)])
+        while True:
+            try:
+                m = S.HyperellipticModel(_planted_curve(rng, sorted(xs), y1))
+                break
+            except ValueError:
+                pass  # not squarefree: draw another G
+        pts = S.rational_points(m, H)
+        for x in xs:
+            assert m.F(x) == y1 * y1
+            assert S.AffinePoint(x, Fr(y1)) in pts
+            assert S.AffinePoint(x, Fr(-y1)) in pts
+
+
+def test_square_tables_hold_exactly_the_squares():
+    for m in K.MODULI:
+        table = K._square_table(m)
+        assert set(np.flatnonzero(table).tolist()) == {r * r % m
+                                                       for r in range(m)}
+
+
+@functools.lru_cache(maxsize=None)
+def _squares(m):
+    return frozenset(r * r % m for r in range(m))
+
+
+def _screen_oracle(coeffs, ps, qs, odd):
+    """Python ints: is T a square mod each modulus of the kernel?"""
+    d = len(coeffs) - 1
+    out = []
+    for p, q in zip(ps, qs):
+        T = sum(c * p**k * q**(d - k) for k, c in enumerate(coeffs))
+        T *= q if odd else 1
+        out.append(all(T % m in _squares(m) for m in K.MODULI))
+    return out
+
+
+def test_prescreen_matches_a_python_square_test():
+    rng = random.Random(5)
+    for trial in range(12):
+        d = rng.randrange(3, 11)
+        bound = 2**80 if trial % 2 else 100
+        coeffs = [rng.randrange(-bound, bound) for _ in range(d)]
+        coeffs.append(rng.choice([1, -1]) * rng.randrange(1, bound))
+        top = 10**7 if trial % 3 else 1000  # above both moduli, or below
+        ps = [rng.randrange(-top, top + 1) for _ in range(300)]
+        qs = [rng.randrange(1, top + 1) for _ in range(300)]
+        odd = d % 2 == 1
+        mask = K.prescreen(coeffs, np.array(ps), np.array(qs), odd)
+        assert mask.tolist() == _screen_oracle(coeffs, ps, qs, odd)
+
+
+@pytest.mark.parametrize("d", [3, 4, 5, 6, 9, 10])
+def test_prescreen_at_the_bounds_of_its_lazy_reduction(d):
+    # coefficients -1 mod both moduli (or 0, which lets the q-powers grow
+    # unreduced) and p = q = v make the intermediate values as large as the
+    # kernel's bounds allow; v sweeps 2^1 .. 2^25
+    M1, M2 = K.MODULI
+    top = M1 * M2 - 1
+    for coeffs in ([top] * (d + 1), [top] + [0] * (d - 1) + [top],
+                   [0] * d + [1]):
+        for k in range(4, 100):
+            v = int(2 ** (k / 4))
+            for ps, qs in (([v, -v], [v, v]), ([v], [1]), ([1], [v])):
+                mask = K.prescreen(coeffs, np.array(ps), np.array(qs),
+                                   d % 2 == 1)
+                assert mask.tolist() == _screen_oracle(coeffs, ps, qs,
+                                                       d % 2 == 1)
+
+
+def test_search_memory_is_bounded_by_the_block():
+    m = S.HyperellipticModel((32000, 0, 0, 0, 0, 1))
+    S.rational_points(m, 2)
+    tracemalloc.start()
+    try:
+        S.rational_points(m, 600)  # 721,801 box points
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+
+
+def test_model_rejects_rational_coefficients():
+    with pytest.raises(ValueError, match="integer coefficients"):
+        S.HyperellipticModel((Fr(1, 4), 0, 0, 0, 0, 1))
+    with pytest.raises(ValueError, match="integer coefficients"):
+        S.HyperellipticModel((1, Fr(3, 2), 0, 0, 0, 1))
+    assert S.HyperellipticModel((1, 0, 0, 0, 0, 1)).degree == 5
 
 
 def test_mumford_q_minus1():
