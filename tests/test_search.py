@@ -82,17 +82,17 @@ def _affine(points):
     return [(pt.x, pt.y) for pt in points if isinstance(pt, S.AffinePoint)]
 
 
-@pytest.mark.parametrize("batch", [None, 1, 200])
-@pytest.mark.parametrize("coeffs", [(32000, 0, 0, 0, 0, 1), F4, D1T,
-                                    SQUARE_LEAD])
-def test_completeness_against_per_x_oracle(coeffs, batch, monkeypatch):
-    # batch 1 forces one q-row per block, 200 three rows of 61
-    if batch:
-        monkeypatch.setattr(S, "_BATCH", batch)
-    m = S.HyperellipticModel(coeffs)
-    pts = S.rational_points(m, 30)
-    assert _affine(pts) == _oracle_affine_points(coeffs, 30)
-    assert pts[:len(m.infinity_points())] == m.infinity_points()
+def test_completeness_against_naive_oracle(monkeypatch):
+    # _BATCH 1 forces one q-row per block, 200 three rows of 61
+    batches = (S._BATCH, 1, 200)
+    for coeffs in ((32000, 0, 0, 0, 0, 1), F4, D1T, SQUARE_LEAD):
+        m = S.HyperellipticModel(coeffs)
+        expected = _oracle_affine_points(coeffs, 30)
+        for batch in batches:
+            monkeypatch.setattr(S, "_BATCH", batch)
+            pts = S.rational_points(m, 30)
+            assert _affine(pts) == expected
+            assert pts[:len(m.infinity_points())] == m.infinity_points()
 
 
 def test_completeness_over_several_blocks():
@@ -146,16 +146,15 @@ def test_planted_points_on_both_sides_of_a_block_boundary():
             assert S.AffinePoint(x, Fr(-y1)) in pts
 
 
+@functools.cache
+def _squares(m):
+    return frozenset(r * r % m for r in range(m))
+
+
 def test_square_tables_hold_exactly_the_squares():
     for m in K.MODULI:
         table = K._square_table(m)
-        assert set(np.flatnonzero(table).tolist()) == {r * r % m
-                                                       for r in range(m)}
-
-
-@functools.lru_cache(maxsize=None)
-def _squares(m):
-    return frozenset(r * r % m for r in range(m))
+        assert set(np.flatnonzero(table).tolist()) == _squares(m)
 
 
 def _screen_oracle(coeffs, ps, qs, odd):
