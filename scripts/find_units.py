@@ -187,29 +187,12 @@ def enrich(units, cap=200):
 
 def maximal_order_units(K, bound=4, norm_cap=3000):
     """Quotient search over an integral basis of the maximal order."""
-    from fractions import Fraction
-
-    from sympy.abc import x
-    from sympy.polys.numberfields.basis import round_two
-
-    T = sp.Poly(list(reversed(K.min_poly)), x)
-    ZK, _ = round_two(T)
-    Bq = ZK.QQ_matrix.to_Matrix()
-    # Bf[j] = j-th basis element in power-basis coordinates
-    Bf = [[Fraction(int(Bq[i, j].p), int(Bq[i, j].q)) for i in range(6)]
-          for j in range(6)]
-    Bm = sp.Matrix(6, 6, lambda i, j: sp.Rational(Bf[j][i].numerator,
-                                                  Bf[j][i].denominator))
-    Binv = Bm.inv()
-
-    def in_order(e):
-        v = Binv * sp.Matrix([sp.Rational(c.numerator, c.denominator)
-                              for c in e.coords])
-        return all(q.q == 1 for q in v)
-
+    order = alg.maximal_order(K)
+    # basis element j in power-basis coordinates is column j of matrix/denom
     roots = np.roots(np.array(list(reversed(K.min_poly)), dtype=float))
     pows = np.array([roots**k for k in range(6)])
-    basis_emb = np.array([[sum(float(Bf[j][i]) * pows[i, r] for i in range(6))
+    basis_emb = np.array([[sum(order.matrix[i][j] / order.denom * pows[i, r]
+                               for i in range(6))
                            for r in range(6)] for j in range(6)])
     rng = np.arange(-bound, bound + 1)
     grids = np.meshgrid(*[rng] * 6, indexing="ij")
@@ -218,10 +201,7 @@ def maximal_order_units(K, bound=4, norm_cap=3000):
     absn[np.all(coords == 0, axis=1)] = np.inf
     groups = {}
     for idx in np.where(absn < norm_cap)[0]:
-        c = coords[idx]
-        pc = [sum(Fraction(int(c[j])) * Bf[j][i] for j in range(6))
-              for i in range(6)]
-        e = K.element(pc)
+        e = order.element(coords[idx])
         n = int(e.norm())
         if n != 0 and smooth_factor(n) is not None:
             groups.setdefault(n, []).append(e)
@@ -233,7 +213,8 @@ def maximal_order_units(K, bound=4, norm_cap=3000):
         base = els[0]
         for e in els[1:]:
             q = e * base.inverse()
-            if in_order(q) and in_order(q.inverse()) and not q.is_rational():
+            if order.coords(q) is not None and not q.is_rational() \
+                    and order.coords(q.inverse()) is not None:
                 assert q.norm() in (1, -1)
                 units.add(q)
     return sorted(units,

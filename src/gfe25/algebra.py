@@ -9,6 +9,7 @@ Polynomials at this module's boundaries are ascending coefficient lists.
 
 import itertools
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -244,6 +245,85 @@ def auxiliary_field(name):
     """'gauss' = Q(i), 'golden' = Q(sqrt5) with integral golden-ratio basis,
     'sqrt5' = Q(sqrt5) pure-radical basis, 'sqrt-5' = Q(sqrt(-5))."""
     return NumberField(_fields_data()["auxiliary"][name], label=name)
+
+
+# ---------------------------------------------------------------------------
+# maximal orders
+
+@dataclass(frozen=True)
+class MaximalOrder:
+    """O_K as the Z-span of the columns of matrix / denom, in power-basis
+    coordinates; ideals are integer matrices in the coordinates of that
+    integral basis."""
+    field: NumberField
+    matrix: tuple       # n rows of n ints
+    denom: int
+    inverse: tuple      # rows of Fractions: (matrix / denom)^-1
+
+    def coords(self, elem):
+        """Integer coordinates of elem in the integral basis, or None when
+        elem is not in O_K."""
+        out = [sum(a * x for a, x in zip(row, elem.coords))
+               for row in self.inverse]
+        if any(c.denominator != 1 for c in out):
+            return None
+        return [int(c) for c in out]
+
+    def element(self, coords):
+        """The NFElement with the given integral-basis coordinates."""
+        return self.field.element(
+            [Fraction(sum(a * int(c) for a, c in zip(row, coords)), self.denom)
+             for row in self.matrix])
+
+    @lru_cache(maxsize=None)
+    def mult_tab(self):
+        """Structure constants: mult_tab()[i][j] holds the coordinates of the
+        product of basis elements i and j."""
+        n = self.field.degree
+        basis = [self.element([int(i == j) for j in range(n)])
+                 for i in range(n)]
+        return tuple(tuple(tuple(self.coords(a * b)) for b in basis)
+                     for a in basis)
+
+    def ideal(self, elems):
+        """(HNF, norm) of the ideal the elements of O_K generate: the columns
+        of the upper-triangular integer matrix HNF are a Z-basis of it, the
+        HNF of the columns of the multiplication matrices sum c_i T_i of the
+        elements (Cohen, GTM 138, 2.4.3), and the norm is its determinant."""
+        from sympy.polys.matrices import DomainMatrix
+        from sympy.polys.matrices.normalforms import hermite_normal_form
+
+        n, tab = self.field.degree, self.mult_tab()
+        cols = []
+        for elem in elems:
+            c = self.coords(elem)
+            if c is None:
+                raise ValueError(f"{elem!r} is not in the maximal order")
+            cols += [[sum(c[i] * tab[i][j][k] for i in range(n))
+                      for k in range(n)] for j in range(n)]
+        rows = [[sp.ZZ(col[k]) for col in cols] for k in range(n)]
+        hnf = hermite_normal_form(DomainMatrix(rows, (n, len(cols)), sp.ZZ))
+        if hnf.shape != (n, n):
+            raise ValueError("the elements generate the zero ideal")
+        basis = tuple(tuple(int(x) for x in row) for row in hnf.to_list())
+        return basis, math.prod(basis[k][k] for k in range(n))
+
+
+@lru_cache(maxsize=None)
+def maximal_order(K):
+    """The maximal order of K, by the Round Two algorithm (Cohen, GTM 138,
+    6.1), with the least common denominator."""
+    from sympy.polys.numberfields.basis import round_two
+
+    ZK, _ = round_two(K.sympy_poly)
+    matrix = [[int(x) for x in row] for row in ZK.matrix.to_list()]
+    g = math.gcd(int(ZK.denom), *itertools.chain(*matrix))
+    inverse = ZK.QQ_matrix.inv().to_list()
+    return MaximalOrder(
+        K, tuple(tuple(x // g for x in row) for row in matrix),
+        int(ZK.denom) // g,
+        tuple(tuple(Fraction(int(x.numerator), int(x.denominator)) for x in row)
+              for row in inverse))
 
 
 # ---------------------------------------------------------------------------

@@ -891,6 +891,20 @@ def _positive_int(text):
     return int(text)
 
 
+#: the height of the highest point the stages expect, x = -4 on
+#: y^2 = x^5 + 32000; a lower run --height could not find it
+KNOWN_POINTS_HEIGHT = 4
+
+
+def _run_height(text):
+    height = _positive_int(text)
+    if height < KNOWN_POINTS_HEIGHT:
+        raise argparse.ArgumentTypeError(
+            f"{height} is below {KNOWN_POINTS_HEIGHT}, the height of the "
+            "known points (-4, +-176) on y^2 = x^5 + 32000")
+    return height
+
+
 def _int_list(text):
     try:
         return tuple(int(t) for t in text.split(","))
@@ -969,8 +983,9 @@ def _build_parser():
     g = p.add_mutually_exclusive_group(required=True)
     g.add_argument("--all", action="store_true")
     g.add_argument("--stage", choices=STAGE_ORDER)
-    p.add_argument("--height", type=_positive_int, default=None,
-                   help="override the per-stage search height bound")
+    p.add_argument("--height", type=_run_height, default=None,
+                   help="override the per-stage search height bound "
+                        f"(at least {KNOWN_POINTS_HEIGHT})")
     p.add_argument("--primes", type=_int_list,
                    help="override the unit-sieve prime list")
     p.add_argument("--depth", type=_positive_int, default=3)

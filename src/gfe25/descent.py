@@ -33,7 +33,7 @@ import sympy as sp
 
 from . import padic, poly
 from .algebra import (auxiliary_field, coefficient_field, factor_fp,
-                      residue_split)
+                      maximal_order, residue_split)
 from .bforms import BinaryForm, binary_resultant, edwards_triple, transform
 from .search import HyperellipticModel, InfinitePoint
 
@@ -578,40 +578,14 @@ class SexticSplit:
     irreducibility_primes: tuple  # degree-1 primes (p, a) certifying q, H
 
 
-def _content_ideal_basis(coeffs, rep):
-    """(basis matrix, ideal norm) of the O_K-content of a coefficient list.
-
-    Columns of the returned 6x6 integer matrix are a Z-basis of the ideal
-    generated by the coefficients, in integral-basis coordinates.
-    """
-    from sympy.matrices.normalforms import hermite_normal_form
-
-    K = coefficient_field(rep)
-    B, Binv = _maximal_order_basis(rep)
-    order_basis = [K.element([Fraction(int(B[i, j].p), int(B[i, j].q))
-                              for i in range(6)]) for j in range(6)]
-    cols = []
-    for c in coeffs:
-        for beta in order_basis:
-            w = c * beta
-            v = Binv * sp.Matrix([sp.Rational(x.numerator, x.denominator)
-                                  for x in w.coords])
-            if any(q.q != 1 for q in v):
-                raise ContentNotClearable(
-                    "coefficient is not integral over the maximal order")
-            cols.append([int(q) for q in v])
-    M = hermite_normal_form(sp.Matrix(cols).T)
-    if M.shape != (6, 6):
-        raise ContentNotClearable("content module has deficient rank")
-    return M, abs(int(M.det()))
-
-
 #: largest sup-norm of the LLL coordinates searched by _ideal_generator
 GENERATOR_BOUND = 6
 
 
-def _ideal_generator(basis, norm, rep):
-    """Small element of the given ideal whose norm matches the ideal norm.
+def _ideal_generator(order, basis, norm):
+    """Small element of the ideal of the maximal order whose norm matches
+    the ideal norm; the columns of the integer matrix basis are a Z-basis of
+    the ideal in the order's coordinates.
 
     In any number field such an element generates the ideal, since its
     principal ideal lies in the ideal with index 1; this certifies the
@@ -619,60 +593,58 @@ def _ideal_generator(basis, norm, rep):
     searched shell by shell, max|c| = r for r = 0..GENERATOR_BOUND, each
     shell in lexicographic order.  The first exact match is therefore the
     match of least sup-norm, and among those the first in the lexicographic
-    order of the whole box [-GENERATOR_BOUND, GENERATOR_BOUND]^6: the
+    order of the whole box [-GENERATOR_BOUND, GENERATOR_BOUND]^n: the
     element a scan of that box keeping the smallest match would return.
     """
     import numpy as np
 
     from sympy.polys.matrices import DomainMatrix
 
-    K = coefficient_field(rep)
-    B, _ = _maximal_order_basis(rep)
-    # power-basis coords of the 6 ideal basis vectors
-    P = B * sp.Matrix(basis)
-    pb = [[Fraction(int(P[i, j].p), int(P[i, j].q)) for i in range(6)]
-          for j in range(6)]
+    K = order.field
+    n = K.degree
+    # power-basis coords of the n ideal basis vectors
+    pb = [[Fraction(sum(a * basis[k][j] for k, a in enumerate(row)),
+                    order.denom) for row in order.matrix] for j in range(n)]
     roots = np.roots(np.array(list(reversed(K.min_poly)), dtype=float))
-    pows = np.array([roots**k for k in range(6)])
-    emb = np.array([[sum(complex(pb[j][i]) * pows[i, r] for i in range(6))
-                     for r in range(6)] for j in range(6)])
+    pows = np.array([roots**k for k in range(n)])
+    emb = np.array([[sum(complex(pb[j][i]) * pows[i, r] for i in range(n))
+                     for r in range(n)] for j in range(n)])
     # LLL-reduce the lattice (scaled embedding, with an identity block to
     # recover the unimodular transform) so small coordinates suffice below
     real = np.hstack([emb.real, emb.imag])
     scale = float(2**24) / max(1.0, np.abs(real).max())
-    A = sp.Matrix(np.rint(real * scale).astype(object))
-    M = A.row_join(sp.eye(6))
-    red = DomainMatrix.from_Matrix(M).convert_to(sp.ZZ).lll().to_Matrix()
-    U = red[:, 12:]
-    pb = [[sum(Fraction(int(U[j, k])) * pb[k][i] for k in range(6))
-           for i in range(6)] for j in range(6)]
-    emb = np.array([[sum(complex(pb[j][i]) * pows[i, r] for i in range(6))
-                     for r in range(6)] for j in range(6)])
+    rows = [[sp.ZZ(int(x)) for x in row] + [sp.ZZ(int(j == k)) for k in range(n)]
+            for j, row in enumerate(np.rint(real * scale))]
+    red = DomainMatrix(rows, (n, 3 * n), sp.ZZ).lll().to_list()
+    pb = [[sum(Fraction(int(red[j][2 * n + k])) * pb[k][i] for k in range(n))
+           for i in range(n)] for j in range(n)]
+    emb = np.array([[sum(complex(pb[j][i]) * pows[i, r] for i in range(n))
+                     for r in range(n)] for j in range(n)])
     for r in range(GENERATOR_BOUND + 1):
-        for coords in _shell(r):
+        for coords in _shell(r, n):
             absn = np.abs(np.prod(coords.astype(complex) @ emb, axis=1))
             close = np.where(
                 np.abs(np.log(np.maximum(absn, 1e-300)) - math.log(norm))
                 < 1e-6)[0]
             for c in coords[close]:
-                pc = [sum(Fraction(int(c[j])) * pb[j][k] for j in range(6))
-                      for k in range(6)]
+                pc = [sum(Fraction(int(c[j])) * pb[j][k] for j in range(n))
+                      for k in range(n)]
                 g = K.element(pc)
-                n = g.norm()
-                if n.denominator == 1 and abs(int(n)) == norm:
+                m = g.norm()
+                if m.denominator == 1 and abs(int(m)) == norm:
                     return g
     raise ContentNotClearable(
         f"no generator of norm {norm} found within bound {GENERATOR_BOUND}")
 
 
-def _shell(r):
-    """The points c of Z^6 with max|c| = r in lexicographic order, as arrays
-    of rows, one array per value of the first coordinate."""
+def _shell(r, n):
+    """The points c of Z^n with max|c| = r in lexicographic order, as arrays
+    of rows, one array per value of the first coordinate; n >= 2."""
     import numpy as np
 
     rng = np.arange(-r, r + 1)
-    rest = np.stack([g.ravel() for g in np.meshgrid(*[rng] * 5, indexing="ij")],
-                    axis=1)
+    rest = np.stack([g.ravel() for g in np.meshgrid(*[rng] * (n - 1),
+                                                    indexing="ij")], axis=1)
     inner = rest[np.abs(rest).max(axis=1) == r]
     for c0 in rng:
         tail = rest if abs(c0) == r else inner
@@ -692,25 +664,22 @@ def _primitive_part(coeffs, rep):
     for c in coeffs:
         for x in c.coords:
             num = math.gcd(num, int(x * den))
-    from sympy.matrices.normalforms import hermite_normal_form
-
+    K = coefficient_field(rep)
+    order = maximal_order(K)
     out = [c * Fraction(den, num) for c in coeffs]
     divisor = Fraction(num, den)
     for _ in range(24):
-        basis, n_ideal = _content_ideal_basis(out, rep)
+        basis, n_ideal = order.ideal(out)
         if n_ideal == 1:
             return out, divisor
         fac = sp.factorint(n_ideal)
         if len(fac) > 1:
             # peel one rational prime at a time: I + pO has norm a power of p
-            p = min(fac)
-            basis = hermite_normal_form(
-                sp.Matrix.hstack(sp.Matrix(basis), p * sp.eye(6)))
-            n_ideal = abs(int(basis.det()))
-        g = _ideal_generator(basis, n_ideal, rep)
+            basis, n_ideal = order.ideal(out + [K.from_int(min(fac))])
+        g = _ideal_generator(order, basis, n_ideal)
         ginv = g.inverse()
         out = [c * ginv for c in out]
-        if not all(_is_order_integral(c, rep) for c in out):
+        if any(order.coords(c) is None for c in out):
             raise ContentNotClearable("content generator does not divide")
         divisor = g * divisor
     raise ContentNotClearable("content removal did not terminate")
@@ -864,27 +833,6 @@ def _irreducibility_primes(q, H, K):
         f"primes below {IRREDUCIBILITY_PRIME_BOUND}")
 
 
-@lru_cache(maxsize=None)
-def _maximal_order_basis(rep):
-    """(B, B^-1) where B's columns are an integral basis in power coords."""
-    from sympy.abc import x
-    from sympy.polys.numberfields.basis import round_two
-
-    K = coefficient_field(rep)
-    T = sp.Poly(list(reversed(K.min_poly)), x)
-    ZK, _ = round_two(T)
-    B = ZK.QQ_matrix.to_Matrix()
-    return B, B.inv()
-
-
-def _is_order_integral(elem, rep):
-    if elem.is_integral:
-        return True
-    v = _maximal_order_basis(rep)[1] * sp.Matrix(
-        [sp.Rational(c.numerator, c.denominator) for c in elem.coords])
-    return all(q.q == 1 for q in v)
-
-
 def unit_data_file(rep):
     """The unit-generator file of field K_rep: units/K{rep}.json or
     K{rep}.json under GFE_DATA_DIR when one is there, else the bundled one."""
@@ -957,7 +905,7 @@ def verify_unit_data(rep, gens=None, cert_primes=None):
     for g in gens:
         if g.norm() not in (1, -1):
             raise BadUnitData(f"generator {g!r} is not a unit")
-        if not _is_order_integral(g, rep):
+        if maximal_order(K).coords(g) is None:
             raise BadUnitData(f"generator {g!r} is not an algebraic integer")
     splits = [residue_split(K, q) for q in cert_primes]
     rows = [_class_vector(g, splits) for g in gens]
@@ -1104,8 +1052,7 @@ def unit_sieve(i, primes=DEFAULT_SIEVE_PRIMES, use_mod25=True, depth=3):
         survivors = survivors[match.all(axis=2).any(axis=1)]
     if use_mod25:
         T = [int(c) for c in K.min_poly]
-        B, _ = _maximal_order_basis(rep)
-        if any(int(B[a, b].q) % 5 == 0 for a in range(6) for b in range(6)):
+        if maximal_order(K).denom % 5 == 0:
             raise IndexRisk("5 divides the order index; "
                             "mod-25 pass unavailable")
 

@@ -262,6 +262,44 @@ rational_coords = st.lists(st.fractions(min_value=-20, max_value=20, max_denomin
                            max_size=6)
 
 
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(NAMED_FIELDS), st.lists(st.integers(-9, 9), min_size=6,
+                                               max_size=6))
+def test_maximal_order_coords_round_trip(K, c):
+    order = alg.maximal_order(K)
+    assert order.coords(order.element(c[:K.degree])) == c[:K.degree]
+
+
+def test_maximal_order_coords_reject_non_integral_elements():
+    K = alg.coefficient_field(5)  # [O_K : Z[theta]] = 2^3 3^2
+    order = alg.maximal_order(K)
+    assert order.denom == 6
+    assert order.coords(K.element([Fraction(1, 2)])) is None
+    assert order.coords(K.element([0, Fraction(1, 3)])) is None
+    outside = order.element([0, 0, 0, 0, 0, 1])
+    assert not outside.is_integral and order.coords(outside) == [0] * 5 + [1]
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from(NAMED_FIELDS), st.lists(st.integers(-5, 5), min_size=6,
+                                               max_size=6))
+def test_principal_ideal_norm_is_element_norm(K, c):
+    order = alg.maximal_order(K)
+    g = order.element(c[:K.degree])
+    if g:
+        assert order.ideal([g])[1] == abs(g.norm())
+
+
+def test_ideals_of_sqrt_minus_5():
+    # h = 2: (2, 1 + sqrt-5) is the prime above 2 and is not principal
+    K = alg.auxiliary_field("sqrt-5")
+    order, t = alg.maximal_order(K), K.gen
+    assert order.ideal([K.from_int(2), 1 + t]) == (((2, 1), (0, 1)), 2)
+    assert order.ideal([1 + t])[1] == 6
+    with pytest.raises(ValueError):
+        order.ideal([t / 2])
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from(NAMED_FIELDS), rational_coords, rational_coords)
 def test_nf_product_and_norm_match_sympy(K, ac, bc):

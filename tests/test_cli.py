@@ -41,6 +41,7 @@ def _gfe(capsys, *argv):
     ("search", "--curve", "x^5+1/2", "--height", "5"),
     ("search", "--curve", "x^5+sin(x)", "--height", "5"),
     ("mumford", "--curve", "x^5+1.5", "--a", "1", "--b", "1"),
+    ("run", "--stage", "genus2", "--height", "3", "--no-cache"),
 ])
 def test_bad_arguments_exit_2(capsys, argv):
     code, out, err = _gfe(capsys, *argv)

@@ -10,8 +10,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gfe25 import descent as D, poly
-from gfe25.algebra import (NumberField, coefficient_field, factor_fp,
-                           nf_fifth_root, residue_split)
+from gfe25.algebra import (NumberField, auxiliary_field, coefficient_field,
+                           factor_fp, maximal_order, nf_fifth_root,
+                           residue_split)
 from gfe25.bforms import BinaryForm, edwards_triple, evaluate_triple
 from gfe25.search import AffinePoint, InfinitePoint
 
@@ -264,7 +265,26 @@ def test_sextic_split_content_is_trivial():
     # every coefficient of H
     for i in D.SEXTIC_INDICES:
         s = D.sextic_split(i)
-        assert D._content_ideal_basis(s.H.coeffs, D.FIELD_REP[i])[1] == 1
+        assert maximal_order(s.field).ideal(s.H.coeffs)[1] == 1
+
+
+def test_content_ideal_of_a_multiple_has_the_multiplier_norm():
+    s = D.sextic_split(16)
+    g = 2 + s.field.gen
+    assert g.norm() == -122
+    assert maximal_order(s.field).ideal([g * c for c in s.H.coeffs])[1] == 122
+
+
+def test_ideal_generator_in_any_degree():
+    # Q(sqrt-5) has class number 2: the prime above 2 has no generator, while
+    # (1 + sqrt-5) of norm 6 has one
+    K = auxiliary_field("sqrt-5")
+    order, t = maximal_order(K), K.gen
+    with pytest.raises(D.ContentNotClearable):
+        D._ideal_generator(order, *order.ideal([K.from_int(2), 1 + t]))
+    g = D._ideal_generator(order, *order.ideal([1 + t]))
+    assert abs(g.norm()) == 6
+    assert order.ideal([g]) == order.ideal([1 + t])
 
 
 def test_sextic_split_digests():
@@ -329,7 +349,7 @@ def test_generator_shells_order_the_box():
     # shells r = 0..2 list the box [-2, 2]^6 once each, by sup-norm and then
     # in the box's lexicographic order (sorted() is stable)
     rows = [tuple(int(x) for x in c)
-            for r in range(3) for chunk in D._shell(r) for c in chunk]
+            for r in range(3) for chunk in D._shell(r, 6) for c in chunk]
     box = sorted(itertools.product(range(-2, 3), repeat=6),
                  key=lambda c: max(map(abs, c)))
     assert rows == box

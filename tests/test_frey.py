@@ -1,29 +1,10 @@
-"""Tests for Frey curve invariants, hypothesis checks, and congruence scans."""
-
-from fractions import Fraction
+"""Tests for the Frey-curve hypothesis checks and congruence scans."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from gfe25 import frey
+from gfe25.bforms import evaluate_triple
 from gfe25.descent import SEXTIC_INDICES
-
-
-def test_frey_curve_examples():
-    e = frey.frey_curve(3, -2)
-    assert (e.A, e.B) == (-6, -6)
-    assert e.discriminant == -1728
-    assert frey.frey_curve(1, 0).B == -2
-    assert frey.frey_curve(0, 1).A == 3
-    with pytest.raises(frey.SingularCurve):
-        frey.frey_curve(1, -1)
-
-
-def test_short_weierstrass_identities():
-    e = frey.frey_curve(3, -2)
-    assert 1728 * e.discriminant == e.c4**3 - e.c6**2
-    with pytest.raises(frey.SingularCurve):
-        frey.ShortWeierstrass(Fraction(0), Fraction(0))
 
 
 def test_irred_hypotheses_examples():
@@ -41,19 +22,35 @@ def test_congruence_scans_all_hold():
         assert sc.mod8_pairs and sc.mod9_pairs
 
 
+def _hypotheses_hold_mod_72(i):
+    # the reference: every class (u, v) mod 72 with u, v not both even and
+    # not both divisible by 3, at both signs of f
+    for u in range(72):
+        for v in range(72):
+            if (u % 2 == 0 and v % 2 == 0) or (u % 3 == 0 and v % 3 == 0):
+                continue
+            f, g, _ = evaluate_triple(i, u, v)
+            if not all(frey.irred_hypotheses(s * f, g)["holds"]
+                       for s in (1, -1)):
+                return False
+    return True
+
+
+def test_congruence_scan_matches_the_scan_mod_72():
+    via = {}
+    for i in SEXTIC_INDICES:
+        sc = frey.congruence_scan(i)
+        assert sc.all_hypotheses_hold == _hypotheses_hold_mod_72(i), i
+        via[i] = (all(frey._cond_i(a, b) for a, b in sc.mod8_pairs),
+                  all(frey._cond_ii(a, b) for a, b in sc.mod9_pairs))
+    # neither condition alone covers every index
+    assert [i for i, (i_ok, _) in via.items() if not i_ok] == [22]
+    assert [i for i, (_, ii_ok) in via.items() if not ii_ok] == [6, 23]
+
+
 def test_congruence_scan_rejects_other_indices():
     with pytest.raises(ValueError):
         frey.congruence_scan(1)
-
-
-def test_symplectic_ratio():
-    # v2(Delta(E)) = -6 = 4 mod 5 against v2(Delta(W)) = 3: anti-symplectic
-    assert frey.symplectic_ratio(-6, 3) == "antisymplectic"
-    assert frey.symplectic_ratio(4, 3) == "antisymplectic"
-    assert frey.symplectic_ratio(3, 3) == "symplectic"
-    assert frey.symplectic_ratio(0, 3) == "inconclusive"
-    with pytest.raises(frey.BadInput):
-        frey.symplectic_ratio(1, 5)
 
 
 def test_ito_w_table_shape():
@@ -65,13 +62,3 @@ def test_ito_w_table_shape():
     assert all(r["type"] == "+" for r in rows if r["cm"])
     for r in rows:
         assert r["d"] and all(abs(d) in (1, 2, 3, 6) for d in r["d"])
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.integers(-200, 200), st.integers(-60, 60))
-def test_discriminant_identity(a, b):
-    if a * a + b**3 == 0:
-        return
-    e = frey.frey_curve(a, b)
-    assert e.discriminant == -1728 * (a * a + b**3)
-    assert 1728 * e.discriminant == e.c4**3 - e.c6**2

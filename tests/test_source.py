@@ -55,6 +55,24 @@ def test_no_sympy_resultant():
     assert not found, f"sympy resultants in the package: {found}"
 
 
+def test_no_sympy_matrix_in_the_order_layer():
+    # O_K and its ideals are integer matrices (algebra.maximal_order); sympy
+    # Matrix round trips are a second representation of the same objects
+    found = []
+    for name in ("algebra.py", "descent.py"):
+        path = pathlib.Path(gfe25.__file__).parent / name
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            modules = [a.name for a in node.names] \
+                if isinstance(node, ast.Import) else \
+                [node.module or ""] if isinstance(node, ast.ImportFrom) else []
+            if any(m.startswith("sympy.matrices") for m in modules) \
+                    or getattr(node, "id", None) == "Matrix" \
+                    or getattr(node, "attr", None) == "Matrix" \
+                    or (isinstance(node, ast.alias) and node.name == "Matrix"):
+                found.append(f"{name}:{getattr(node, 'lineno', '?')}")
+    assert not found, f"sympy Matrix in the order layer: {found}"
+
+
 def test_descent_splits_without_factor_nf():
     # the sextic split finds q numerically and proves it exactly; the
     # factorization over number fields is not a second path to it
