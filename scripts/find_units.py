@@ -25,7 +25,7 @@ import numpy as np
 import sympy as sp
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
-from gfe25 import algebra as alg  # noqa: E402
+from gfe25 import algebra as alg, descent  # noqa: E402
 
 warnings.simplefilter("ignore")
 
@@ -120,22 +120,12 @@ def kernel_units(K, rows):
     return units
 
 
-def class_rows(K, units, qs):
+def class_rows(units, qs):
     rows = []
     for e in units:
-        vec = []
-        for q, rs in qs:
-            ok = True
-            for j, fq in enumerate(rs.residue_fields):
-                if fq.q % 5 != 1:
-                    continue
-                img = rs.reduce(e, j)
-                if fq.is_zero(img):
-                    ok = False
-                    break
-                vec.append(fq.fifth_power_class(img))
-            if not ok:
-                return rows + [None]
+        vec = descent._class_vector(e, [rs for _, rs in qs])
+        if vec is None:
+            return rows + [None]
         rows.append(vec)
     return rows
 
@@ -148,8 +138,8 @@ def rank5(rows):
     return M.rank(iszerofunc=lambda x: sp.Integer(x) % 5 == 0)
 
 
-def pick_independent(K, units, qs):
-    rows = class_rows(K, units, qs)
+def pick_independent(units, qs):
+    rows = class_rows(units, qs)
     chosen, sel = [], []
     for u, row in zip(units, rows):
         if row is None:
@@ -241,14 +231,14 @@ def main():
                     rows.append((e, vv))
             found.extend(kernel_units(K, rows[:60]))
             found = enrich(set(found))
-            gens = pick_independent(K, found, qs)
+            gens = pick_independent(found, qs)
             if gens:
                 break
         if not gens:
-            gens = pick_independent(K, maximal_order_units(K), qs)
+            gens = pick_independent(maximal_order_units(K), qs)
         if not gens:
             print(f"K{rep}: FAILED (found {len(found)} units, rank "
-                  f"{rank5(class_rows(K, found, qs))})")
+                  f"{rank5(class_rows(found, qs))})")
             continue
         data = {
             "generators": [[str(c) for c in g.coords] for g in gens],

@@ -27,10 +27,6 @@ class ZeroInput(Exception):
     pass
 
 
-class PrecisionExhausted(Exception):
-    pass
-
-
 # ---------------------------------------------------------------------------
 
 class NumberField:
@@ -42,7 +38,6 @@ class NumberField:
             raise ValueError("minimal polynomial must be monic")
         self.label = label or f"deg{len(self.min_poly) - 1}"
         self.degree = len(self.min_poly) - 1
-        self._roots_cache = {}
 
     def __repr__(self):
         return f"NumberField({self.label})"
@@ -87,17 +82,14 @@ class NumberField:
         return sp.CRootOf(self.sympy_poly.as_expr(), 0)
 
     # -- numerics ----------------------------------------------------------
+    @lru_cache(maxsize=None)
     def embeddings(self, prec_bits=256):
         """Complex roots of min_poly at the given precision, in a fixed order."""
-        if prec_bits in self._roots_cache:
-            return self._roots_cache[prec_bits]
         with mpmath.workprec(prec_bits):
             roots = mpmath.polyroots([mpmath.mpf(c) for c in reversed(self.min_poly)],
                                      maxsteps=200, extraprec=prec_bits)
-            roots = sorted(roots, key=lambda z: (mpmath.nstr(z.real, 20),
-                                                 mpmath.nstr(z.imag, 20)))
-        self._roots_cache[prec_bits] = roots
-        return roots
+            return sorted(roots, key=lambda z: (mpmath.nstr(z.real, 20),
+                                                mpmath.nstr(z.imag, 20)))
 
 
 @dataclass(frozen=True)
@@ -202,15 +194,6 @@ class NFElement:
         is not invertible mod m."""
         return [c.numerator * pow(c.denominator, -1, m) % m
                 for c in self.coords]
-
-    def embed(self, root):
-        acc = mpmath.mpf(0)
-        powv = mpmath.mpf(1) if not isinstance(root, mpmath.mpc) else mpmath.mpc(1)
-        for c in self.coords:
-            if c:
-                acc = acc + powv * mpmath.mpf(c.numerator) / mpmath.mpf(c.denominator)
-            powv = powv * root
-        return acc
 
     def __repr__(self):
         terms = []
@@ -448,15 +431,7 @@ class Fq:
         return tuple(poly.divmod_mod(prod, self.modpoly, self.p)[1])
 
     def pow(self, a, e):
-        out = self.one
-        base = a
-        while e:
-            if e & 1:
-                out = self.mul(out, base)
-            e >>= 1
-            if e:  # no square past the top bit
-                base = self.mul(base, base)
-        return out
+        return tuple(poly.pow_mod(a, e, self.modpoly, self.p))
 
     def is_zero(self, a):
         return not any(a)
@@ -628,92 +603,101 @@ def _monic_mod(f, p):
 # ---------------------------------------------------------------------------
 # fifth roots in number fields
 
-_PREC_LADDER = (64, 256, 1024)
+FIFTH_ROOT_PRIME_BOUND = 1000
 
 
-def _conjugation_structure(roots):
-    """Partition embedding indices into reals and conjugate pairs (rep, partner)."""
-    eps = mpmath.mpf(2) ** (-mpmath.mp.prec // 2)
-    reals, pairs, used = [], [], set()
-    for i, r in enumerate(roots):
-        if i in used:
-            continue
-        if abs(mpmath.im(r)) < eps * (1 + abs(r)):
-            reals.append(i)
-            used.add(i)
-            continue
-        for j in range(i + 1, len(roots)):
-            if j not in used and abs(roots[j] - mpmath.conj(r)) < eps * (1 + abs(r)):
-                pairs.append((i, j))
-                used.add(i)
-                used.add(j)
-                break
-        else:
-            raise PrecisionExhausted("could not pair complex embeddings")
-    return reals, pairs
+def nf_fifth_root(x):
+    """The w in K with w^5 = x, or None, which proves that x is not a fifth
+    power in K.
 
-
-def _real_fifth_root(x):
-    if x >= 0:
-        return mpmath.root(x, 5)
-    return -mpmath.root(-x, 5)
-
-
-def nf_fifth_root(x, denominator_bound=10**6):
-    """Exact fifth root of an NFElement, or None if no fifth root exists in K.
-
-    Fifth roots are computed in every complex embedding (five branch choices
-    per conjugate-pair representative), the candidate's power-basis coordinates
-    are reconstructed by solving against the embedding matrix, and the result
-    is verified exactly; None is certified by exhausting branch combinations
-    at the top precision."""
-    if not x:
-        return x.field.zero
+    If w^5 = x, then W = s*w lies in Z[theta], for s the denominator of the
+    maximal order times that of x, and W^5 = B := s^5*x.  At the prime p of
+    _fifth_root_prime, W = B^e mod p with 5e = 1 mod L, and its Hensel lift
+    mod p^k is unique (Cohen, GTM 138, 3.5 and 4.2).  Once p^k exceeds twice
+    _fifth_root_bound, the symmetric residue of the lift is W if W exists, so
+    a candidate failing the exact check proves None; so does a norm that is
+    not a rational fifth power, since N(w)^5 = N(x).  Raises ArithmeticError
+    when K has no usable prime below FIFTH_ROOT_PRIME_BOUND.
+    """
     K = x.field
-    n = K.degree
-    for prec in _PREC_LADDER:
-        with mpmath.workprec(prec):
-            roots = K.embeddings(prec)
-            reals, pairs = _conjugation_structure(roots)
-            xs = [x.embed(r) for r in roots]
-            zeta = mpmath.exp(2j * mpmath.pi / 5)
-            # one fixed choice per real embedding, five per pair
-            base = [None] * n
-            for i in reals:
-                base[i] = _real_fifth_root(mpmath.re(xs[i]))
-            combos = [[]]
-            for _ in pairs:
-                combos = [c + [k] for c in combos for k in range(5)]
-            V = mpmath.matrix(n, n)
-            for i in range(n):
-                for j in range(n):
-                    V[i, j] = roots[i] ** j
-            for combo in combos:
-                w = list(base)
-                for (idx, (i, j)) in enumerate(pairs):
-                    wi = mpmath.root(xs[i], 5) * zeta ** combo[idx]
-                    w[i] = wi
-                    w[j] = mpmath.conj(wi)
-                try:
-                    sol = mpmath.lu_solve(V, mpmath.matrix(w))
-                except ZeroDivisionError:
-                    raise PrecisionExhausted("singular embedding matrix")
-                cand = _reconstruct(K, sol, denominator_bound)
-                if cand is not None and cand**5 == x:
-                    return cand
-    return None
-
-
-def _reconstruct(K, sol, denominator_bound):
-    coords = []
-    for v in sol:
-        if abs(mpmath.im(v)) > mpmath.mpf(2) ** (-8):
+    if not x:
+        return K.zero
+    norm = x.norm()
+    if poly.fraction_root(norm, 5) is None:
+        return None
+    s = maximal_order(K).denom * math.lcm(*(c.denominator for c in x.coords))
+    B = [int(c * s**5) for c in x.coords]
+    T = K.min_poly
+    p, L = _fifth_root_prime(K, norm * s**(5 * K.degree))
+    bound = 2 * _fifth_root_bound(K, B)
+    W = poly.pow_mod(B, pow(5, -1, L), T, p)
+    # (5 W^4)^(L-1) is the inverse of 5 W^4 mod p, as u^L = 1 on the units
+    c = poly.pow_mod([5 * a for a in poly.pow_mod(W, 4, T, p)], L - 1, T, p)
+    q = p
+    while True:
+        cand = K.element([Fraction(w - q if 2 * w > q else w, s) for w in W])
+        if cand**5 == x:
+            return cand
+        if q > bound:
             return None
-        re = mpmath.re(v)
-        nearest = mpmath.nint(re)
-        if abs(re - nearest) < mpmath.mpf(2) ** (-16):
-            coords.append(Fraction(int(nearest)))
-        else:
-            fr = Fraction(str(mpmath.nstr(re, 40))).limit_denominator(denominator_bound)
-            coords.append(fr)
-    return K.element(coords)
+        # W^5 = B mod q; correct W by q*t with t = c * (W^5 - B)/q mod p
+        err = [(a - b) % (q * p) // q
+               for a, b in zip(poly.pow_mod(W, 5, T, q * p), B)]
+        t = poly.divmod_mod(poly.mul_mod(c, err, p), T, p)[1]
+        W = [(w - q * a) % (q * p) for w, a in zip(W, t)]
+        q *= p
+
+
+def _fifth_root_prime(K, norm):
+    """(p, L) for the least prime 7 <= p < FIFTH_ROOT_PRIME_BOUND that divides
+    neither disc(T) nor the integer norm, and at which no local degree f has
+    p^f = 1 mod 5; L is the lcm of the p^f - 1, the exponent of
+    (Z[theta]/p)^x, which 5 then does not divide."""
+    disc = K.discriminant()
+    for p in sp.primerange(7, FIFTH_ROOT_PRIME_BOUND):
+        if disc % p == 0 or norm % p == 0:
+            continue
+        orders = [p**(len(g) - 1) - 1 for g, _ in residue_split(K, p).factors]
+        if all(o % 5 for o in orders):
+            return p, math.lcm(*orders)
+    raise ArithmeticError(f"no prime below {FIFTH_ROOT_PRIME_BOUND} makes "
+                          f"fifth roots unique modulo p in {K.label}")
+
+
+def _fifth_root_bound(K, B):
+    """An integer C with |W_k| <= C for the coordinates of every W in
+    Z[theta] with W^5 = B.
+
+    Every conjugate of theta has modulus at most R = 1 + max|T_i| (Cauchy),
+    so every conjugate of B at most S = sum |b_k| R^k and every conjugate of
+    W at most 2^ceil(bitlen(S)/5).  The coordinates of W are
+    M^-1 (Tr(W theta^j))_j for the trace form M, and
+    |Tr(W theta^j)| <= n max|sigma(W)| R^j."""
+    R = 1 + max(abs(c) for c in K.min_poly[:-1])
+    S = sum(abs(b) * R**k for k, b in enumerate(B))
+    top = K.degree * 2**(-(-S.bit_length() // 5))
+    return math.ceil(max(sum(abs(m) * top * R**j for j, m in enumerate(row))
+                         for row in _trace_form_inverse(K)))
+
+
+@lru_cache(maxsize=None)
+def _trace_form_inverse(K):
+    """Rows of M^-1, as Fractions, for the trace form M_jk = Tr(theta^(j+k))."""
+    from sympy.polys.matrices import DomainMatrix
+
+    n, sums = K.degree, _power_sums(K.min_poly, 2 * K.degree - 1)
+    M = DomainMatrix([[sp.QQ(sums[j + k]) for k in range(n)] for j in range(n)],
+                     (n, n), sp.QQ)
+    return tuple(tuple(Fraction(int(a.numerator), int(a.denominator))
+                       for a in row) for row in M.inv().to_list())
+
+
+def _power_sums(T, count):
+    """The power sums Tr(theta^m) = sum of the m-th powers of the roots of the
+    monic integer polynomial T, for 0 <= m < count, by Newton's identities."""
+    n = len(T) - 1
+    sums = [n]
+    for m in range(1, count):
+        acc = sum(T[n - i] * sums[m - i] for i in range(1, min(m - 1, n) + 1))
+        sums.append(-acc - (m * T[n - m] if m <= n else 0))
+    return sums

@@ -10,9 +10,9 @@ polynomial is [].  Three kinds of arithmetic are provided:
   the Euclidean resultant (Cohen, 3.3); results carry no trailing zeros;
 * modulo an integer m, on ints only: products, and division by a monic
   polynomial whose remainder is a residue vector of exactly deg(divisor)
-  entries in [0, m); products in (Z/m)[y]/(g) of the rows of two integer
-  arrays; and, over F_p, the extended Euclidean algorithm, which gives the
-  Bezout identities behind Hensel lifting (Cohen, 3.5.3);
+  entries in [0, m); powers in (Z/m)[y]/(g), and products there of the rows
+  of two integer arrays; and, over F_p, the extended Euclidean algorithm,
+  which gives the Bezout identities behind Hensel lifting (Cohen, 3.5.3);
 * exact k-th roots of integers and Fractions.
 
 This module imports nothing from the package.
@@ -141,6 +141,20 @@ def divmod_mod(a, b, m):
             for j in range(db):
                 r[k - db + j] -= c * b[j]
     return q, [c % m for c in r[:db]]
+
+
+def pow_mod(a, e, g, m):
+    """a^e in (Z/m)[y]/(g) for g monic mod m and e >= 0, by square-and-multiply
+    with no squaring past the top bit; a residue vector of deg g entries in
+    [0, m)."""
+    out, base = divmod_mod([1], g, m)[1], divmod_mod(a, g, m)[1]
+    while e:
+        if e & 1:
+            out = divmod_mod(mul_mod(out, base, m), g, m)[1]
+        e >>= 1
+        if e:
+            base = divmod_mod(mul_mod(base, base, m), g, m)[1]
+    return out
 
 
 def mul_rows_mod(a, b, g, m):

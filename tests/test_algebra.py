@@ -118,6 +118,75 @@ def test_nf_fifth_root_sextic_roundtrip():
     assert alg.nf_fifth_root(K.element([3])) is None
 
 
+def test_nf_fifth_root_rejects_every_unit_generator():
+    # verify_unit_data's rank-3 certificate shows that no generator is a
+    # fifth power; their norms are +-1, so each None comes from the
+    # coordinate bound of the p-adic lift
+    from gfe25 import descent
+
+    for rep in (5, 6, 16, 22, 24):
+        gens, _ = descent.load_unit_data(rep)
+        for g in gens:
+            assert abs(g.norm()) == 1
+            assert alg.nf_fifth_root(g) is None, (rep, g)
+
+
+def test_nf_fifth_root_rejects_a_fifth_power_norm():
+    # 50 + 25i = (2 + i)^3 (2 - i)^2 has norm 5^5 but is not a fifth power
+    G = alg.auxiliary_field("gauss")
+    x = G.element([50, 25])
+    assert x == G.element([2, 1]) ** 3 * G.element([2, -1]) ** 2
+    assert x.norm() == 5**5
+    assert alg.nf_fifth_root(x) is None
+
+
+def test_nf_fifth_root_refuses_a_field_without_a_usable_prime():
+    # modulo every prime p not dividing its discriminant, x^5 - 2 has a
+    # local degree f with p^f = 1 mod 5, so fifth roots are never unique
+    K = alg.NumberField([-2, 0, 0, 0, 0, 1])
+    with pytest.raises(ArithmeticError, match="no prime below"):
+        alg.nf_fifth_root(K.from_int(2))
+
+
+PACKAGE_FIELDS = [alg.coefficient_field(rep) for rep in (5, 6, 16, 22, 24)] \
+    + [alg.auxiliary_field(name)
+       for name in ("gauss", "golden", "sqrt5", "sqrt-5")]
+
+
+@pytest.mark.parametrize("K", PACKAGE_FIELDS, ids=lambda K: K.label)
+def test_power_sums_match_the_roots(K):
+    import mpmath
+
+    sums = alg._power_sums(K.min_poly, 2 * K.degree - 1)
+    with mpmath.workprec(256):
+        for m, want in enumerate(sums):
+            numeric = mpmath.fsum(r**m for r in K.embeddings(256))
+            assert int(mpmath.nint(mpmath.re(numeric))) == want, (m, numeric)
+            assert abs(numeric - want) < mpmath.mpf(2)**-200, (m, numeric)
+
+
+def test_fifth_root_bound_covers_the_root():
+    import random
+
+    rng = random.Random(25)
+    fields = [alg.auxiliary_field("gauss"), alg.auxiliary_field("golden"),
+              alg.coefficient_field(5), alg.coefficient_field(16),
+              alg.coefficient_field(22)]
+    for _ in range(100):
+        K = rng.choice(fields)
+        e = K.element([Fraction(rng.randrange(-9, 10), rng.choice((1, 2, 3, 6)))
+                       for _ in range(K.degree)])
+        if not e:
+            continue
+        x = e**5
+        s = alg.maximal_order(K).denom \
+            * sp.ilcm(*(c.denominator for c in x.coords))
+        W = s * e
+        assert W.is_integral
+        B = [int(c) for c in (s**5 * x).coords]
+        assert alg._fifth_root_bound(K, B) >= max(abs(c) for c in W.coords)
+
+
 def test_fq_fifth_power_class():
     K5 = alg.coefficient_field(5)
     fq = alg.residue_split(K5, 11).residue_fields[0]

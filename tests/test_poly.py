@@ -53,6 +53,17 @@ def test_divmod_and_gcdext_mod_p(a, b, p, k):
             assert not any(poly.divmod_mod(f, g, p)[1])
 
 
+@settings(max_examples=100, deadline=None)
+@given(int_polys, st.lists(st.integers(-60, 60), min_size=1, max_size=4),
+       st.sampled_from(SMALL_PRIMES), st.sampled_from((1, 3)))
+def test_pow_mod_matches_repeated_products(a, g, p, k):
+    m, g = p**k, g + [1]
+    want = poly.divmod_mod([1], g, m)[1]
+    for e in range(13):
+        assert poly.pow_mod(a, e, g, m) == want
+        want = poly.divmod_mod(poly.mul_mod(want, a, m), g, m)[1]
+
+
 def test_gcd_examples():
     # (x - 1)(x + 2) and (x - 1)(x + 3) share x - 1
     assert poly.gcd([-2, 1, 1], [-3, 2, 1]) == [-1, 1]

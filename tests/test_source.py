@@ -105,3 +105,31 @@ def test_private_names_are_used():
                 used.add(node.name)
     found = [f"{where} {name}" for where, name in defined if name not in used]
     assert not found, f"private functions nothing refers to: {found}"
+
+
+def test_fifth_roots_use_no_floats():
+    # nf_fifth_root proves its None by exact p-adic lifting: no float, no
+    # numeric solve and no rounding may decide a fifth root, in its body or
+    # in any algebra.py function it reaches by name
+    path = pathlib.Path(gfe25.__file__).parent / "algebra.py"
+    tree = ast.parse(path.read_text(), str(path))
+    funcs = {node.name: node for node in tree.body
+             if isinstance(node, ast.FunctionDef)}
+    banned = {"mpmath", "limit_denominator", "lu_solve"}
+    seen, todo, found = set(), ["nf_fifth_root"], []
+    while todo:
+        name = todo.pop()
+        if name in seen:
+            continue
+        seen.add(name)
+        for node in ast.walk(funcs[name]):
+            ident = node.name if isinstance(node, ast.alias) else \
+                getattr(node, "id", None) or getattr(node, "attr", None)
+            if ident in banned:
+                found.append(f"{name}:{node.lineno}")
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                    and node.func.id in funcs:
+                todo.append(node.func.id)
+    assert {"_fifth_root_prime", "_fifth_root_bound",
+            "_trace_form_inverse", "_power_sums"} <= seen
+    assert not found, f"floating point in the fifth-root path: {found}"
