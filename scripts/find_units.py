@@ -45,8 +45,7 @@ def smooth_factor(n):
 
 
 def pool(K, bound=3, keep=3000):
-    roots = np.roots(np.array(list(reversed(K.min_poly)), dtype=float))
-    pows = np.array([roots**k for k in range(6)])
+    pows = np.array([K.embeddings()**k for k in range(6)])
     rng = np.arange(-bound, bound + 1)
     grids = np.meshgrid(*[rng] * 6, indexing="ij")
     coords = np.stack([g.ravel() for g in grids], axis=1)
@@ -179,8 +178,7 @@ def maximal_order_units(K, bound=4, norm_cap=3000):
     """Quotient search over an integral basis of the maximal order."""
     order = alg.maximal_order(K)
     # basis element j in power-basis coordinates is column j of matrix/denom
-    roots = np.roots(np.array(list(reversed(K.min_poly)), dtype=float))
-    pows = np.array([roots**k for k in range(6)])
+    pows = np.array([K.embeddings()**k for k in range(6)])
     basis_emb = np.array([[sum(order.matrix[i][j] / order.denom * pows[i, r]
                                for i in range(6))
                            for r in range(6)] for j in range(6)])

@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
 
-import mpmath
+import numpy as np
 import sympy as sp
 
 from . import poly
@@ -83,13 +83,12 @@ class NumberField:
 
     # -- numerics ----------------------------------------------------------
     @lru_cache(maxsize=None)
-    def embeddings(self, prec_bits=256):
-        """Complex roots of min_poly at the given precision, in a fixed order."""
-        with mpmath.workprec(prec_bits):
-            roots = mpmath.polyroots([mpmath.mpf(c) for c in reversed(self.min_poly)],
-                                     maxsteps=200, extraprec=prec_bits)
-            return sorted(roots, key=lambda z: (mpmath.nstr(z.real, 20),
-                                                mpmath.nstr(z.imag, 20)))
+    def embeddings(self):
+        """The complex roots of min_poly in double precision, in np.roots
+        order; read-only, since every caller shares the cached array."""
+        roots = np.roots(np.array(self.min_poly[::-1], dtype=float))
+        roots.flags.writeable = False
+        return roots
 
 
 @dataclass(frozen=True)
@@ -447,8 +446,6 @@ class Fq:
     def fifth_power_classes(self, rows):
         """fifth_power_class of every row of an (n, f) integer array, as an
         int64 array of n labels from _mu5_powers."""
-        import numpy as np
-
         rows = self._rows(rows)
         if (rows == 0).all(axis=1).any():
             raise ZeroInput("fifth_power_classes of zero")
@@ -463,8 +460,6 @@ class Fq:
     def _rows(self, rows):
         """rows as an (n, f) array reduced mod p, int64 or Python ints as
         poly.mul_rows_mod chooses for the modulus p."""
-        import numpy as np
-
         dtype = np.int64 if self.f * self.p**2 < 2**63 else object
         return np.asarray(rows, dtype=dtype).reshape(-1, self.f) % self.p
 
@@ -477,8 +472,6 @@ class Fq:
         conjugates, each the previous one times the Frobenius matrix.
         Otherwise a^((q-1)/5) is taken by square-and-multiply on the rows.
         """
-        import numpy as np
-
         p, g = self.p, self.modpoly
         if (p - 1) % 5 == 0:
             frob = np.array(self._frobenius_matrix(), dtype=rows.dtype)
@@ -524,8 +517,6 @@ class Fq:
         fifth power, among its first 10000; it has exact order 5.  The scan
         is read in chunks of doubling size, so an early hit builds a short
         array."""
-        import numpy as np
-
         scan, size = itertools.islice(_element_scan(self), 10000), 8
         while chunk := list(itertools.islice(scan, size)):
             chi = self._character(self._rows(chunk))
@@ -563,8 +554,6 @@ class ResidueSplit:
     p: int
     factors: list       # [(ascending F_p coeffs of the local factor, e)]
     residue_fields: list  # Fq per factor
-    ramified: bool
-    index_risk: bool    # p^2 | disc(min_poly): possible index divisor
 
     def reduce(self, elem, j):
         """Image of an integral NFElement in residue field j."""
@@ -577,22 +566,17 @@ class ResidueSplit:
 def residue_split(K, p):
     """The local factors of K's minimal polynomial mod p and their residue
     fields; cached, since it depends only on K and p."""
-    disc = K.discriminant()
-    index_risk = disc % (p * p) == 0
     lead, facs = factor_fp(K.min_poly, p)
     factors = []
     fields = []
-    ramified = False
     for f, e in facs:
         monic = _monic_mod(f, p)
         factors.append((monic, e))
         fields.append(Fq(p, monic))
-        if e > 1:
-            ramified = True
     if sum((len(f) - 1) * e for f, e in factors) != K.degree:
         raise ArithmeticError(f"local factors mod {p} do not multiply up "
                               f"to the degree of {K.label}")
-    return ResidueSplit(K, p, factors, fields, ramified, index_risk)
+    return ResidueSplit(K, p, factors, fields)
 
 
 def _monic_mod(f, p):

@@ -451,7 +451,6 @@ def _stage_sqrt5(cfg):
 def _stage_sextic(cfg):
     fails = []
     arts = {"splits": {}, "survivors": {}, "witnesses": {}, "scans": {}}
-    primes = tuple(cfg.get("primes") or descent.DEFAULT_SIEVE_PRIMES)
     try:
         for rep in sorted(set(descent.FIELD_REP.values())):
             descent.verify_unit_data(rep)
@@ -470,8 +469,7 @@ def _stage_sextic(cfg):
         if s.primes_above_5 != 1:
             fails.append(f"expected a single prime above 5 in the resultant "
                          f"for i={i}, got {s.primes_above_5}")
-        survivors = descent.unit_sieve(i, primes=primes,
-                                       depth=cfg.get("depth", 3))
+        survivors = descent.unit_sieve(i)
         arts["survivors"][i] = [list(e) for e in survivors]
         if i in SIEVE_EMPTY:
             if survivors:
@@ -659,9 +657,7 @@ def run_pipeline(stages, cfg):
     for name in reversed(STAGE_ORDER):
         if name in wanted:
             wanted.update(CONSUMES.get(name, ()))
-    options = {"height": cfg.get("height"),
-               "primes": list(cfg.get("primes") or []),
-               "depth": cfg.get("depth", 3)}
+    options = {"height": cfg.get("height")}
     data = _data_digest()
     code = _digest_files((p.name, p) for p in sorted(_PACKAGE.glob("*.py")))
     reports = {}
@@ -802,18 +798,12 @@ def cmd_derive(args):
     return 0
 
 
-def _check_primes(primes, indices):
-    """DataProblem unless the sieve primes suit the fields of these indices."""
-    try:
-        for rep in sorted({descent.FIELD_REP[i] for i in indices}):
-            descent.check_sieve_primes(primes, rep)
-    except descent.IndexRisk as e:
-        raise DataProblem(f"{e}; choose other --primes") from e
-
-
 def cmd_unitsieve(args):
     primes = args.primes or descent.DEFAULT_SIEVE_PRIMES
-    _check_primes(primes, [args.i])
+    try:
+        descent.check_sieve_primes(primes, descent.FIELD_REP[args.i])
+    except descent.IndexRisk as e:
+        raise DataProblem(f"{e}; choose other --primes") from e
     t0 = time.perf_counter()
     survivors = descent.unit_sieve(args.i, primes=primes,
                                    use_mod25=args.mod25, depth=args.depth)
@@ -873,10 +863,7 @@ def cmd_frey(args):
 def cmd_run(args):
     # argparse has checked --stage against STAGE_ORDER
     stages = {args.stage} if args.stage else set(STAGE_ORDER)
-    if args.primes and "sextic" in stages:
-        _check_primes(args.primes, descent.SEXTIC_INDICES)
-    cfg = {"height": args.height, "depth": args.depth,
-           "cache": not args.no_cache, "primes": args.primes}
+    cfg = {"height": args.height, "cache": not args.no_cache}
     reports = run_pipeline(stages, cfg)
     fmt = "markdown" if args.md else "json"
     print(emit_report(reports, fmt), end="")
@@ -986,9 +973,6 @@ def _build_parser():
     p.add_argument("--height", type=_run_height, default=None,
                    help="override the per-stage search height bound "
                         f"(at least {KNOWN_POINTS_HEIGHT})")
-    p.add_argument("--primes", type=_int_list,
-                   help="override the unit-sieve prime list")
-    p.add_argument("--depth", type=_positive_int, default=3)
     p.add_argument("--no-cache", action="store_true",
                    help="ignore and do not write cached stage reports")
     p.add_argument("--md", action="store_true")

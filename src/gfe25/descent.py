@@ -29,6 +29,7 @@ from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
 
+import numpy as np
 import sympy as sp
 
 from . import padic, poly
@@ -101,7 +102,7 @@ def _linear_parts(linear):
     return linear.coeffs[1], linear.coeffs[0]
 
 
-def klein_split(h, root_pair, field=None):
+def klein_split(h, root_pair):
     """Split h = scale * l1 * l2 * (A l1^10 + B l1^5 l2^5 + C l2^10)."""
     l1, l2 = root_pair
     a1, b1 = _linear_parts(l1)
@@ -596,8 +597,6 @@ def _ideal_generator(order, basis, norm):
     order of the whole box [-GENERATOR_BOUND, GENERATOR_BOUND]^n: the
     element a scan of that box keeping the smallest match would return.
     """
-    import numpy as np
-
     from sympy.polys.matrices import DomainMatrix
 
     K = order.field
@@ -605,8 +604,7 @@ def _ideal_generator(order, basis, norm):
     # power-basis coords of the n ideal basis vectors
     pb = [[Fraction(sum(a * basis[k][j] for k, a in enumerate(row)),
                     order.denom) for row in order.matrix] for j in range(n)]
-    roots = np.roots(np.array(list(reversed(K.min_poly)), dtype=float))
-    pows = np.array([roots**k for k in range(n)])
+    pows = np.array([K.embeddings()**k for k in range(n)])
     emb = np.array([[sum(complex(pb[j][i]) * pows[i, r] for i in range(n))
                      for r in range(n)] for j in range(n)])
     # LLL-reduce the lattice (scaled embedding, with an identity block to
@@ -640,8 +638,6 @@ def _ideal_generator(order, basis, norm):
 def _shell(r, n):
     """The points c of Z^n with max|c| = r in lexicographic order, as arrays
     of rows, one array per value of the first coordinate; n >= 2."""
-    import numpy as np
-
     rng = np.arange(-r, r + 1)
     rest = np.stack([g.ravel() for g in np.meshgrid(*[rng] * (n - 1),
                                                     indexing="ij")], axis=1)
@@ -690,12 +686,14 @@ def sextic_split(i):
     """h_i = scalar * q * H over its sextic field K, with q a monic quadratic
     and H a primitive degree-10 form over O_K, both irreducible over K.
 
-    Find: PSLQ proposes the coefficients of q from a pair of complex roots
-    of h_i(x, 1) and a real embedding of K (_quadratic_factor).  Prove: q
-    divides h_i exactly over K, and q * H rebuilds h_i.  Certify: the degrees
-    of q and H modulo degree-1 primes of K rule out every proper factor
-    (_irreducibility_primes).  Floating point never decides: it only chooses
-    which exact division to try.
+    Find: the roots of h_i(x, 1) are the vertices of an icosahedron and
+    those of q the two on one axis; of the matchings of the six axes to the
+    six embeddings of K, the one whose double-precision solve for the
+    coordinates of q is nearest to integers proposes q (_quadratic_factor).
+    Prove: q divides h_i exactly over K, and q * H rebuilds h_i.  Certify:
+    the degrees of q and H modulo degree-1 primes of K rule out every proper
+    factor (_irreducibility_primes).  Floating point never decides: it only
+    chooses which exact division to try.
     """
     if i not in SEXTIC_INDICES:
         raise ValueError(f"i={i} is not one of the sextic-split indices")
@@ -731,55 +729,71 @@ def sextic_split(i):
                        above5, certificate)
 
 
-#: working precisions in bits for finding q; PSLQ needed about 200 bits
-#: (60 digits) on every sextic index, and fails to find q at 100 and 133
-_SPLIT_PREC_LADDER = (200, 400)
+def _axes(roots):
+    """The pairs (a, b), a < b, of antipodal vertices when the roots are the
+    vertices of an icosahedron on the Riemann sphere; ReconstructionFailed
+    when they do not pair up.
+
+    In the coordinate z = (x - r_a)/(x - r_b) the rotation of order 5 about
+    the axis through r_a and r_b is z -> zeta_5 z, so the other roots are
+    the roots of a polynomial in z^5 alone.  The partner of r_a is the r_b
+    whose z-polynomial has the smallest coefficients off the powers z^5k
+    relative to those on them.
+    """
+    def off_axis(a, b):
+        rest = np.delete(roots, [a, b])
+        c = np.abs(np.poly((rest - roots[a]) / (rest - roots[b])))
+        on = np.arange(len(c)) % 5 == len(rest) % 5
+        return c[~on].max() / c[on].max()
+
+    partner = [min((b for b in range(len(roots)) if b != a),
+                   key=lambda b: off_axis(a, b)) for a in range(len(roots))]
+    axes = [(a, b) for a, b in enumerate(partner) if a < b and partner[b] == a]
+    if 2 * len(axes) != len(roots):
+        raise ReconstructionFailed("the roots do not pair into the axes of "
+                                   "an icosahedron")
+    return axes
 
 
 def _quadratic_factor(coeffs, K):
     """(q, H) with coeffs = q * H exactly over K, q = [t, s, 1] monic
-    quadratic; ReconstructionFailed when no pair of roots yields one.
+    quadratic; ReconstructionFailed when the roots have no icosahedral axes
+    or the nearest proposal does not divide.
 
-    For each pair of complex roots r1, r2 of the polynomial whose sum and
-    product are real at a real embedding theta of K, PSLQ proposes
-    s = -(r1 + r2) and t = r1 r2 as rational combinations of 1, theta, ...,
-    theta^5 (Ferguson, Bailey and Arno, Math. Comp. 68, 1999); the proposal
-    counts only if it divides the polynomial exactly.  The coefficient bound
-    2^(prec/10) keeps the relations PSLQ may return well inside what the
-    working precision can tell apart.
+    Each degree-12 h_i is Klein's icosahedral form after a change of
+    variables (the syzygy f^2 + g^3 + h^5 = 0), so the roots of h_i(x, 1)
+    are the vertices of an icosahedron, and the roots of q over K are the
+    two vertices on one of its six axes (Klein, Lectures on the Icosahedron,
+    1884; Edwards, "Platonic solids and solutions to x^2 + y^3 = dz^r",
+    J. reine angew. Math. 571, 2004).  The six conjugates of q are the six
+    axes (_axes), one for each embedding of K.  For each of the 720
+    bijections between embeddings and axes, a Vandermonde solve in double
+    precision gives the coordinates of s = -(r_a + r_b) and t = r_a r_b,
+    scaled by D = lcm(coefficient denominators) * maximal_order(K).denom:
+    by Gauss's lemma for contents, D clears the denominators of s and t.
+    Only the bijection nearest to integers is rounded, and exact division
+    proves it, so floating point only chooses which division to try.
     """
-    import mpmath
-
-    hk = [K.from_int(c) for c in coeffs]
-    for prec in _SPLIT_PREC_LADDER:
-        with mpmath.workprec(prec):
-            tiny = mpmath.mpf(2) ** (-prec // 2)
-            theta = next(mpmath.re(r) for r in K.embeddings(prec)
-                         if abs(mpmath.im(r)) < tiny)
-            basis = [theta**k for k in range(K.degree)]
-            roots = mpmath.polyroots(
-                [mpmath.mpf(c.numerator) / c.denominator
-                 for c in reversed(coeffs)], maxsteps=200, extraprec=64)
-            for r1, r2 in itertools.combinations(roots, 2):
-                st = (r1 * r2, -(r1 + r2))
-                if any(abs(mpmath.im(x)) > tiny * (1 + abs(x)) for x in st):
-                    continue
-                q = []
-                for x in st:
-                    rel = mpmath.pslq([mpmath.re(x)] + basis,
-                                      maxcoeff=2 ** (prec // 10),
-                                      maxsteps=10**4)
-                    if not rel or rel[0] == 0:
-                        break
-                    q.append(K.element([Fraction(-c, rel[0])
-                                        for c in rel[1:]]))
-                else:
-                    q.append(K.one)
-                    H, rem = poly.divmod(hk, q)
-                    if not rem:
-                        return q, H
-    raise ReconstructionFailed(
-        f"no quadratic factor over {K.label} found at {prec} bits")
+    roots = np.roots(np.array([float(c) for c in reversed(coeffs)]))
+    axes = _axes(roots)
+    if len(axes) != K.degree:
+        raise ReconstructionFailed(
+            f"{len(axes)} axes for the {K.degree} embeddings of {K.label}")
+    st = np.array([[roots[a] * roots[b], -(roots[a] + roots[b])]
+                   for a, b in axes])
+    perms = np.array(list(itertools.permutations(range(K.degree))))
+    D = math.lcm(*(c.denominator for c in coeffs)) * maximal_order(K).denom
+    x = D * np.linalg.solve(
+        np.vander(K.embeddings(), K.degree, increasing=True), st[perms])
+    best = x[np.abs(x - np.round(x.real)).max(axis=(1, 2)).argmin()]
+    q = [K.element([Fraction(int(c), D) for c in np.round(col.real)])
+         for col in best.T] + [K.one]
+    H, rem = poly.divmod([K.from_int(c) for c in coeffs], q)
+    if rem:
+        raise ReconstructionFailed(
+            f"the axes nearest to integers give no quadratic factor over "
+            f"{K.label}")
+    return q, H
 
 
 #: the certificate looks for degree-1 primes of K above p below this bound
@@ -960,8 +974,6 @@ def _local_targets(split, rs, p, depth):
     A Horner step sums two products of residues mod p^L, so int64 holds it
     exactly while p^depth < 2^31; above that the arrays hold Python ints.
     """
-    import numpy as np
-
     K = split.field
     T = [int(c) for c in K.min_poly]
     pk = p**depth
@@ -1031,8 +1043,6 @@ def unit_sieve(i, primes=DEFAULT_SIEVE_PRIMES, use_mod25=True, depth=3):
     None).  A slot whose residue field has q != 1 mod 5 gives class 0 to
     targets and generators alike, so it never separates anything.
     """
-    import numpy as np
-
     rep = FIELD_REP[i]
     K = coefficient_field(rep)
     check_sieve_primes(primes, rep)
@@ -1080,8 +1090,6 @@ def _fifth_powers_mod25(rep):
     """All fifth powers in O/25O; (a + 5b)^5 = a^5 mod 25, so the bases only
     need to run over O/5O.  The bases are raised to the fifth power as rows
     of integer arrays, 5^5 at a time to keep the arrays small."""
-    import numpy as np
-
     T = coefficient_field(rep).min_poly
     fifths = set()
     for first in range(5):

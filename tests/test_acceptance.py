@@ -32,8 +32,7 @@ def scorecard(n, label):
 
 @pytest.fixture(scope="module")
 def pipeline():
-    cfg = {"height": None, "depth": 3, "mod25": True, "cache": False,
-           "primes": None}
+    cfg = {"height": None, "cache": False}
     reports = cli.run_pipeline(set(cli.STAGE_ORDER), cfg)
     return {r.stage: r for r in reports}
 

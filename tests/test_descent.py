@@ -4,8 +4,10 @@ quadratic, and the sextic splitting with its unit sieve."""
 import hashlib
 import itertools
 import json
+import random
 from fractions import Fraction as Fr
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -13,7 +15,8 @@ from gfe25 import descent as D, poly
 from gfe25.algebra import (NumberField, auxiliary_field, coefficient_field,
                            factor_fp, maximal_order, nf_fifth_root,
                            residue_split)
-from gfe25.bforms import BinaryForm, edwards_triple, evaluate_triple
+from gfe25.bforms import (ALL_INDICES, BinaryForm, edwards_triple,
+                          evaluate_triple)
 from gfe25.search import AffinePoint, InfinitePoint
 
 
@@ -337,12 +340,35 @@ def test_irreducibility_certificate_refuses_reducible_forms():
 
 
 def test_quadratic_factor_needs_the_right_field():
-    # h_16 has no quadratic factor over K5: every candidate pair of roots
-    # fails at every precision
+    # h_16 has no quadratic factor over K5: its roots pair into six axes,
+    # but the division by the nearest proposal fails
     h = edwards_triple(16).h
     monic = [Fr(c) / h.coeff(12) for c in h.coeffs]
     with pytest.raises(D.ReconstructionFailed):
         D._quadratic_factor(monic, coefficient_field(5))
+
+
+def test_every_degree_12_form_has_six_axes():
+    # each h_i is Klein's icosahedral form after a change of variables, so
+    # the 12 roots of h_i(x, 1) pair into the 6 axes of an icosahedron
+    forms = [edwards_triple(i).h for i in ALL_INDICES]
+    forms = [h for h in forms if h.coeff(12) and h.coeff(0)]
+    assert len(forms) == 25
+    for h in forms:
+        axes = D._axes(np.roots([float(c) for c in reversed(h.coeffs)]))
+        assert sorted(r for axis in axes for r in axis) == list(range(12))
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_quadratic_factor_needs_icosahedral_roots(seed):
+    # the roots of a random degree-12 polynomial pair into no axes
+    rng = random.Random(seed)
+    coeffs = [Fr(rng.randint(-99, 99)) for _ in range(12)] + [Fr(1)]
+    roots = np.roots([float(c) for c in reversed(coeffs)])
+    with pytest.raises(D.ReconstructionFailed):
+        D._axes(roots)
+    with pytest.raises(D.ReconstructionFailed):
+        D._quadratic_factor(coeffs, coefficient_field(16))
 
 
 def test_generator_shells_order_the_box():

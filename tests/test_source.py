@@ -133,3 +133,19 @@ def test_fifth_roots_use_no_floats():
     assert {"_fifth_root_prime", "_fifth_root_bound",
             "_trace_form_inverse", "_power_sums"} <= seen
     assert not found, f"floating point in the fifth-root path: {found}"
+
+
+def test_no_multiprecision_in_the_package():
+    # floating point in the package only chooses what exact arithmetic then
+    # proves, and double precision suffices for that; mpmath is a test
+    # dependency only
+    found = []
+    for path in sorted(pathlib.Path(gfe25.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            names = [a.name for a in node.names] \
+                if isinstance(node, ast.Import) else \
+                [node.module or ""] if isinstance(node, ast.ImportFrom) else \
+                [getattr(node, "id", None) or getattr(node, "attr", None) or ""]
+            if any(n.split(".")[0] == "mpmath" for n in names):
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, f"mpmath in the package: {found}"
