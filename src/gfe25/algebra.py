@@ -1,8 +1,10 @@
 """Number fields, exact element arithmetic, and polynomial factorization.
 
-Factorization over F_p, Q, and number fields is delegated to sympy; elements
-of the fields themselves use a small exact power-basis representation (tuples
-of Fractions over Z[theta]) that is cheap enough for the inner descent loops.
+Factorization over F_p and Q is delegated to sympy, and so is factorization
+over number fields, which no stage uses: the types over Q(sqrt5) come from
+the factors over Q (see factorization_type).  Elements of the fields
+themselves use a small exact power-basis representation (tuples of Fractions
+over Z[theta]) that is cheap enough for the inner descent loops.
 
 Polynomials at this module's boundaries are ascending coefficient lists.
 """
@@ -371,28 +373,100 @@ def _expr_to_nf(expr, K, gen):
     return K.element([Fraction(int(c.p), int(c.q)) for c in coords])
 
 
+INERT_PRIME_BOUND = 100
+
+
 def factorization_type(i, field="Q"):
-    """Degree multiset of h_i over Q or Q(sqrt5), homogeneous convention
-    (the 12 - deg(h_i(x,1)) roots at infinity count as linear factors)."""
+    """Degree multiset of h_i over Q ("Q") or Q(sqrt5) ("golden"),
+    homogeneous convention (the 12 - deg(h_i(x,1)) roots at infinity count
+    as linear factors).
+
+    Over Q(sqrt5) the type is read off the factors g of h_i(x, 1) over Q,
+    without factoring over the number field (_golden_split):
+
+    * A Q-irreducible g of degree d is either irreducible over a quadratic
+      field or the product g1 * conj(g1) of two conjugate factors of degree
+      d/2.  So an odd d stays irreducible.
+    * An inert prime p = +-2 mod 5 has residue field F_p^2, on which
+      conjugation acts as Frobenius.  Let p not divide lead(g), and let
+      g mod p be squarefree with an irreducible factor phi of odd degree
+      over F_p.  phi stays irreducible over F_p^2 and is fixed by Frobenius.
+      If g = g1 * conj(g1), phi would divide both g1 and conj(g1) mod p, so
+      phi^2 would divide g mod p.  Hence g is irreducible.
+    * Otherwise take the first k >= 1 at which the norm
+      N(x) = g(x + k sqrt5) g(x - k sqrt5) in Z[x] is squarefree.  Each
+      factor of g over Q(sqrt5) of degree e then gives one Q-factor of N of
+      degree 2e (Trager, "Algebraic factoring and rational function
+      integration", SYMSAC 1976), so the degrees of g are half those of N's
+      factors.
+    """
+    return factorization_certificates(i, field)[0]
+
+
+def factorization_certificates(i, field="Q"):
+    """(factorization_type(i, field), certificates): over "golden" those of
+    _golden_factorization, over "Q" none."""
     from .bforms import edwards_triple
 
-    h = edwards_triple(i).h
-    coeffs = list(h.coeffs)         # ascending in u; h(x, 1) has these coeffs
-    degrees = []
-    d = len(poly.trim(coeffs)) - 1
-    degrees.extend([1] * (12 - d))  # linear factors at infinity
-    if field == "Q":
-        _, facs = factor_q(coeffs[:d + 1])
-        for f, m in facs:
-            degrees.extend([len(f) - 1] * m)
-    elif field in ("Q(sqrt5)", "sqrt5", "golden"):
-        K = auxiliary_field("golden")
-        _, facs = factor_nf(coeffs[:d + 1], K)
-        for f, m in facs:
-            degrees.extend([len(f) - 1] * m)
-    else:
+    if field not in ("Q", "golden"):
         raise ValueError(f"unsupported field {field!r}")
-    return sorted(degrees)
+    coeffs = poly.trim(edwards_triple(i).h.coeffs)  # those of h(x, 1)
+    at_infinity = [1] * (13 - len(coeffs))
+    if field == "golden":
+        degrees, certificates = _golden_factorization(coeffs)
+    else:
+        degrees = [len(g) - 1 for g, m in factor_q(coeffs)[1] for _ in range(m)]
+        certificates = []
+    return sorted(at_infinity + degrees), certificates
+
+
+def _golden_factorization(coeffs):
+    """(sorted degrees of the irreducible factors over Q(sqrt5), counted
+    with multiplicity, certificates) of a nonzero rational polynomial; the
+    certificates give, for each Q-factor g, its degree, its multiplicity
+    and how _golden_split decided it."""
+    degrees, certificates = [], []
+    for g, m in factor_q(coeffs)[1]:
+        split, how = _golden_split(g)
+        degrees += split * m
+        certificates.append({"degree": len(g) - 1, "multiplicity": m,
+                             "certificate": how})
+    return sorted(degrees), certificates
+
+
+def _golden_split(g):
+    """(degrees of the irreducible factors over Q(sqrt5), certificate) of
+    the Q-irreducible primitive integer polynomial g, by the three cases of
+    factorization_type: "odd_degree", {"inert_prime": p} for the least
+    inert p below INERT_PRIME_BOUND that certifies irreducibility, or
+    {"norm_shift": k, "norm_factor_degrees": [...]}."""
+    d = len(g) - 1
+    if d % 2:
+        return [d], "odd_degree"
+    for p in sp.primerange(2, INERT_PRIME_BOUND):
+        if p % 5 not in (2, 3) or g[-1] % p == 0:
+            continue
+        facs = factor_fp(g, p)[1]
+        if all(m == 1 for _, m in facs) \
+                and any((len(f) - 1) % 2 for f, _ in facs):
+            return [d], {"inert_prime": p}
+    for k in itertools.count(1):
+        facs = factor_q(_shifted_norm(g, k))[1]
+        if all(m == 1 for _, m in facs):
+            norm_degrees = sorted(len(f) - 1 for f, _ in facs)
+            return [e // 2 for e in norm_degrees], \
+                {"norm_shift": k, "norm_factor_degrees": norm_degrees}
+
+
+def _shifted_norm(g, k):
+    """g(x + k sqrt5) g(x - k sqrt5) = A^2 - 5 B^2 for the integer
+    polynomial g, where g(x + k sqrt5) = A + B sqrt5 with A, B in Z[x]."""
+    A, B = [0] * len(g), [0] * len(g)
+    for n, c in enumerate(g):
+        for j in range(n + 1):
+            # (k sqrt5)^j = k^j 5^(j//2), times sqrt5 when j is odd
+            (B if j % 2 else A)[n - j] += c * math.comb(n, j) * k**j * 5**(j // 2)
+    return poly.add(poly.mul(A, A), [-5 * c for c in poly.mul(B, B)])
 
 
 # ---------------------------------------------------------------------------

@@ -211,16 +211,20 @@ FACTORIZATION_TYPES = {
 
 
 def _stage_table4(cfg):
-    fails, rows = [], []
+    fails, rows, certificates = [], [], []
     for indices, (fld, want) in FACTORIZATION_TYPES.items():
         for i in indices:
-            got = algebra.factorization_type(i, fld)
+            got, how = algebra.factorization_certificates(i, fld)
             rows.append({"i": i, "field": fld, "type": got})
+            if how:
+                certificates.append({"i": i, "factors": how})
             if got != want:
                 fails.append(f"factorization type over {fld} for i={i}: "
                              f"got {got}, expected {want}")
     rows.sort(key=lambda r: (r["field"], r["i"]))
-    return fails, [], {"rows_checked": len(rows), "table": rows}
+    certificates.sort(key=lambda r: r["i"])
+    return fails, [], {"rows_checked": len(rows), "table": rows,
+                       "certificates": certificates}
 
 
 def _stage_table5(cfg):

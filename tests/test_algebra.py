@@ -8,7 +8,8 @@ import pytest
 import sympy as sp
 from hypothesis import given, settings, strategies as st
 
-from gfe25 import algebra as alg
+from gfe25 import algebra as alg, poly
+from gfe25.bforms import edwards_triple
 
 # Table of degree multisets of the twelfth-degree forms: index -> (over Q, over Q(sqrt5))
 FACT_TYPES = {
@@ -48,6 +49,78 @@ def test_factorization_types_over_golden():
             assert alg.factorization_type(i, "golden") == want, i
     # the degree-8 factor of a [4,8] row splits further over Q(sqrt5)
     assert alg.factorization_type(3, "golden") == [4, 4, 4]
+
+
+def _factor_nf_type(i):
+    """The type of h_i over Q(sqrt5) from sympy's factoring over the number
+    field, the reference for factorization_type."""
+    coeffs = poly.trim(edwards_triple(i).h.coeffs)
+    _, facs = alg.factor_nf(coeffs, alg.auxiliary_field("golden"))
+    return sorted([1] * (13 - len(coeffs))
+                  + [len(f) - 1 for f, m in facs for _ in range(m)])
+
+
+def test_golden_types_match_factor_nf():
+    for i in range(1, 28):
+        got, certificates = alg.factorization_certificates(i, "golden")
+        assert got == _factor_nf_type(i), i
+        if got == [12]:
+            assert [list(c["certificate"]) for c in certificates] \
+                == [["inert_prime"]], i
+        elif got == [6, 6]:
+            assert certificates == [{"degree": 12, "multiplicity": 1,
+                                     "certificate": {"norm_shift": 1,
+                                                     "norm_factor_degrees": [12, 12]}}]
+
+
+@pytest.mark.parametrize("field", ["Q(sqrt5)", "sqrt5", "gauss", "R"])
+def test_factorization_type_rejects_other_fields(field):
+    with pytest.raises(ValueError, match="unsupported field"):
+        alg.factorization_type(5, field)
+
+
+X4_MINUS_2 = [-2, 0, 0, 0, 1]
+
+
+@pytest.mark.parametrize("coeffs, want, certificate", [
+    # (x^2 - sqrt5)(x^2 + sqrt5); (x + 1)^4 mod 2, which only the
+    # squarefree test keeps from certifying [4]
+    ([-5, 0, 0, 0, 1], [2, 2],
+     {"norm_shift": 1, "norm_factor_degrees": [4, 4]}),
+    (X4_MINUS_2, [4], {"inert_prime": 7}),
+    # Eisenstein at 2; mod 5 it has a linear factor, but 5 is ramified, not
+    # inert, so the certificate is the first inert prime that works
+    ([2, -2, 0, 0, 1], [4], {"inert_prime": 7}),
+    # roots phi^2 and phi^-2
+    ([1, -3, 1], [1, 1], {"norm_shift": 1, "norm_factor_degrees": [2, 2]}),
+    # roots +-sqrt5, 2 sqrt5 apart: the norm at k = 1 has the double root 0
+    ([-5, 0, 1], [1, 1], {"norm_shift": 2, "norm_factor_degrees": [2, 2]}),
+    ([0, 0, 0, 1, 1], [1, 1, 1, 1], "odd_degree"),
+])
+def test_golden_factorization(coeffs, want, certificate):
+    got, certificates = alg._golden_factorization(coeffs)
+    assert got == want
+    assert certificates[-1]["certificate"] == certificate
+
+
+def test_golden_factorization_keeps_multiplicity():
+    got, certificates = alg._golden_factorization(
+        poly.mul(X4_MINUS_2, X4_MINUS_2))
+    assert got == [4, 4]
+    assert certificates == [{"degree": 4, "multiplicity": 2,
+                             "certificate": {"inert_prime": 7}}]
+
+
+def test_shifted_norm_is_the_product_of_conjugate_shifts():
+    K = alg.auxiliary_field("sqrt5")
+    g, k = [3, -1, 4, 1, -5, 9], 2
+    x_plus, x_minus = [K.gen * k, K.one], [K.gen * -k, K.one]
+    shifted = [[], []]
+    for c in reversed(g):       # Horner's rule in g(x +- k sqrt5)
+        shifted = [poly.add(poly.mul(s, t), [K.from_int(c)])
+                   for s, t in zip(shifted, (x_plus, x_minus))]
+    want = [c.as_rational() for c in poly.mul(*shifted)]
+    assert alg._shifted_norm(g, k) == want
 
 
 def test_golden_ramified_at_5():

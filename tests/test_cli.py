@@ -72,6 +72,19 @@ def test_cached_table5_matches_fresh(capsys, tmp_path, monkeypatch):
     assert _without_seconds(json.loads(out1)) == _without_seconds(json.loads(out2))
 
 
+def test_cached_table4_matches_fresh(capsys, tmp_path, monkeypatch):
+    # the certificates survive the cache's JSON round trip unchanged
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    code1, out1, _ = _gfe(capsys, "run", "--stage", "table4")
+    code2, out2, _ = _gfe(capsys, "run", "--stage", "table4")
+    assert code1 == code2 == 0
+    fresh = _without_seconds(json.loads(out1))
+    assert fresh == _without_seconds(json.loads(out2))
+    artifacts = fresh["reports"][0]["artifacts"]
+    golden = [row["i"] for row in artifacts["table"] if row["field"] == "golden"]
+    assert [row["i"] for row in artifacts["certificates"]] == sorted(golden)
+
+
 def _stub_stage(cfg):
     return [], [], {}
 

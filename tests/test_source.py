@@ -85,6 +85,31 @@ def test_descent_splits_without_factor_nf():
     assert not found, f"descent.py uses factor_nf at lines {found}"
 
 
+def test_table4_does_not_reach_factor_nf():
+    # the types over Q(sqrt5) come from factoring over Q, inert primes and a
+    # norm over Q; factor_nf is only their reference in the tests
+    path = pathlib.Path(gfe25.__file__).parent / "algebra.py"
+    tree = ast.parse(path.read_text(), str(path))
+    funcs = {node.name: node for node in tree.body
+             if isinstance(node, ast.FunctionDef)}
+    seen, todo, found = set(), ["factorization_type"], []
+    while todo:
+        name = todo.pop()
+        if name in seen:
+            continue
+        seen.add(name)
+        for node in ast.walk(funcs[name]):
+            ident = node.name if isinstance(node, ast.alias) else \
+                getattr(node, "id", None) or getattr(node, "attr", None)
+            if ident == "factor_nf":
+                found.append(f"{name}:{node.lineno}")
+            if isinstance(node, ast.Name) and node.id in funcs:
+                todo.append(node.id)
+    assert {"factorization_certificates", "_golden_factorization",
+            "_golden_split", "_shifted_norm", "factor_q", "factor_fp"} <= seen
+    assert not found, f"table4 reaches factor_nf: {found}"
+
+
 def test_private_names_are_used():
     # a private function or method that nothing in the package refers to is
     # dead code, or code kept alive only for a test
