@@ -5,8 +5,9 @@ field by collecting elements with {2,3,5}-smooth norms, assigning prime-ideal
 valuation vectors (skipping elements where the split is ambiguous), and
 forming products along integer kernel vectors of the valuation matrix.
 Every candidate is verified exactly (integral, norm +-1); independence is
-certified by the rank of the fifth-power-class images at split primes
-q = 1 mod 5, which is what the package later re-checks when loading the data.
+certified by the rank mod 5 of the fifth-power-class images at split primes
+q = 1 mod 5, computed by the same descent._generator_classes and
+descent._rank_mod5 that the package uses to re-check the data on loading.
 
 For fields where the equation order Z[theta] is not maximal (K5 has index
 2^3 3^2, so its units have denominator-6 power-basis coordinates and every
@@ -26,8 +27,6 @@ import sympy as sp
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 from gfe25 import algebra as alg, descent  # noqa: E402
-
-warnings.simplefilter("ignore")
 
 SMOOTH = (2, 3, 5)
 
@@ -120,21 +119,21 @@ def kernel_units(K, rows):
 
 
 def class_rows(units, qs):
+    """The fifth-power classes of each unit at the primes qs, the ones
+    verify_unit_data certifies; a unit vanishing at one ends the list."""
     rows = []
     for e in units:
-        vec = descent._class_vector(e, [rs for _, rs in qs])
-        if vec is None:
+        try:
+            vec = np.hstack([descent._generator_classes([e], rs)
+                             for _, rs in qs])
+        except alg.ZeroInput:
             return rows + [None]
-        rows.append(vec)
+        rows.append(vec[0].tolist())
     return rows
 
 
 def rank5(rows):
-    rs = [r for r in rows if r]
-    if not rs:
-        return 0
-    M = sp.Matrix(rs)
-    return M.rank(iszerofunc=lambda x: sp.Integer(x) % 5 == 0)
+    return descent._rank_mod5([r for r in rows if r])
 
 
 def pick_independent(units, qs):
@@ -210,6 +209,7 @@ def maximal_order_units(K, bound=4, norm_cap=3000):
 
 
 def main():
+    warnings.simplefilter("ignore")
     outdir = pathlib.Path(__file__).resolve().parent.parent / "src/gfe25/data/units"
     outdir.mkdir(parents=True, exist_ok=True)
     for rep in (5, 6, 16, 22, 24):

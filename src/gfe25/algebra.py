@@ -77,7 +77,11 @@ class NumberField:
 
     @lru_cache(maxsize=None)
     def discriminant(self):
-        return int(sp.discriminant(self.sympy_poly.as_expr(), _X))
+        """disc(T) = (-1)^(n(n-1)/2) Res(T, T') for the monic T = min_poly
+        (Cohen, GTM 138, 3.3)."""
+        T, n = self.min_poly, self.degree
+        res = poly.resultant(T, [k * c for k, c in enumerate(T)][1:])
+        return (-1) ** (n * (n - 1) // 2) * int(res)
 
     def sympy_gen(self):
         # any fixed root works; factorization data is root-independent
@@ -149,15 +153,7 @@ class NFElement:
     def __pow__(self, e):
         if e < 0:
             return self.inverse() ** (-e)
-        out = self.field.one
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            e >>= 1
-            if e:  # no square past the top bit
-                base = base * base
-        return out
+        return poly.power(self, e, self.field.one, NFElement.__mul__)
 
     # -- predicates --------------------------------------------------------
     def __bool__(self):
@@ -544,7 +540,7 @@ class Fq:
         N(a)^((p-1)/5), read off a table of length p; the norm
         N(a) = a * a^p * ... * a^(p^(f-1)) is the product of the Frobenius
         conjugates, each the previous one times the Frobenius matrix.
-        Otherwise a^((q-1)/5) is taken by square-and-multiply on the rows.
+        Otherwise a^((q-1)/5) is taken by poly.power on the rows.
         """
         p, g = self.p, self.modpoly
         if (p - 1) % 5 == 0:
@@ -557,15 +553,10 @@ class Fq:
             out[:, 0] = np.array(self._norm_characters())[
                 norm[:, 0].astype(np.int64)]
             return out
-        out, base, e = np.zeros_like(rows), rows, (self.q - 1) // 5
-        out[:, 0] = 1
-        while e:
-            if e & 1:
-                out = poly.mul_rows_mod(out, base, g, p)
-            e >>= 1
-            if e:
-                base = poly.mul_rows_mod(base, base, g, p)
-        return out
+        one = np.zeros_like(rows)
+        one[:, 0] = 1
+        return poly.power(rows, (self.q - 1) // 5, one,
+                          lambda a, b: poly.mul_rows_mod(a, b, g, p))
 
     @lru_cache(maxsize=None)
     def _frobenius_matrix(self):

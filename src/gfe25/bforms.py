@@ -63,12 +63,12 @@ class BinaryForm:
         )
 
     def evaluate(self, u, v):
-        # Horner in u with v-powers folded in
-        d = self.degree
-        acc = self.coeffs[d]
-        for k in range(d - 1, -1, -1):
-            acc = acc * u + self.coeffs[k] * v ** (d - k)
-        return acc if d > 0 else self.coeffs[0]
+        """sum_k c_k u^k v^(d-k), by Horner in u carrying the powers of v."""
+        acc, vpow = self.coeffs[-1], 1
+        for c in reversed(self.coeffs[:-1]):
+            vpow *= v
+            acc = acc * u + c * vpow
+        return acc
 
     def du(self) -> "BinaryForm":
         if self.degree == 0:
@@ -113,25 +113,13 @@ class BinaryForm:
     def __pow__(self, n: int) -> "BinaryForm":
         if n < 0:
             raise ValueError("negative power")
-        result = BinaryForm(0, (1,))
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:  # no square past the top bit
-                base = base * base
-        return result
+        return poly.power(self, n, BinaryForm(0, (1,)), BinaryForm.__mul__)
 
     def scale(self, s) -> "BinaryForm":
         return BinaryForm(self.degree, tuple(c * s for c in self.coeffs))
 
     def map_coeffs(self, fn) -> "BinaryForm":
         return BinaryForm(self.degree, tuple(fn(c) for c in self.coeffs))
-
-    def dehomogenize(self):
-        """Coefficients of F(x, 1), ascending in x (length degree+1)."""
-        return list(self.coeffs)
 
     def __str__(self):
         terms = []
@@ -329,26 +317,11 @@ class Solution:
     def primitive(self) -> bool:
         return math.gcd(math.gcd(abs(self.a), abs(self.b)), abs(self.c)) == 1
 
-    @property
-    def trivial(self) -> bool:
-        return self.a * self.b * self.c == 0
-
-    def check(self) -> bool:
-        return (
-            self.a**2 + self.b**3 + self.c**5 == 0
-            and self.a**2 + self.b**3 == self.z**25
-        )
-
 
 @dataclass(frozen=True)
 class Reject:
     reason: str  # "NotFifthPower" | "NotCoprime"
     provenance: tuple
-
-
-def integer_fifth_root(n: int):
-    """The integer z with z^5 = n, or None."""
-    return poly.int_root(n, 5)
 
 
 def assemble_solution(i: int, u: int, v: int, sign: int):
@@ -362,7 +335,7 @@ def assemble_solution(i: int, u: int, v: int, sign: int):
     if math.gcd(u, v) != 1:
         raise NotCoprime(f"gcd({u}, {v}) != 1")
     fval, gval, hval = evaluate_triple(i, u, v)
-    z = integer_fifth_root(-hval)
+    z = poly.int_root(-hval, 5)
     if z is None:
         return Reject("NotFifthPower", (i, u, v, sign))
     return Solution(sign * fval, gval, hval, z, (i, u, v, sign))

@@ -33,8 +33,8 @@ import numpy as np
 import sympy as sp
 
 from . import padic, poly
-from .algebra import (auxiliary_field, coefficient_field, factor_fp,
-                      maximal_order, residue_split)
+from .algebra import (ZeroInput, auxiliary_field, coefficient_field,
+                      factor_fp, maximal_order, residue_split)
 from .bforms import BinaryForm, binary_resultant, edwards_triple, transform
 from .search import HyperellipticModel, InfinitePoint
 
@@ -118,12 +118,8 @@ def klein_split(h, root_pair):
         if k != 6 and ht.coeff(k) != 0:
             raise SplitInconsistent(f"unexpected s^{k} t^{12 - k} term")
     raw = [Fraction(ht.coeff(11)), Fraction(ht.coeff(6)), Fraction(ht.coeff(1))]
-    num = 0
-    den = 1
-    for c in raw:
-        num = math.gcd(num, c.numerator)
-        den = den * c.denominator // math.gcd(den, c.denominator)
-    content = Fraction(num, den)
+    content = Fraction(math.gcd(*(c.numerator for c in raw)),
+                       math.lcm(*(c.denominator for c in raw)))
     scale = content if raw[0] > 0 else -content
     A, B, C = (c / scale for c in raw)
     rebuilt = (l1 * l2 * ((l1**10).scale(A) + (l1**5 * l2**5).scale(B)
@@ -241,7 +237,7 @@ def genus2_models(split, alpha):
 
 def _normalized_pair(u, v):
     u, v = Fraction(u), Fraction(v)
-    den = u.denominator * v.denominator // math.gcd(u.denominator, v.denominator)
+    den = math.lcm(u.denominator, v.denominator)
     iu, iv = int(u * den), int(v * den)
     g = math.gcd(iu, iv)
     if g:
@@ -306,13 +302,6 @@ class GaussDescentData:
     resultant: int            # Res(H, conj H) as a rational integer
 
 
-def _gauss_F(i):
-    re_c, im_c, (g, al, be), _ = _GAUSS_TABLE[i]
-    inner = [al * x + be * y for x, y in
-             zip(list(_PHI1) + [0], _PSI1)]
-    return tuple(g * c for c in poly.mul(inner, _PSI1))
-
-
 def gauss_family(i):
     if i not in GAUSS_INDICES:
         raise ValueError(f"i={i} is not one of the Gaussian-descent indices")
@@ -323,7 +312,7 @@ def gauss_family(i):
     h = edwards_triple(i).h
     if h.coeff(12) == 0:
         raise IdentityFailure("h has a root at infinity; quartic split invalid")
-    quot, rem = poly.divmod(h.dehomogenize(), quartic.dehomogenize())
+    quot, rem = poly.divmod(list(h.coeffs), list(quartic.coeffs))
     if rem:
         raise IdentityFailure(f"re^2 + im^2 does not divide h_{i}")
     octic = BinaryForm(8, tuple(quot))
@@ -332,17 +321,8 @@ def gauss_family(i):
     prehyper = (re.scale(al) + im.scale(be)) * im
     if prehyper.scale(g) != S * S:
         raise IdentityFailure(f"gamma (alpha Re + beta Im) Im != S^2 for i={i}")
-    F = _gauss_F(i)
-    # relation web among the six polynomials
-    F4 = _gauss_F(4)
-    web = {3: [-c * (-1) ** k for k, c in enumerate(F4)],
-           4: list(F4),
-           12: [-c for c in F4],
-           17: [-c for c in F4],
-           18: [c * (-1) ** k for k, c in enumerate(F4)],
-           27: [-c * (-1) ** k for k, c in enumerate(F4)]}
-    if list(F) != web[i]:
-        raise IdentityFailure(f"F_{i} violates the relation web")
+    inner = [al * x + be * y for x, y in zip(list(_PHI1) + [0], _PSI1)]
+    F = tuple(g * c for c in poly.mul(inner, _PSI1))
     G = auxiliary_field("gauss")
     H = BinaryForm(2, tuple(G.element([r, m]) for r, m in zip(re_c, im_c)))
     Hc = BinaryForm(2, tuple(G.element([r, -m]) for r, m in zip(re_c, im_c)))
@@ -372,11 +352,8 @@ def _integer_quadratic_roots(a, b, c):
         if b == 0:
             return []
         return [-c // b] if c % b == 0 else []
-    disc = b * b - 4 * a * c
-    if disc < 0:
-        return []
-    r = math.isqrt(disc)
-    if r * r != disc:
+    r = poly.int_root(b * b - 4 * a * c, 2)
+    if r is None:
         return []
     out = []
     for s in (r, -r) if r else (0,):
@@ -389,30 +366,24 @@ def _solve_pair(i, r, s):
     """Integer (u, v) with Re_i(u, v) = r and Im_i(u, v) = s, or None if the
     Im equation is already impossible."""
     re_c, im_c, _, _ = _GAUSS_TABLE[i]
-    c2, c1, c0 = re_c[0], re_c[1], re_c[2]  # re = c0 u^2 + c1 uv + c2 v^2
+    c2, c1, c0 = re_c  # re = c0 u^2 + c1 uv + c2 v^2
+    # im = c w^2 for w = u (i = 3, 4, 12), w = v (i = 17, 18), w = u - v
+    # (i = 27, c = 1)
+    c = im_c[2] if i in (3, 4, 12) else im_c[0]
+    root = None if s % c else poly.int_root(s // c, 2)
+    if root is None:
+        return None
     sols = set()
-    if i in (3, 4, 12):       # im = c u^2
-        c = im_c[2]
-        if s % c or s // c < 0 or math.isqrt(s // c) ** 2 != s // c:
-            return None
-        for u in {math.isqrt(s // c), -math.isqrt(s // c)}:
-            for v in _integer_quadratic_roots(c2, c1 * u, c0 * u * u - r):
-                sols.add((u, v))
-    elif i in (17, 18):       # im = c v^2
-        c = im_c[0]
-        if s % c or s // c < 0 or math.isqrt(s // c) ** 2 != s // c:
-            return None
-        for v in {math.isqrt(s // c), -math.isqrt(s // c)}:
-            for u in _integer_quadratic_roots(c0, c1 * v, c2 * v * v - r):
-                sols.add((u, v))
-    else:                     # i = 27: im = (u - v)^2
-        if s < 0 or math.isqrt(s) ** 2 != s:
-            return None
-        for d in {math.isqrt(s), -math.isqrt(s)}:
-            for v in _integer_quadratic_roots(c0 + c1 + c2,
-                                              2 * c0 * d + c1 * d,
-                                              c0 * d * d - r):
-                sols.add((v + d, v))
+    for w in {root, -root}:
+        if i in (3, 4, 12):
+            sols |= {(w, v) for v in
+                     _integer_quadratic_roots(c2, c1 * w, c0 * w * w - r)}
+        elif i in (17, 18):
+            sols |= {(u, w) for u in
+                     _integer_quadratic_roots(c0, c1 * w, c2 * w * w - r)}
+        else:
+            sols |= {(v + w, v) for v in _integer_quadratic_roots(
+                c0 + c1 + c2, 2 * c0 * w + c1 * w, c0 * w * w - r)}
     return sols
 
 
@@ -653,13 +624,8 @@ def _primitive_part(coeffs, rep):
     First clears rational denominators and content, then removes the residual
     content ideal by dividing through a norm-certified generator.
     """
-    den, num = 1, 0
-    for c in coeffs:
-        for x in c.coords:
-            den = den * x.denominator // math.gcd(den, x.denominator)
-    for c in coeffs:
-        for x in c.coords:
-            num = math.gcd(num, int(x * den))
+    den = math.lcm(*(x.denominator for c in coeffs for x in c.coords))
+    num = math.gcd(*(int(x * den) for c in coeffs for x in c.coords))
     K = coefficient_field(rep)
     order = maximal_order(K)
     out = [c * Fraction(den, num) for c in coeffs]
@@ -884,19 +850,12 @@ def _rank_mod5(rows):
     return rank
 
 
-def _class_vector(elem, splits):
-    """Fifth-power classes of a nowhere-vanishing element at all slots with
-    residue field of order = 1 mod 5."""
-    vec = []
-    for rs in splits:
-        for j, fq in enumerate(rs.residue_fields):
-            if fq.q % 5 != 1:
-                continue
-            img = rs.reduce(elem, j)
-            if fq.is_zero(img):
-                return None
-            vec.append(fq.fifth_power_class(img))
-    return vec
+def _generator_classes(gens, rs):
+    """The fifth-power classes of the generators at the residue fields of
+    rs, as a (len(gens), slots) array; ZeroInput when a generator vanishes
+    at one of them.  A slot with q != 1 mod 5 gives class 0."""
+    return np.array([fq.fifth_power_classes([rs.reduce(g, j) for g in gens])
+                     for j, fq in enumerate(rs.residue_fields)]).T
 
 
 def verify_unit_data(rep, gens=None, cert_primes=None):
@@ -906,7 +865,8 @@ def verify_unit_data(rep, gens=None, cert_primes=None):
     (2, 2): the unit rank is 3 and the only roots of unity are +-1, which
     are fifth powers.  O_K^x / (O_K^x)^5 is then F_5^3.  The generators are
     checked to be integral units, and their fifth-power classes at the
-    certification primes to have rank 3 mod 5, so they span it.
+    certification primes, the classes unit_sieve uses, to have rank 3 mod 5,
+    so they span it.
     """
     if gens is None:
         gens, cert_primes = load_unit_data(rep)
@@ -921,9 +881,12 @@ def verify_unit_data(rep, gens=None, cert_primes=None):
             raise BadUnitData(f"generator {g!r} is not a unit")
         if maximal_order(K).coords(g) is None:
             raise BadUnitData(f"generator {g!r} is not an algebraic integer")
-    splits = [residue_split(K, q) for q in cert_primes]
-    rows = [_class_vector(g, splits) for g in gens]
-    if any(r is None for r in rows) or _rank_mod5(rows) != 3:
+    try:
+        blocks = [_generator_classes(gens, residue_split(K, q))
+                  for q in cert_primes]
+    except ZeroInput:
+        blocks = None
+    if not blocks or _rank_mod5(np.hstack(blocks).tolist()) != 3:
         raise BadUnitData("independence certificate failed at the "
                           f"certification primes {cert_primes}")
     return gens
@@ -1051,9 +1014,7 @@ def unit_sieve(i, primes=DEFAULT_SIEVE_PRIMES, use_mod25=True, depth=3):
     survivors = np.array(list(itertools.product(range(5), repeat=3)))
     for p in primes:
         rs = residue_split(K, p)
-        gen_classes = np.array(
-            [fq.fifth_power_classes([rs.reduce(g, j) for g in gens])
-             for j, fq in enumerate(rs.residue_fields)]).T
+        gen_classes = _generator_classes(gens, rs)
         targets = np.array([[-1 if c is None else c for c in t]
                             for t in _local_targets(split, rs, p, depth)]
                            ).reshape(-1, len(rs.residue_fields))
@@ -1069,11 +1030,12 @@ def unit_sieve(i, primes=DEFAULT_SIEVE_PRIMES, use_mod25=True, depth=3):
         fifths = _fifth_powers_mod25(rep)
         pairs = [(u, 1) for u in range(25)] + [(1, 5 * t) for t in range(5)]
         # H(u, v) mod 25 is linear in the coordinates of H's coefficients,
-        # whose denominators divide the order index and so are prime to 5
-        hcoords = [c.coords_mod(25) for c in split.H.coeffs]
-        hvals = np.array([[sum(u**m * v**(10 - m) * c[k]
-                               for m, c in enumerate(hcoords)) % 25
-                           for k in range(6)] for u, v in pairs])
+        # whose denominators divide the order index and so are prime to 5;
+        # its coordinate k is the integer form of the coordinates k of H's
+        forms = [BinaryForm(10, col) for col in
+                 zip(*(c.coords_mod(25) for c in split.H.coeffs))]
+        hvals = np.array([[f.evaluate(u, v) % 25 for f in forms]
+                          for u, v in pairs])
         kept = []
         for e in survivors.tolist():
             eta = gens[0] ** e[0] * gens[1] ** e[1] * gens[2] ** e[2]

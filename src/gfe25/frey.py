@@ -14,21 +14,15 @@ from .bforms import evaluate_triple
 from .descent import SEXTIC_INDICES
 
 
+# two sufficient conditions for the absolute irreducibility of the mod-p
+# Frey representations: (i) a even or b not in {0, -1, 4} mod 8; (ii) a not
+# +-1 mod 9 or b not -1 mod 3
 def _cond_i(a, b):
     return a % 2 == 0 or b % 8 not in (0, 7, 4)
 
 
 def _cond_ii(a, b):
     return a % 9 not in (1, 8) or b % 3 != 2
-
-
-def irred_hypotheses(a, b):
-    """Which sufficient condition for absolute irreducibility of the mod-p
-    Frey representations holds: (i) a even or b not in {0, -1, 4} mod 8;
-    (ii) a not +-1 mod 9 or b not -1 mod 3.  Returns {holds, via}."""
-    cond_i, cond_ii = _cond_i(a, b), _cond_ii(a, b)
-    via = "(i)" if cond_i else ("(ii)" if cond_ii else "none")
-    return {"holds": cond_i or cond_ii, "via": via}
 
 
 @dataclass

@@ -20,7 +20,6 @@ coordinate a unit).
 """
 
 import json
-import re
 from dataclasses import dataclass
 from importlib import resources
 
@@ -53,22 +52,6 @@ def vp(n, p):
     return v
 
 
-def is_fifth_power_zp(n, p):
-    """True iff the integer n is a fifth power in Z_p.  n = 0 counts (0 = 0^5)."""
-    if n == 0:
-        return True
-    v = vp(n, p)
-    if v % 5 != 0:
-        return False
-    u = n // p**v
-    if p == 5:
-        return u % 25 in FIFTH_POWER_UNITS_MOD25
-    if p % 5 == 1:
-        return pow(u % p, (p - 1) // 5, p) == 1
-    # unit group has pro-order coprime to 5: x -> x^5 is bijective on units
-    return True
-
-
 @dataclass(frozen=True, order=True)
 class ResidueClass:
     """Constraint (non-unit coordinate)/(unit coordinate) ≡ residue mod modulus.
@@ -96,20 +79,6 @@ class ResidueClass:
         else:
             inner = f"{m}{var}+{r}"
         return shape.format(inner)
-
-    @classmethod
-    def parse(cls, s):
-        s = s.replace(" ", "")
-        m = re.fullmatch(r"\((?:(\d*)u(?:\+(\d+))?),1\)", s)
-        slot = "second"
-        if m is None:
-            m = re.fullmatch(r"\(1,(?:(\d*)v(?:\+(\d+))?)\)", s)
-            slot = "first"
-        if m is None:
-            raise ValueError(f"unparseable residue class {s!r}")
-        mod = int(m.group(1)) if m.group(1) else 1
-        res = int(m.group(2)) if m.group(2) else 0
-        return cls(slot, mod, res)
 
     def pair_mod(self, pk):
         """Representative (u, v) pairs mod pk covered by this class."""

@@ -8,6 +8,7 @@ polynomial is [].  Three kinds of arithmetic are provided:
   division with remainder, the Euclidean and extended Euclidean algorithms
   (Cohen, "A Course in Computational Algebraic Number Theory", 3.1-3.2) and
   the Euclidean resultant (Cohen, 3.3); results carry no trailing zeros;
+* powers by square-and-multiply in any ring, given its product and one;
 * modulo an integer m, on ints only: products, and division by a monic
   polynomial whose remainder is a residue vector of exactly deg(divisor)
   entries in [0, m); powers in (Z/m)[y]/(g), and products there of the rows
@@ -114,6 +115,19 @@ def _scaled(a, c):
     return [x * c for x in a]
 
 
+def power(base, e, one, mul):
+    """base^e for e >= 0 by square-and-multiply, with no squaring past the
+    top bit; mul is the ring's product and one its identity."""
+    out = one
+    while e:
+        if e & 1:
+            out = mul(out, base)
+        e >>= 1
+        if e:
+            base = mul(base, base)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # modulo m (ints only)
 
@@ -144,17 +158,10 @@ def divmod_mod(a, b, m):
 
 
 def pow_mod(a, e, g, m):
-    """a^e in (Z/m)[y]/(g) for g monic mod m and e >= 0, by square-and-multiply
-    with no squaring past the top bit; a residue vector of deg g entries in
-    [0, m)."""
-    out, base = divmod_mod([1], g, m)[1], divmod_mod(a, g, m)[1]
-    while e:
-        if e & 1:
-            out = divmod_mod(mul_mod(out, base, m), g, m)[1]
-        e >>= 1
-        if e:
-            base = divmod_mod(mul_mod(base, base, m), g, m)[1]
-    return out
+    """a^e in (Z/m)[y]/(g) for g monic mod m and e >= 0; a residue vector of
+    deg g entries in [0, m)."""
+    return power(divmod_mod(a, g, m)[1], e, divmod_mod([1], g, m)[1],
+                 lambda x, y: divmod_mod(mul_mod(x, y, m), g, m)[1])
 
 
 def mul_rows_mod(a, b, g, m):

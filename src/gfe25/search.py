@@ -9,6 +9,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import _kernels, poly
+from .bforms import BinaryForm
 
 
 @dataclass(frozen=True)
@@ -39,22 +40,18 @@ class HyperellipticModel:
         return -(-self.degree // 2) - 1  # ceil(deg/2) - 1
 
     def F(self, x):
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        d = self.degree
+        form = BinaryForm(d, tuple(int(c) for c in self.coeffs[:d + 1]))
+        return form.evaluate(x, 1)
 
     def _squarefree(self):
         d = [k * i for i, k in enumerate(self.coeffs)][1:]
         return len(poly.gcd(self.coeffs, d)) == 1
 
     def infinity_points(self):
-        d = self.degree
-        lead = self.coeffs[d]
-        if d % 2 == 1:
+        if self.degree % 2 == 1:
             return [InfinitePoint(0)]
-        r = math.isqrt(lead) if lead > 0 else -1
-        if r * r == lead:
+        if poly.int_root(int(self.coeffs[self.degree]), 2) is not None:
             return [InfinitePoint(+1), InfinitePoint(-1)]
         return []
 
@@ -96,6 +93,7 @@ def rational_points(model, H):
         raise ValueError("height bound must be >= 1")
     d = model.degree
     coeffs = [int(c) for c in model.coeffs[:d + 1]]
+    form = BinaryForm(d, tuple(coeffs))
     odd = d % 2 == 1
     points = list(model.infinity_points())
 
@@ -109,7 +107,7 @@ def rational_points(model, H):
         ps, qs = ps[mask], qs[mask]
         coprime = np.gcd(ps, qs) == 1
         for p, q in zip(ps[coprime].tolist(), qs[coprime].tolist()):
-            N = _homogeneous_value(coeffs, p, q)
+            N = form.evaluate(p, q)
             T = N * q if odd else N
             if T < 0:
                 continue
@@ -127,16 +125,6 @@ def rational_points(model, H):
                   reverse=True)
     affs = sorted(set(pt for pt in points if isinstance(pt, AffinePoint)))
     return infs + affs
-
-
-def _homogeneous_value(coeffs, p, q):
-    """sum_k c_k p^k q^(d-k), Horner in p."""
-    acc = coeffs[-1]
-    qpow = 1
-    for c in reversed(coeffs[:-1]):
-        qpow *= q
-        acc = acc * p + c * qpow
-    return acc
 
 
 # ---------------------------------------------------------------------------

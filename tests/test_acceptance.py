@@ -256,7 +256,7 @@ def _prop_sieve_vs_brute_force(rng):
             f, g, h = evaluate_triple(i, u, v)
             if f % p == 0 and g % p == 0 and h % p == 0:
                 continue
-            if not padic.is_fifth_power_zp(-h, p):
+            if not conftest.is_fifth_power_zp(-h, p):
                 continue
             assert _in_some_class(u, v, p, n, classes), (i, p, u, v)
 

@@ -131,6 +131,17 @@ def test_golden_ramified_at_5():
     assert rs.factors == [([2, 1], 2)]
 
 
+@pytest.mark.parametrize("K", [alg.coefficient_field(rep) for rep in (5, 6, 16, 22, 24)]
+                         + [alg.auxiliary_field(name) for name in
+                            ("gauss", "golden", "sqrt5", "sqrt-5")],
+                         ids=repr)
+def test_discriminant_matches_sympy(K):
+    # (-1)^(n(n-1)/2) Res(T, T') against sympy's discriminant as reference
+    x = sp.Symbol("x")
+    want = sp.discriminant(sp.Poly(K.min_poly[::-1], x).as_expr(), x)
+    assert K.discriminant() == int(want)
+
+
 def test_k5_residue_degrees():
     K5 = alg.coefficient_field(5)
     rs7 = alg.residue_split(K5, 7)

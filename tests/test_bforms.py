@@ -17,7 +17,6 @@ from gfe25.bforms import (
     derived_forms,
     edwards_triple,
     evaluate_triple,
-    integer_fifth_root,
     transform,
     verify_forms_data,
 )
@@ -76,34 +75,17 @@ def test_assemble_solution_catalan():
     sol = assemble_solution(5, 0, 1, +1)
     assert isinstance(sol, Solution)
     assert (abs(sol.a), sol.b, sol.c, sol.z) == (3, -2, -1, 1)
-    assert sol.primitive and not sol.trivial
-    assert sol.check()
+    assert sol.primitive and sol.a * sol.b * sol.c != 0
+    assert sol.a**2 + sol.b**3 + sol.c**5 == 0
+    assert sol.a**2 + sol.b**3 == sol.z**25
     both = {assemble_solution(5, 0, 1, s).a for s in (+1, -1)}
     assert both == {3, -3}
 
 
 def test_assemble_solution_trivial():
     sol = assemble_solution(1, 0, 1, +1)
-    assert sol.trivial
+    assert sol.a * sol.b * sol.c == 0
     assert (abs(sol.a), sol.b, sol.c) == (1, -1, 0)
-
-
-def test_integer_fifth_root():
-    assert integer_fifth_root(0) == 0
-    assert integer_fifth_root(32) == 2
-    assert integer_fifth_root(-243) == -3
-    assert integer_fifth_root(33) is None
-    assert integer_fifth_root(91125) is None
-
-
-def test_integer_fifth_root_large():
-    # beyond float precision, and beyond the float range (> 308 digits)
-    for r in (10**16 + 7, 10**20 + 7, 3**500 + 2):
-        n = r**5
-        assert integer_fifth_root(n) == r
-        assert integer_fifth_root(-n) == -r
-        assert integer_fifth_root(n + 1) is None
-        assert integer_fifth_root(n - 1) is None
 
 
 def test_transform_substitution_identities():

@@ -1,0 +1,30 @@
+"""scripts/find_units.py, which generated data/units, against that data."""
+
+import importlib.util
+import pathlib
+
+import pytest
+
+from gfe25 import algebra, descent
+
+SCRIPT = pathlib.Path(__file__).resolve().parent.parent / "scripts" / "find_units.py"
+
+
+@pytest.fixture(scope="module")
+def find_units():
+    # loaded under its own name, so its main() does not run
+    spec = importlib.util.spec_from_file_location("find_units", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("rep", sorted(set(descent.FIELD_REP.values())))
+def test_find_units_picks_the_bundled_generators(find_units, rep):
+    # the script's classes and rank are the certificate's, so it accepts
+    # the bundled generators, in order, at the bundled primes
+    K = algebra.coefficient_field(rep)
+    gens, cert_primes = descent.load_unit_data(rep)
+    qs = find_units.cert_primes(K)
+    assert [q for q, _ in qs] == cert_primes == [11, 31, 41]
+    assert find_units.pick_independent(gens, qs) == gens

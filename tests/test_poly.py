@@ -87,6 +87,24 @@ def test_int_root_against_power(r, k):
         assert poly.int_root(-n, k) is None
 
 
+def test_int_root_fifth_powers():
+    assert poly.int_root(0, 5) == 0
+    assert poly.int_root(32, 5) == 2
+    assert poly.int_root(-243, 5) == -3
+    assert poly.int_root(33, 5) is None
+    assert poly.int_root(91125, 5) is None
+
+
+def test_int_root_fifth_powers_large():
+    # beyond float precision, and beyond the float range (> 308 digits)
+    for r in (10**16 + 7, 10**20 + 7, 3**500 + 2):
+        n = r**5
+        assert poly.int_root(n, 5) == r
+        assert poly.int_root(-n, 5) == -r
+        assert poly.int_root(n + 1, 5) is None
+        assert poly.int_root(n - 1, 5) is None
+
+
 def test_fraction_root():
     assert poly.fraction_root(Fr(32, 243), 5) == Fr(2, 3)
     assert poly.fraction_root(Fr(-32, 243), 5) == Fr(-2, 3)

@@ -36,7 +36,8 @@ def test_no_unused_imports():
 
 
 def test_no_sympy_resultant():
-    # every resultant goes through gfe25.poly; sympy's is a second copy
+    # every resultant and discriminant goes through gfe25.poly; sympy's are
+    # second copies
     found = []
     for path in sorted(pathlib.Path(gfe25.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(), str(path))
@@ -48,11 +49,30 @@ def test_no_sympy_resultant():
             elif isinstance(node, ast.ImportFrom) and \
                     (node.module or "").split(".")[0] == "sympy":
                 found += [f"{path.name}:{node.lineno}" for a in node.names
-                          if a.name == "resultant"]
+                          if a.name in ("resultant", "discriminant")]
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
-                  if isinstance(node, ast.Attribute) and node.attr == "resultant"
+                  if isinstance(node, ast.Attribute)
+                  and node.attr in ("resultant", "discriminant")
                   and isinstance(node.value, ast.Name) and node.value.id in aliases]
-    assert not found, f"sympy resultants in the package: {found}"
+    assert not found, f"sympy resultants or discriminants in the package: {found}"
+
+
+def test_one_square_and_multiply():
+    # poly.power is the package's one square-and-multiply; a right shift of
+    # an exponent anywhere else is a private copy of it
+    found = []
+    for path in sorted(pathlib.Path(gfe25.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        allowed = set()
+        if path.name == "poly.py":
+            power = next(node for node in tree.body
+                         if isinstance(node, ast.FunctionDef)
+                         and node.name == "power")
+            allowed = {id(node) for node in ast.walk(power)}
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.AugAssign)
+                  and isinstance(node.op, ast.RShift) and id(node) not in allowed]
+    assert not found, f"square-and-multiply loops outside poly.power: {found}"
 
 
 def test_no_sympy_matrix_in_the_order_layer():
