@@ -68,11 +68,11 @@ def valuation_vector(K, splits, e, nvec):
     vec = []
     for p, rs in zip(SMOOTH, splits):
         a = nvec[SMOOTH.index(p)]
-        degs = [len(f) - 1 for f, _ in rs.factors]
+        degs = [fq.f for fq in rs]
         zero = []
-        for j, fq in enumerate(rs.residue_fields):
+        for fq in rs:
             try:
-                zero.append(fq.is_zero(rs.reduce(e, j)))
+                zero.append(not any(fq.reduce(e)))
             except ValueError:
                 return None
         if a == 0:

@@ -2,7 +2,7 @@
 
 Factorization over F_p and Q is delegated to sympy, and so is factorization
 over number fields, which no stage uses: the types over Q(sqrt5) come from
-the factors over Q (see factorization_type).  Elements of the fields
+the factors over Q (see factorization_certificates).  Elements of the fields
 themselves use a small exact power-basis representation (tuples of Fractions
 over Z[theta]) that is cheap enough for the inner descent loops.
 
@@ -372,10 +372,12 @@ def _expr_to_nf(expr, K, gen):
 INERT_PRIME_BOUND = 100
 
 
-def factorization_type(i, field="Q"):
-    """Degree multiset of h_i over Q ("Q") or Q(sqrt5) ("golden"),
-    homogeneous convention (the 12 - deg(h_i(x,1)) roots at infinity count
-    as linear factors).
+def factorization_certificates(i, field="Q"):
+    """(type, certificates): the type is the degree multiset of h_i over Q
+    ("Q") or Q(sqrt5) ("golden"), homogeneous convention (the
+    12 - deg(h_i(x,1)) roots at infinity count as linear factors); the
+    certificates are those of _golden_factorization over "golden" and none
+    over "Q".
 
     Over Q(sqrt5) the type is read off the factors g of h_i(x, 1) over Q,
     without factoring over the number field (_golden_split):
@@ -396,12 +398,6 @@ def factorization_type(i, field="Q"):
       integration", SYMSAC 1976), so the degrees of g are half those of N's
       factors.
     """
-    return factorization_certificates(i, field)[0]
-
-
-def factorization_certificates(i, field="Q"):
-    """(factorization_type(i, field), certificates): over "golden" those of
-    _golden_factorization, over "Q" none."""
     from .bforms import edwards_triple
 
     if field not in ("Q", "golden"):
@@ -433,8 +429,8 @@ def _golden_factorization(coeffs):
 def _golden_split(g):
     """(degrees of the irreducible factors over Q(sqrt5), certificate) of
     the Q-irreducible primitive integer polynomial g, by the three cases of
-    factorization_type: "odd_degree", {"inert_prime": p} for the least
-    inert p below INERT_PRIME_BOUND that certifies irreducibility, or
+    factorization_certificates: "odd_degree", {"inert_prime": p} for the
+    least inert p below INERT_PRIME_BOUND that certifies irreducibility, or
     {"norm_shift": k, "norm_factor_degrees": [...]}."""
     d = len(g) - 1
     if d % 2:
@@ -469,8 +465,8 @@ def _shifted_norm(g, k):
 # residue fields
 
 class Fq:
-    """F_{p^f} = F_p[y]/(g) for monic g, with elements as tuples of ints
-    (ascending)."""
+    """F_{p^f} = F_p[y]/(g) for monic g, with elements as integer rows of f
+    residues mod p (ascending)."""
 
     def __init__(self, p, modpoly):
         self.p = p
@@ -480,33 +476,15 @@ class Fq:
         self.f = len(self.modpoly) - 1
         self.q = p**self.f
 
-    def element(self, coeffs):
-        c = [int(x) % self.p for x in coeffs][:self.f]
-        return tuple(c + [0] * (self.f - len(c)))
-
-    @property
-    def zero(self):
-        return self.element([])
-
-    @property
-    def one(self):
-        return self.element([1])
-
-    def add(self, a, b):
-        return tuple((x + y) % self.p for x, y in zip(a, b))
-
-    def mul(self, a, b):
-        prod = poly.mul_mod(a, b, self.p)
-        return tuple(poly.divmod_mod(prod, self.modpoly, self.p)[1])
-
-    def pow(self, a, e):
-        return tuple(poly.pow_mod(a, e, self.modpoly, self.p))
-
-    def is_zero(self, a):
-        return not any(a)
+    def reduce(self, elem):
+        """The image in F_q, as a row, of an element of a field whose minimal
+        polynomial g divides mod p; ValueError when p divides a denominator."""
+        p = self.p
+        return poly.divmod_mod(elem.coords_mod(p), self.modpoly, p)[1]
 
     def fifth_power_class(self, a):
-        """0..4; 0 iff a is a fifth power in F_q^x.  Trivial when q != 1 mod 5.
+        """0..4; 0 iff the row a is a fifth power in F_q^x.  Trivial when
+        q != 1 mod 5.
 
         The class is the k with a^((q-1)/5) = gen^k, for the element gen of
         order 5 from _mu5_generator.
@@ -561,7 +539,7 @@ class Fq:
     @lru_cache(maxsize=None)
     def _frobenius_matrix(self):
         """M with a^p = a @ M for a row a: row k holds (y^k)^p."""
-        return [self.pow(self.element([0] * k + [1]), self.p)
+        return [poly.pow_mod([0] * k + [1], self.p, self.modpoly, self.p)
                 for k in range(self.f)]
 
     @lru_cache(maxsize=None)
@@ -571,23 +549,23 @@ class Fq:
 
     @lru_cache(maxsize=None)
     def _mu5_powers(self):
-        gen, out = self._mu5_generator(), [self.one]
-        for _ in range(4):
-            out.append(self.mul(out[-1], gen))
-        return out
+        """The rows gen^0, ..., gen^4, which label the classes 0..4."""
+        gen = self._mu5_generator()
+        return [poly.pow_mod(gen, k, self.modpoly, self.p) for k in range(5)]
 
     @lru_cache(maxsize=None)
     def _mu5_generator(self):
-        """The character of the first element of _element_scan that is not a
-        fifth power, among its first 10000; it has exact order 5.  The scan
-        is read in chunks of doubling size, so an early hit builds a short
-        array."""
+        """The character, as a row, of the first element of _element_scan
+        that is not a fifth power, among its first 10000; it has exact order
+        5.  The scan is read in chunks of doubling size, so an early hit
+        builds a short array."""
         scan, size = itertools.islice(_element_scan(self), 10000), 8
         while chunk := list(itertools.islice(scan, size)):
             chi = self._character(self._rows(chunk))
-            hit = (chi != np.array(self.one, dtype=chi.dtype)).any(axis=1)
+            one = np.eye(1, self.f, dtype=chi.dtype)  # the row of 1
+            hit = (chi != one).any(axis=1)
             if hit.any():
-                return self.element(chi[hit.argmax()].tolist())
+                return chi[hit.argmax()].tolist()
             size *= 2
         raise ArithmeticError("no fifth-power-class generator found")
 
@@ -599,54 +577,24 @@ class Fq:
 
 
 def _element_scan(fq):
-    # (1,0,..), (2,0,..), ..., then add the generator y, y+1, ...
-    for a in range(1, fq.p):
-        yield fq.element([a])
-    if fq.f > 1:
-        for a in range(0, fq.p):
-            for b in range(1, fq.p):
-                yield fq.element([a, b])
-        for a in range(0, fq.p):
-            for b in range(0, fq.p):
-                for c in range(1, fq.p):
-                    if fq.f > 2:
-                        yield fq.element([a, b, c])
-
-
-@dataclass(frozen=True)
-class ResidueSplit:
-    field: NumberField
-    p: int
-    factors: list       # [(ascending F_p coeffs of the local factor, e)]
-    residue_fields: list  # Fq per factor
-
-    def reduce(self, elem, j):
-        """Image of an integral NFElement in residue field j."""
-        g = self.factors[j][0]
-        coeffs = poly.divmod_mod(elem.coords_mod(self.p), g, self.p)[1]
-        return self.residue_fields[j].element(coeffs)
+    """The nonzero rows of degree below min(f, 3), padded to f entries: by
+    degree, then lexicographically with the top coefficient fastest."""
+    for d in range(min(fq.f, 3)):
+        for low in itertools.product(range(fq.p), repeat=d):
+            for top in range(1, fq.p):
+                yield [*low, top] + [0] * (fq.f - d - 1)
 
 
 @lru_cache(maxsize=None)
 def residue_split(K, p):
-    """The local factors of K's minimal polynomial mod p and their residue
-    fields; cached, since it depends only on K and p."""
-    lead, facs = factor_fp(K.min_poly, p)
-    factors = []
-    fields = []
-    for f, e in facs:
-        monic = _monic_mod(f, p)
-        factors.append((monic, e))
-        fields.append(Fq(p, monic))
-    if sum((len(f) - 1) * e for f, e in factors) != K.degree:
+    """The residue fields of K at p, one Fq per monic irreducible factor of
+    K's minimal polynomial mod p, in factor_fp's order; cached, since it
+    depends only on K and p."""
+    facs = factor_fp(K.min_poly, p)[1]
+    if sum((len(g) - 1) * e for g, e in facs) != K.degree:
         raise ArithmeticError(f"local factors mod {p} do not multiply up "
                               f"to the degree of {K.label}")
-    return ResidueSplit(K, p, factors, fields)
-
-
-def _monic_mod(f, p):
-    inv = pow(f[-1], -1, p)
-    return [c * inv % p for c in f]
+    return tuple(Fq(p, g) for g, _ in facs)
 
 
 # ---------------------------------------------------------------------------
@@ -706,7 +654,7 @@ def _fifth_root_prime(K, norm):
     for p in sp.primerange(7, FIFTH_ROOT_PRIME_BOUND):
         if disc % p == 0 or norm % p == 0:
             continue
-        orders = [p**(len(g) - 1) - 1 for g, _ in residue_split(K, p).factors]
+        orders = [fq.q - 1 for fq in residue_split(K, p)]
         if all(o % 5 for o in orders):
             return p, math.lcm(*orders)
     raise ArithmeticError(f"no prime below {FIFTH_ROOT_PRIME_BOUND} makes "

@@ -544,7 +544,6 @@ class SexticSplit:
     q: BinaryForm               # monic quadratic u^2 + s uv + t v^2 over K
     H: BinaryForm               # primitive degree-10 form over O_K
     scalar: object              # K-element with h_i = scalar * q * H exactly
-    res_norm: int               # |Norm(Res(q, H))|
     res_support: tuple          # rational primes in the norm
     primes_above_5: int         # how many primes above 5 divide the resultant
     irreducibility_primes: tuple  # degree-1 primes (p, a) certifying q, H
@@ -619,7 +618,7 @@ def _shell(r, n):
 
 
 def _primitive_part(coeffs, rep):
-    """Scale O_K coefficients to a primitive list; returns (coeffs, divisor).
+    """Scale O_K coefficients to a primitive list.
 
     First clears rational denominators and content, then removes the residual
     content ideal by dividing through a norm-certified generator.
@@ -629,11 +628,10 @@ def _primitive_part(coeffs, rep):
     K = coefficient_field(rep)
     order = maximal_order(K)
     out = [c * Fraction(den, num) for c in coeffs]
-    divisor = Fraction(num, den)
     for _ in range(24):
         basis, n_ideal = order.ideal(out)
         if n_ideal == 1:
-            return out, divisor
+            return out
         fac = sp.factorint(n_ideal)
         if len(fac) > 1:
             # peel one rational prime at a time: I + pO has norm a power of p
@@ -643,7 +641,6 @@ def _primitive_part(coeffs, rep):
         out = [c * ginv for c in out]
         if any(order.coords(c) is None for c in out):
             raise ContentNotClearable("content generator does not divide")
-        divisor = g * divisor
     raise ContentNotClearable("content removal did not terminate")
 
 
@@ -669,7 +666,7 @@ def sextic_split(i):
     if lead == 0:
         raise ReconstructionFailed("h has a root at infinity")
     qm, Hm = _quadratic_factor([Fraction(c) / lead for c in h.coeffs], K)
-    Hc, _removed = _primitive_part(Hm, FIELD_REP[i])
+    Hc = _primitive_part(Hm, FIELD_REP[i])
     q_form = BinaryForm(2, tuple(qm))
     H_form = BinaryForm(10, tuple(Hc))
     scalar = Fraction(lead) * H_form.coeff(10).inverse()
@@ -688,11 +685,9 @@ def sextic_split(i):
     if set(support) - {2, 3, 5}:
         raise IdentityFailure(
             f"Res(q_{i}, H_{i}) supported outside 2, 3, 5: {support}")
-    rs5 = residue_split(K, 5)
-    above5 = sum(1 for j in range(len(rs5.residue_fields))
-                 if rs5.residue_fields[j].is_zero(rs5.reduce(res, j)))
-    return SexticSplit(i, K, q_form, H_form, scalar, res_norm, support,
-                       above5, certificate)
+    above5 = sum(1 for fq in residue_split(K, 5) if not any(fq.reduce(res)))
+    return SexticSplit(i, K, q_form, H_form, scalar, support, above5,
+                       certificate)
 
 
 def _axes(roots):
@@ -851,11 +846,11 @@ def _rank_mod5(rows):
 
 
 def _generator_classes(gens, rs):
-    """The fifth-power classes of the generators at the residue fields of
-    rs, as a (len(gens), slots) array; ZeroInput when a generator vanishes
-    at one of them.  A slot with q != 1 mod 5 gives class 0."""
-    return np.array([fq.fifth_power_classes([rs.reduce(g, j) for g in gens])
-                     for j, fq in enumerate(rs.residue_fields)]).T
+    """The fifth-power classes of the generators at the residue fields rs,
+    as a (len(gens), slots) array; ZeroInput when a generator vanishes at
+    one of them.  A slot with q != 1 mod 5 gives class 0."""
+    return np.array([fq.fifth_power_classes([fq.reduce(g) for g in gens])
+                     for fq in rs]).T
 
 
 def verify_unit_data(rep, gens=None, cert_primes=None):
@@ -915,12 +910,14 @@ def _hensel_lift(T, g, p, k):
 
 
 def _local_targets(split, rs, p, depth):
-    """Fifth-power-class vectors of H at the points of P^1(Z_p), refined.
+    """Fifth-power-class vectors of H at the points of P^1(Z_p), refined,
+    for the residue fields rs of K at p.
 
-    Returns a set of per-slot tuples with entries in 0..4 (class of the unit
-    part of H at that slot), or None when the valuation stayed undetermined
-    at the cutoff depth.  Points where some local valuation of H is visibly
-    not divisible by 5 are dropped entirely.
+    Returns the distinct vectors as the rows of an (n, slots) int array:
+    entry j is the class 0..4 of the unit part of H at slot j, or -1 when
+    the valuation there stayed undetermined at the cutoff depth.  Points
+    where some local valuation of H is visibly not divisible by 5 are
+    dropped entirely.
 
     The points of one level are the rows of the integer arrays u, v; level 1
     holds the p + 1 points (t, 1) and (1, 0).  At level L, H(u, v) is
@@ -941,21 +938,20 @@ def _local_targets(split, rs, p, depth):
     T = [int(c) for c in K.min_poly]
     pk = p**depth
     dtype = np.int64 if pk < 2**31 else object
-    fields = rs.residue_fields
-    lifted = [_hensel_lift(T, list(fac), p, depth) for fac, _ in rs.factors]
+    lifted = [_hensel_lift(T, list(fq.modpoly), p, depth) for fq in rs]
     # hred[j][m]: the coordinates of H's coefficient m in Z[x]/(p^depth, G_j)
     hred = [np.array([poly.divmod_mod(c.coords_mod(pk), G, pk)[1]
                       for c in split.H.coeffs], dtype=dtype) for G in lifted]
     u = np.array([*range(p), 1], dtype=dtype)
     v = np.array([1] * p + [0], dtype=dtype)
     affine = v == 1
-    targets = set()
+    targets = []
     for level in range(1, depth + 1):
         pl = p**level
         ppow = np.array([p**w for w in range(level + 1)], dtype=dtype)
         keep = np.ones(len(u), dtype=bool)
-        classes = np.full((len(u), len(fields)), -1)  # -1: undetermined
-        for j, fq in enumerate(fields):
+        classes = np.full((len(u), len(rs)), -1)  # -1: undetermined
+        for j, fq in enumerate(rs):
             coeffs = hred[j] % pl
             acc = np.repeat(coeffs[-1:], len(u), axis=0)
             vpow = np.ones_like(v)
@@ -969,8 +965,7 @@ def _local_targets(split, rs, p, depth):
             unit = acc[known] // ppow[val[known]][:, None] % p
             classes[known, j] = fq.fifth_power_classes(unit)
         done = keep & ((classes >= 0).all(axis=1) | (level == depth))
-        targets.update(tuple(None if c < 0 else c for c in row)
-                       for row in classes[done].tolist())
+        targets.append(classes[done])
         grow = keep & ~done
         if not grow.any():
             break
@@ -978,7 +973,7 @@ def _local_targets(split, rs, p, depth):
         step = np.tile(np.array(range(p), dtype=dtype) * pl, int(grow.sum()))
         u = np.repeat(u[grow], p) + np.where(affine, step, 0)
         v = np.repeat(v[grow], p) + np.where(affine, 0, step)
-    return targets
+    return np.unique(np.vstack(targets), axis=0)
 
 
 #: default sieve primes: the primes p = 1 mod 5 below 700, where every
@@ -1001,10 +996,10 @@ def unit_sieve(i, primes=DEFAULT_SIEVE_PRIMES, use_mod25=True, depth=3):
     """Surviving subset of the 125 unit classes twisting H_i(u, v) = w^5.
 
     At each prime, the class vector of every surviving exponent e is
-    e @ gen_classes mod 5, and e survives when some local target agrees
-    with it at every slot where the target is determined (-1 stands for
-    None).  A slot whose residue field has q != 1 mod 5 gives class 0 to
-    targets and generators alike, so it never separates anything.
+    e @ gen_classes mod 5, and e survives when some row of _local_targets
+    agrees with it at every slot where that row is not -1.  A slot whose
+    residue field has q != 1 mod 5 gives class 0 to targets and generators
+    alike, so it never separates anything.
     """
     rep = FIELD_REP[i]
     K = coefficient_field(rep)
@@ -1015,9 +1010,7 @@ def unit_sieve(i, primes=DEFAULT_SIEVE_PRIMES, use_mod25=True, depth=3):
     for p in primes:
         rs = residue_split(K, p)
         gen_classes = _generator_classes(gens, rs)
-        targets = np.array([[-1 if c is None else c for c in t]
-                            for t in _local_targets(split, rs, p, depth)]
-                           ).reshape(-1, len(rs.residue_fields))
+        targets = _local_targets(split, rs, p, depth)
         classes = survivors @ gen_classes % 5
         match = (targets[None] < 0) | (targets[None] == classes[:, None])
         survivors = survivors[match.all(axis=2).any(axis=1)]

@@ -191,10 +191,10 @@ def sieve_residue_classes(i, p, max_depth=None, strict=True):
     return result
 
 
-def five_adic_classes(i, max_depth=None):
+def five_adic_classes(i):
     """Classes mod 25 compatible with a 5-adically primitive solution of C_i."""
-    depth = DEFAULT_DEPTH[5] if max_depth is None else max_depth
-    _excluded, accepted, undecided, _cover, _exhausted = _sieve(i, 5, depth)
+    _excluded, accepted, undecided, _cover, _exhausted = _sieve(
+        i, 5, DEFAULT_DEPTH[5])
     out = set()
     for c in accepted + undecided:
         step = min(c.modulus, 25)
@@ -238,8 +238,8 @@ def expected_table5():
     return {int(i): {int(p): set(v) for p, v in row.items()} for i, row in raw.items()}
 
 
-def verify_table5(i, p, max_depth=None):
+def verify_table5(i, p):
     """Compare sieve output with the fixture; returns (ok, got, want)."""
-    got = {str(c) for c in sieve_residue_classes(i, p, max_depth).classes}
+    got = {str(c) for c in sieve_residue_classes(i, p).classes}
     want = expected_table5()[i][p]
     return got == want, got, want

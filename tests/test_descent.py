@@ -12,9 +12,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gfe25 import descent as D, poly
-from gfe25.algebra import (NumberField, auxiliary_field, coefficient_field,
-                           factor_fp, maximal_order, nf_fifth_root,
-                           residue_split)
+from gfe25.algebra import (Fq, NumberField, auxiliary_field,
+                           coefficient_field, factor_fp, maximal_order,
+                           nf_fifth_root, residue_split)
 from gfe25.bforms import (ALL_INDICES, BinaryForm, edwards_triple,
                           evaluate_triple)
 from gfe25.search import AffinePoint, InfinitePoint
@@ -431,11 +431,11 @@ def test_unit_data_rejects_other_signatures(monkeypatch):
 
 def _recursive_local_targets(split, rs, p, depth):
     """The point-by-point refinement of P^1(Z_p) that _local_targets replaced,
-    kept as its oracle."""
+    kept as its oracle; a set of per-slot tuples, None where undetermined."""
     T = [int(c) for c in split.field.min_poly]
     pk = p**depth
-    slots = list(range(len(rs.residue_fields)))
-    lifted = [D._hensel_lift(T, list(rs.factors[j][0]), p, depth)
+    slots = list(range(len(rs)))
+    lifted = [D._hensel_lift(T, list(rs[j].modpoly), p, depth)
               for j in slots]
     hred = [[poly.divmod_mod(c.coords_mod(pk), lifted[j], pk)[1]
              for j in slots] for c in split.H.coeffs]
@@ -461,9 +461,8 @@ def _recursive_local_targets(split, rs, p, depth):
             elif val % 5:
                 return None
             else:
-                fq = rs.residue_fields[j]
-                out.append(fq.fifth_power_class(
-                    fq.element([(x // p**val) % p for x in acc])))
+                out.append(rs[j].fifth_power_class(
+                    [(x // p**val) % p for x in acc]))
         return out
 
     targets = set()
@@ -499,8 +498,10 @@ LOCAL_TARGET_CASES = (
 def test_local_targets_match_recursive_reference(i, p, depth):
     split = D.sextic_split(i)
     rs = residue_split(split.field, p)
-    assert D._local_targets(split, rs, p, depth) == \
-        _recursive_local_targets(split, rs, p, depth)
+    got = D._local_targets(split, rs, p, depth)
+    rows = {tuple(None if c < 0 else c for c in row) for row in got.tolist()}
+    assert got.shape == (len(rows), len(rs))
+    assert rows == _recursive_local_targets(split, rs, p, depth)
 
 
 def test_unit_sieve_monotone_and_order_independent():
@@ -519,6 +520,20 @@ def test_unit_sieve_survivors_without_mod25():
         (1, 1, 4), (2, 4, 0), (4, 4, 2)]
     # 13 and 19 (p != 1 mod 5) sieve nothing here, 11 keeps 75 classes
     assert len(D.unit_sieve(16, primes=(13, 19, 11), use_mod25=False)) == 75
+
+
+def test_unit_sieve_does_not_depend_on_class_labels(monkeypatch):
+    # the labels 0..4 come from the choice of generator of mu_5; another
+    # choice relabels every class k as c*k mod 5 for a unit c, which leaves
+    # the sieve's linear matching, and so its survivors, as they are
+    want = {i: (D.unit_sieve(i, use_mod25=False), D.unit_sieve(i))
+            for i in (8, 16, 22, 24)}
+    classes = Fq.fifth_power_classes
+    monkeypatch.setattr(Fq, "fifth_power_classes",
+                        lambda fq, rows: 2 * classes(fq, rows) % 5)
+    for i, survivors in want.items():
+        assert (D.unit_sieve(i, use_mod25=False), D.unit_sieve(i)) == \
+            survivors, i
 
 
 def test_unit_sieve_rejects_bad_prime():
