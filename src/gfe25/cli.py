@@ -68,13 +68,8 @@ MUMFORD_DIVISORS = {
     ],
 }
 
-# witness pairs (u, v) realizing the surviving unit class of each sextic index
-SIEVE_WITNESSES = {22: (1, 0), 6: (0, 1), 23: (0, 1), 24: (1, 0),
-                   5: (0, 1), 13: (0, 1), 14: (1, -1), 16: (0, 1)}
-SIEVE_EMPTY = (8, 9, 15, 21)
-
 # the five residual equations of the summary table, with the (u, v) each
-# would force; representatives are tied to the sieve witnesses above
+# would force; representatives are tied to descent.SIEVE_WITNESSES
 RESIDUAL_INDICES = (22, 6, 24, 5, 16)
 SQRT5_INDICES = (2, 10, 26)  # h splits into two sextics over Q(sqrt5)
 # h irreducible over Q(sqrt5) and no sextic split; no (u, v) survives at 2
@@ -475,7 +470,7 @@ def _stage_sextic(cfg):
                          f"for i={i}, got {s.primes_above_5}")
         survivors = descent.unit_sieve(i)
         arts["survivors"][i] = [list(e) for e in survivors]
-        if i in SIEVE_EMPTY:
+        if i in descent.SIEVE_EMPTY:
             if survivors:
                 fails.append(f"unit sieve should be empty for i={i}, "
                              f"got {survivors}")
@@ -484,7 +479,7 @@ def _stage_sextic(cfg):
             fails.append(f"unit sieve should leave one class for i={i}, "
                          f"got {survivors}")
             continue
-        u, v = SIEVE_WITNESSES[i]
+        u, v = descent.SIEVE_WITNESSES[i]
         eta = descent.class_unit(descent.FIELD_REP[i], survivors[0])
         val = s.H.evaluate(s.field.from_int(u),
                            s.field.from_int(v)) * eta.inverse()
@@ -500,7 +495,7 @@ def _stage_sextic(cfg):
         if not sc.all_hypotheses_hold:
             fails.append(f"irreducibility hypotheses fail somewhere mod 72 "
                          f"for i={i}")
-    catalan = _solutions(5, [SIEVE_WITNESSES[5]])
+    catalan = _solutions(5, [descent.SIEVE_WITNESSES[5]])
     arts["catalan"] = sorted(catalan)
     if catalan != {(3, -2, 1), (-3, -2, 1)}:
         fails.append(f"Catalan witness gave {sorted(catalan)}")
@@ -551,7 +546,7 @@ def _stage_solutions(cfg, genus2, gauss, sqrt5):
                 for indices, report in (
                     (descent.RATIONAL_SPLIT_INDICES, genus2),
                     (descent.GAUSS_INDICES, gauss), (SQRT5_INDICES, sqrt5))]
-    families.append(((5,), _solutions(5, [SIEVE_WITNESSES[5]])))
+    families.append(((5,), _solutions(5, [descent.SIEVE_WITNESSES[5]])))
     sols = set().union(*(found for _, found in families))
     for x, y, z in sorted(sols):
         if x * x + y**3 != z**25 or math.gcd(x, y, z) != 1:
@@ -564,7 +559,8 @@ def _stage_solutions(cfg, genus2, gauss, sqrt5):
         fails.append(f"solution column: got {got_sols}, expected {want_sols}")
     condition = {}
     for i in RESIDUAL_INDICES:
-        rep = "(+-1, 0)" if SIEVE_WITNESSES[i][1] == 0 else "(0, +-1)"
+        rep = ("(+-1, 0)" if descent.SIEVE_WITNESSES[i][1] == 0
+               else "(0, +-1)")
         condition[i] = f"H_{i}(u, v) = w^5 => (u, v) = {rep}"
     arts["conditions"] = conditions = list(condition.values())
     if conditions != expected["conditions"]:
@@ -936,7 +932,7 @@ def _build_parser():
     p.add_argument("--i", type=int, required=True,
                    choices=descent.SEXTIC_INDICES)
     p.add_argument("--primes", type=_int_list,
-                   help="comma-separated sieve primes "
+                   help="comma-separated primes the sieve may walk "
                         "(default: all p = 1 mod 5 below 700)")
     p.add_argument("--depth", type=_positive_int, default=3)
     p.add_argument("--mod25", action=argparse.BooleanOptionalAction,

@@ -75,6 +75,12 @@ SEXTIC_INDICES = (5, 6, 8, 9, 13, 14, 15, 16, 21, 22, 23, 24)
 FIELD_REP = {5: 5, 9: 5, 13: 5, 6: 6, 23: 6, 8: 16, 14: 16, 16: 16,
              22: 22, 15: 24, 21: 24, 24: 24}
 
+# witness pairs (u, v) realizing the surviving unit class of each sextic
+# index, and the sextic indices where no unit class survives
+SIEVE_WITNESSES = {22: (1, 0), 6: (0, 1), 23: (0, 1), 24: (1, 0),
+                   5: (0, 1), 13: (0, 1), 14: (1, -1), 16: (0, 1)}
+SIEVE_EMPTY = (8, 9, 15, 21)
+
 ROOT_PAIRS = {
     1: (BinaryForm(1, (0, 1)), BinaryForm(1, (1, 0))),      # u, v
     20: (BinaryForm(1, (0, 1)), BinaryForm(1, (1, 0))),     # u, v
@@ -973,7 +979,8 @@ def _local_targets(split, rs, p, depth):
         step = np.tile(np.array(range(p), dtype=dtype) * pl, int(grow.sum()))
         u = np.repeat(u[grow], p) + np.where(affine, step, 0)
         v = np.repeat(v[grow], p) + np.where(affine, 0, step)
-    return np.unique(np.vstack(targets), axis=0)
+    rows = sorted(set(map(tuple, np.vstack(targets).tolist())))
+    return np.array(rows, dtype=int).reshape(-1, len(rs))
 
 
 #: default sieve primes: the primes p = 1 mod 5 below 700, where every
@@ -995,11 +1002,27 @@ def check_sieve_primes(primes, rep):
 def unit_sieve(i, primes=DEFAULT_SIEVE_PRIMES, use_mod25=True, depth=3):
     """Surviving subset of the 125 unit classes twisting H_i(u, v) = w^5.
 
-    At each prime, the class vector of every surviving exponent e is
+    The mod-25 pass runs first, on all 125 classes (_mod25_classes).  Then
+    at each prime, the class vector of every surviving exponent e is
     e @ gen_classes mod 5, and e survives when some row of _local_targets
     agrees with it at every slot where that row is not -1.  A slot whose
     residue field has q != 1 mod 5 gives class 0 to targets and generators
     alike, so it never separates anything.
+
+    The primes are walked only while the survivors outnumber the classes of
+    known global points: known = 1 for an index of SIEVE_WITNESSES, 0 for
+    the others.  The stop is tested before each prime, so a prime past it
+    builds no residue fields and no targets.  The stop is sound:
+
+    * every pass is a predicate on the class e alone, so the order of the
+      passes cannot change the result, and every prefix of the walk returns
+      a superset of the classes of global points;
+    * with known = 0 the stop is exact, since an empty set stays empty;
+    * with known = 1 the sextic stage then proves with nf_fifth_root that
+      the witness SIEVE_WITNESSES[i] lies in the one survivor.  No later
+      prime can remove the class of a global point, so the full walk would
+      return the same class, and the early stop cannot turn a mismatch into
+      a pass.  `gfe unitsieve` goes through this same code.
     """
     rep = FIELD_REP[i]
     K = coefficient_field(rep)
@@ -1007,37 +1030,56 @@ def unit_sieve(i, primes=DEFAULT_SIEVE_PRIMES, use_mod25=True, depth=3):
     split = sextic_split(i)
     gens = verify_unit_data(rep)
     survivors = np.array(list(itertools.product(range(5), repeat=3)))
+    if use_mod25:
+        survivors = survivors[_mod25_classes(split, gens, rep)]
+    known = 1 if i in SIEVE_WITNESSES else 0
     for p in primes:
+        if len(survivors) <= known:
+            break
         rs = residue_split(K, p)
         gen_classes = _generator_classes(gens, rs)
         targets = _local_targets(split, rs, p, depth)
         classes = survivors @ gen_classes % 5
         match = (targets[None] < 0) | (targets[None] == classes[:, None])
         survivors = survivors[match.all(axis=2).any(axis=1)]
-    if use_mod25:
-        T = [int(c) for c in K.min_poly]
-        if maximal_order(K).denom % 5 == 0:
-            raise IndexRisk("5 divides the order index; "
-                            "mod-25 pass unavailable")
-
-        fifths = _fifth_powers_mod25(rep)
-        pairs = [(u, 1) for u in range(25)] + [(1, 5 * t) for t in range(5)]
-        # H(u, v) mod 25 is linear in the coordinates of H's coefficients,
-        # whose denominators divide the order index and so are prime to 5;
-        # its coordinate k is the integer form of the coordinates k of H's
-        forms = [BinaryForm(10, col) for col in
-                 zip(*(c.coords_mod(25) for c in split.H.coeffs))]
-        hvals = np.array([[f.evaluate(u, v) % 25 for f in forms]
-                          for u, v in pairs])
-        kept = []
-        for e in survivors.tolist():
-            eta = gens[0] ** e[0] * gens[1] ** e[1] * gens[2] ** e[2]
-            inv25 = np.array([eta.inverse().coords_mod(25)] * len(hvals))
-            twisted = poly.mul_rows_mod(hvals, inv25, T, 25)
-            if any(tuple(w) in fifths for w in twisted.tolist()):
-                kept.append(e)
-        survivors = np.array(kept).reshape(-1, 3)
     return sorted(map(tuple, survivors.tolist()))
+
+
+def _mod25_classes(split, gens, rep):
+    """Boolean mask over the 125 exponents e, in itertools.product order:
+    whether H(u, v) / eta_e is a fifth power mod 25 at one of the 30 points
+    (u, 1), u mod 25, and (1, 5t), t mod 5, of P^1(Z/25), for
+    eta_e = gens[0]^e0 gens[1]^e1 gens[2]^e2.
+
+    Reduction mod 25 is a ring map on the coordinates, whose denominators
+    divide the order index and so are prime to 5.  The 125 rows of
+    eta_e^-1 mod 25 are products of the powers 0..4 of the three reduced
+    inverses, and all 125 x 30 twists are one poly.mul_rows_mod call."""
+    K = split.field
+    if maximal_order(K).denom % 5 == 0:
+        raise IndexRisk("5 divides the order index; mod-25 pass unavailable")
+    T = [int(c) for c in K.min_poly]
+    pairs = [(u, 1) for u in range(25)] + [(1, 5 * t) for t in range(5)]
+    # H(u, v) mod 25 is linear in the coordinates of H's coefficients; its
+    # coordinate k is the integer form of the coordinates k of H's
+    forms = [BinaryForm(10, col) for col in
+             zip(*(c.coords_mod(25) for c in split.H.coeffs))]
+    hvals = np.array([[f.evaluate(u, v) % 25 for f in forms]
+                      for u, v in pairs])
+    inv = np.array([K.one.coords_mod(25)])
+    for g in gens:
+        r = g.inverse().coords_mod(25)
+        powers = [inv]
+        for _ in range(4):
+            powers.append(poly.mul_rows_mod(powers[-1], [r] * len(inv), T,
+                                            25))
+        # row 5a + k is row a of the rows before g, times r^k
+        inv = np.stack(powers, axis=1).reshape(-1, len(T) - 1)
+    twisted = poly.mul_rows_mod(np.repeat(inv, len(hvals), axis=0),
+                                np.tile(hvals, (len(inv), 1)), T, 25)
+    fifths = _fifth_powers_mod25(rep)
+    hit = np.array([tuple(w) in fifths for w in twisted.tolist()])
+    return hit.reshape(len(inv), len(hvals)).any(axis=1)
 
 
 @lru_cache(maxsize=None)

@@ -4,19 +4,24 @@ quadratic, and the sextic splitting with its unit sieve."""
 import hashlib
 import itertools
 import json
+import os
+import pathlib
 import random
+import subprocess
+import sys
 from fractions import Fraction as Fr
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import gfe25
 from gfe25 import descent as D, poly
 from gfe25.algebra import (Fq, NumberField, auxiliary_field,
                            coefficient_field, factor_fp, maximal_order,
                            nf_fifth_root, residue_split)
 from gfe25.bforms import (ALL_INDICES, BinaryForm, edwards_triple,
-                          evaluate_triple)
+                          evaluate_triple, transform)
 from gfe25.search import AffinePoint, InfinitePoint
 
 
@@ -504,6 +509,23 @@ def test_local_targets_match_recursive_reference(i, p, depth):
     assert rows == _recursive_local_targets(split, rs, p, depth)
 
 
+def test_local_targets_leave_numpy_ma_unloaded():
+    # np.unique(..., axis=0) imports numpy.ma on its first call, a cold cost
+    # that nothing else on the sextic path pays; a fresh interpreter, since
+    # pytest's own process may have loaded numpy.ma already
+    code = ("import sys, gfe25.cli\n"
+            "from gfe25 import descent as D\n"
+            "from gfe25.algebra import residue_split\n"
+            "s = D.sextic_split(22)\n"
+            "D._local_targets(s, residue_split(s.field, 11), 11, 2)\n"
+            "print('numpy.ma' in sys.modules)\n")
+    src = pathlib.Path(gfe25.__file__).parent.parent
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=300)
+    assert out.stdout.strip() == "False"
+
+
 def test_unit_sieve_monotone_and_order_independent():
     small = D.unit_sieve(22, primes=(11, 31), use_mod25=False)
     bigger = D.unit_sieve(22, primes=(11, 31, 41, 61), use_mod25=False)
@@ -534,6 +556,75 @@ def test_unit_sieve_does_not_depend_on_class_labels(monkeypatch):
     for i, survivors in want.items():
         assert (D.unit_sieve(i, use_mod25=False), D.unit_sieve(i)) == \
             survivors, i
+
+
+def test_unit_sieve_stop_matches_full_walk(monkeypatch):
+    # without witnesses every index has known = 0, so the walk stops only
+    # on an empty set, which no further prime changes: the full walk
+    stopped = {i: D.unit_sieve(i) for i in D.SEXTIC_INDICES}
+    monkeypatch.setattr(D, "SIEVE_WITNESSES", {})
+    assert stopped == {i: D.unit_sieve(i) for i in D.SEXTIC_INDICES}
+
+
+def test_unit_sieve_walks_primes_until_known_classes(monkeypatch):
+    # after the mod-25 pass, a prime is walked (and its targets built) only
+    # while the survivors outnumber the known classes, explicit primes too
+    walked = []
+    targets = D._local_targets
+    monkeypatch.setattr(D, "_local_targets", lambda split, rs, p, depth:
+                        walked.append(p) or targets(split, rs, p, depth))
+
+    def count(i, **kw):
+        walked.clear()
+        D.unit_sieve(i, **kw)
+        return len(walked)
+
+    assert {i: count(i) for i in D.SEXTIC_INDICES} == {
+        6: 0, 22: 0, 23: 0, 5: 1, 13: 1, 14: 1, 16: 1, 9: 2, 8: 6,
+        15: 13, 21: 13, 24: 13}
+    assert count(22, primes=(61, 41, 31, 11)) == 0
+    assert count(22, primes=(61, 41, 31, 11), use_mod25=False) == 4
+
+
+def _mod25_reference(i):
+    """The per-class pass that _mod25_classes replaced, kept as its oracle:
+    for each exponent e, the inverse of the power product eta_e reduced mod
+    25 twists H(u, v), evaluated in K, at the 30 points of P^1(Z/25)."""
+    rep = D.FIELD_REP[i]
+    split = D.sextic_split(i)
+    K = split.field
+    T = [int(c) for c in K.min_poly]
+    gens = D.verify_unit_data(rep)
+    fifths = D._fifth_powers_mod25(rep)
+    pairs = [(u, 1) for u in range(25)] + [(1, 5 * t) for t in range(5)]
+    hvals = [split.H.evaluate(K.from_int(u), K.from_int(v)).coords_mod(25)
+             for u, v in pairs]
+    kept = []
+    for e in itertools.product(range(5), repeat=3):
+        eta = gens[0] ** e[0] * gens[1] ** e[1] * gens[2] ** e[2]
+        inv = eta.inverse().coords_mod(25)
+        kept.append(any(
+            tuple(poly.divmod_mod(poly.mul_mod(h, inv, 25), T, 25)[1])
+            in fifths for h in hvals))
+    return kept
+
+
+@pytest.mark.parametrize("i", (5, 6, 16, 22, 24))  # one index per field
+def test_mod25_pass_matches_reference(i):
+    rep = D.FIELD_REP[i]
+    got = D._mod25_classes(D.sextic_split(i), D.verify_unit_data(rep), rep)
+    assert got.tolist() == _mod25_reference(i)
+
+
+@pytest.mark.parametrize("a,b,M", [(5, 13, ((1, 0), (-1, -2))),
+                                   (6, 23, ((1, 0), (0, 2))),
+                                   (14, 16, ((1, 1), (1, -1))),
+                                   (15, 21, ((1, 1), (1, -1)))])
+def test_index_two_substitutions(a, b, M):
+    # h_a(M(u, v)) = 64 h_b(u, v) with det M = +-2, so the two indices split
+    # over one field
+    assert transform(edwards_triple(a).h, M) == edwards_triple(b).h.scale(64)
+    assert D.FIELD_REP[a] == D.FIELD_REP[b]
 
 
 def test_unit_sieve_rejects_bad_prime():
