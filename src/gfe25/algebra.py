@@ -2,9 +2,9 @@
 
 Factorization over F_p and Q is delegated to sympy, and so is factorization
 over number fields, which no stage uses: the types over Q(sqrt5) come from
-the factors over Q (see factorization_certificates).  Elements of the fields
-themselves use a small exact power-basis representation (tuples of Fractions
-over Z[theta]) that is cheap enough for the inner descent loops.
+the factors over Q (see factorization_certificates).  A field element is
+held in one form, integer power-basis numerators over one positive
+denominator (NFElement), and so are the integral basis and its inverse.
 
 Polynomials at this module's boundaries are ascending coefficient lists.
 """
@@ -51,9 +51,17 @@ class NumberField:
         return hash(self.min_poly)
 
     # -- elements ----------------------------------------------------------
-    def element(self, coords):
-        coords = list(coords) + [0] * (self.degree - len(list(coords)))
-        return NFElement(self, tuple(Fraction(c) for c in coords[:self.degree]))
+    def element(self, coords, den=1):
+        """The NFElement (sum_k coords[k] theta^k) / den, for at most degree
+        coordinates (ints or Fractions) and a nonzero int den."""
+        coords = [c if isinstance(c, int) else Fraction(c) for c in coords]
+        if len(coords) > self.degree:
+            raise ValueError(f"{len(coords)} coordinates for {self.label}")
+        d = math.lcm(*(c.denominator for c in coords))
+        num, den = [c.numerator * d // c.denominator for c in coords], d * den
+        g = math.gcd(den, *num) * (1 if den > 0 else -1)
+        return NFElement(self, tuple(a // g for a in num)
+                         + (0,) * (self.degree - len(num)), den // g)
 
     @property
     def zero(self):
@@ -99,21 +107,29 @@ class NumberField:
 
 @dataclass(frozen=True)
 class NFElement:
+    """(sum_k num[k] theta^k) / den in canonical form: den >= 1 and
+    gcd(num..., den) = 1, so zero has den 1 and equal elements have equal
+    num and den (Cohen, GTM 138, 4.2.1).  NumberField.element builds them."""
     field: NumberField
-    coords: tuple  # Fractions, length = field degree, ascending powers of theta
+    num: tuple  # degree ints, ascending powers of theta
+    den: int
+
+    @property
+    def coords(self):
+        """The power-basis coordinates, as Fractions."""
+        return tuple(Fraction(a, self.den) for a in self.num)
 
     # -- ring ops ----------------------------------------------------------
-    def _wrap(self, coords):
-        return NFElement(self.field, tuple(coords))
-
     def __add__(self, other):
         other = self._coerce(other)
-        return self._wrap(a + b for a, b in zip(self.coords, other.coords))
+        return self.field.element(
+            [a * other.den + b * self.den for a, b in zip(self.num, other.num)],
+            self.den * other.den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return self._wrap(-a for a in self.coords)
+        return NFElement(self.field, tuple(-a for a in self.num), self.den)
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -129,20 +145,22 @@ class NFElement:
         return self.field.element([other])
 
     def __mul__(self, other):
+        # the integer schoolbook product, reduced by the monic min_poly
         other = self._coerce(other)
-        prod = poly.mul(self.coords, other.coords)
-        return self.field.element(poly.divmod(prod, self.field.min_poly)[1])
+        prod = poly.mul(self.num, other.num)
+        return self.field.element(poly.divmod(prod, self.field.min_poly)[1],
+                                  self.den * other.den)
 
     __rmul__ = __mul__
 
     def inverse(self):
         if not self:
             raise ZeroDivisionError("zero element")
-        g, _s, t = poly.gcdext(self.field.min_poly, self.coords)
+        g, _s, t = poly.gcdext(self.field.min_poly, self.num)
         if len(g) != 1:
             raise ZeroDivisionError("element not invertible (reducible modulus?)")
-        # deg t < deg min_poly, so t is already reduced
-        return self.field.element(t)
+        # t = 1 / num, already reduced as deg t < deg min_poly
+        return self.field.element([self.den * c for c in t])
 
     def __truediv__(self, other):
         return self * self._coerce(other).inverse()
@@ -157,47 +175,46 @@ class NFElement:
 
     # -- predicates --------------------------------------------------------
     def __bool__(self):
-        return any(self.coords)
+        return any(self.num)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             other = self.field.element([other])
         return isinstance(other, NFElement) and self.field == other.field \
-            and self.coords == other.coords
+            and self.num == other.num and self.den == other.den
 
     def __hash__(self):
-        return hash((self.field, self.coords))
+        return hash((self.field, self.num, self.den))
 
     @property
     def is_integral(self):
         """Lies in Z[theta] (all power-basis coordinates integers)."""
-        return all(c.denominator == 1 for c in self.coords)
+        return self.den == 1
 
     def is_rational(self):
-        return not any(self.coords[1:])
+        return not any(self.num[1:])
 
     def as_rational(self):
         if not self.is_rational():
             raise ValueError("not rational")
-        return self.coords[0]
+        return Fraction(self.num[0], self.den)
 
     # -- invariants --------------------------------------------------------
     def norm(self):
-        """Field norm down to Q (resultant of min_poly and the element)."""
-        return Fraction(poly.resultant(self.field.min_poly, self.coords))
+        """Field norm down to Q: Res(min_poly, num) / den^degree."""
+        return Fraction(poly.resultant(self.field.min_poly, self.num),
+                        self.den ** self.field.degree)
 
     def coords_mod(self, m):
-        """The coordinates reduced into [0, m); ValueError when a denominator
-        is not invertible mod m."""
-        return [c.numerator * pow(c.denominator, -1, m) % m
-                for c in self.coords]
+        """The coordinates reduced into [0, m); ValueError when the
+        denominator is not invertible mod m."""
+        inv = pow(self.den, -1, m)
+        return [a * inv % m for a in self.num]
 
     def __repr__(self):
-        terms = []
-        for i, c in enumerate(self.coords):
-            if c:
-                terms.append(f"{c}" if i == 0 else (f"{c}*t^{i}" if i > 1 else f"{c}*t"))
-        return " + ".join(terms) if terms else "0"
+        return " + ".join(f"{c}" if i == 0 else f"{c}*t^{i}" if i > 1
+                          else f"{c}*t"
+                          for i, c in enumerate(self.coords) if c) or "0"
 
 
 # ---------------------------------------------------------------------------
@@ -238,22 +255,21 @@ class MaximalOrder:
     field: NumberField
     matrix: tuple       # n rows of n ints
     denom: int
-    inverse: tuple      # rows of Fractions: (matrix / denom)^-1
+    inverse: tuple      # n rows of n ints: (matrix / denom)^-1 * inverse_denom
+    inverse_denom: int
 
     def coords(self, elem):
         """Integer coordinates of elem in the integral basis, or None when
         elem is not in O_K."""
-        out = [sum(a * x for a, x in zip(row, elem.coords))
-               for row in self.inverse]
-        if any(c.denominator != 1 for c in out):
-            return None
-        return [int(c) for c in out]
+        d = self.inverse_denom * elem.den
+        out = [sum(a * x for a, x in zip(row, elem.num)) for row in self.inverse]
+        return None if any(c % d for c in out) else [c // d for c in out]
 
     def element(self, coords):
         """The NFElement with the given integral-basis coordinates."""
         return self.field.element(
-            [Fraction(sum(a * int(c) for a, c in zip(row, coords)), self.denom)
-             for row in self.matrix])
+            [sum(a * int(c) for a, c in zip(row, coords)) for row in self.matrix],
+            self.denom)
 
     @lru_cache(maxsize=None)
     def mult_tab(self):
@@ -298,12 +314,21 @@ def maximal_order(K):
     ZK, _ = round_two(K.sympy_poly)
     matrix = [[int(x) for x in row] for row in ZK.matrix.to_list()]
     g = math.gcd(int(ZK.denom), *itertools.chain(*matrix))
-    inverse = ZK.QQ_matrix.inv().to_list()
+    # (matrix / denom)^-1 = denom * matrix^-1
     return MaximalOrder(
         K, tuple(tuple(x // g for x in row) for row in matrix),
-        int(ZK.denom) // g,
-        tuple(tuple(Fraction(int(x.numerator), int(x.denominator)) for x in row)
-              for row in inverse))
+        int(ZK.denom) // g, *_integer_inverse(matrix, int(ZK.denom)))
+
+
+def _integer_inverse(rows, scale=1):
+    """(A, d) with A / d = scale * rows^-1 for an invertible integer matrix:
+    A an integer matrix and d >= 1 with no common factor."""
+    from sympy.polys.matrices import DomainMatrix
+
+    inv, d = DomainMatrix.from_list(rows, sp.ZZ).inv_den()
+    A = [[int(x) * scale for x in row] for row in inv.to_list()]
+    g = math.gcd(int(d), *itertools.chain(*A)) * (1 if d > 0 else -1)
+    return tuple(tuple(x // g for x in row) for row in A), int(d) // g
 
 
 # ---------------------------------------------------------------------------
@@ -335,9 +360,8 @@ def factor_q(coeffs):
 
 
 def _anp_to_nf(anp, K):
-    desc = anp.to_list()
-    coords = [Fraction(int(c.numerator), int(c.denominator)) for c in reversed(desc)]
-    return K.element(coords)
+    return K.element([Fraction(int(c.numerator), int(c.denominator))
+                      for c in reversed(anp.to_list())])
 
 
 def factor_nf(coeffs, K):
@@ -361,12 +385,10 @@ def factor_nf(coeffs, K):
 
 
 def _expr_to_nf(expr, K, gen):
-    poly = sp.Poly(sp.expand(expr), gen) if expr.has(gen) else None
-    if poly is None:
-        q = sp.Rational(expr)
-        return K.element([Fraction(int(q.p), int(q.q))])
-    coords = [sp.Rational(c) for c in reversed(poly.all_coeffs())]
-    return K.element([Fraction(int(c.p), int(c.q)) for c in coords])
+    coeffs = sp.Poly(sp.expand(expr), gen).all_coeffs() if expr.has(gen) \
+        else [expr]
+    return K.element([Fraction(int(q.p), int(q.q))
+                      for q in map(sp.Rational, reversed(coeffs))])
 
 
 INERT_PRIME_BOUND = 100
@@ -622,8 +644,8 @@ def nf_fifth_root(x):
     norm = x.norm()
     if poly.fraction_root(norm, 5) is None:
         return None
-    s = maximal_order(K).denom * math.lcm(*(c.denominator for c in x.coords))
-    B = [int(c * s**5) for c in x.coords]
+    s = maximal_order(K).denom * x.den
+    B = [a * (s**5 // x.den) for a in x.num]
     T = K.min_poly
     p, L = _fifth_root_prime(K, norm * s**(5 * K.degree))
     bound = 2 * _fifth_root_bound(K, B)
@@ -632,7 +654,7 @@ def nf_fifth_root(x):
     c = poly.pow_mod([5 * a for a in poly.pow_mod(W, 4, T, p)], L - 1, T, p)
     q = p
     while True:
-        cand = K.element([Fraction(w - q if 2 * w > q else w, s) for w in W])
+        cand = K.element([w - q if 2 * w > q else w for w in W], s)
         if cand**5 == x:
             return cand
         if q > bound:
@@ -673,20 +695,16 @@ def _fifth_root_bound(K, B):
     R = 1 + max(abs(c) for c in K.min_poly[:-1])
     S = sum(abs(b) * R**k for k, b in enumerate(B))
     top = K.degree * 2**(-(-S.bit_length() // 5))
-    return math.ceil(max(sum(abs(m) * top * R**j for j, m in enumerate(row))
-                         for row in _trace_form_inverse(K)))
+    A, d = _trace_form_inverse(K)
+    return -(-max(sum(abs(m) * top * R**j for j, m in enumerate(row))
+                  for row in A) // d)
 
 
 @lru_cache(maxsize=None)
 def _trace_form_inverse(K):
-    """Rows of M^-1, as Fractions, for the trace form M_jk = Tr(theta^(j+k))."""
-    from sympy.polys.matrices import DomainMatrix
-
+    """(A, d) with A / d = M^-1 for the trace form M_jk = Tr(theta^(j+k))."""
     n, sums = K.degree, _power_sums(K.min_poly, 2 * K.degree - 1)
-    M = DomainMatrix([[sp.QQ(sums[j + k]) for k in range(n)] for j in range(n)],
-                     (n, n), sp.QQ)
-    return tuple(tuple(Fraction(int(a.numerator), int(a.denominator))
-                       for a in row) for row in M.inv().to_list())
+    return _integer_inverse([[sums[j + k] for k in range(n)] for j in range(n)])
 
 
 def _power_sums(T, count):

@@ -92,11 +92,7 @@ class BinaryForm:
         )
 
     def __sub__(self, other: "BinaryForm") -> "BinaryForm":
-        if self.degree != other.degree:
-            raise ValueError("degree mismatch")
-        return BinaryForm(
-            self.degree, tuple(a - b for a, b in zip(self.coeffs, other.coeffs))
-        )
+        return self + (-other)
 
     def __neg__(self) -> "BinaryForm":
         return BinaryForm(self.degree, tuple(-c for c in self.coeffs))
@@ -170,13 +166,10 @@ def derived_forms(h: BinaryForm) -> tuple[BinaryForm, BinaryForm]:
 
 
 def _exact_div(F: BinaryForm, n: int) -> BinaryForm:
-    out = []
     for c in F.coeffs:
-        q = Fraction(c, n)
-        if q.denominator != 1:
+        if c % n:
             raise NonIntegralResult(f"coefficient {c} not divisible by {n}")
-        out.append(int(q))
-    return BinaryForm(F.degree, tuple(out))
+    return BinaryForm(F.degree, tuple(c // n for c in F.coeffs))
 
 
 def transform(F: BinaryForm, M) -> BinaryForm:

@@ -28,8 +28,7 @@ from fractions import Fraction
 import sympy as sp
 
 from . import algebra, bforms, descent, frey, padic, poly
-from .bforms import (ALL_INDICES, BinaryForm, Solution, assemble_solution,
-                     edwards_triple)
+from .bforms import ALL_INDICES, Solution, assemble_solution, edwards_triple
 from .search import (
     AffinePoint,
     HyperellipticModel,
@@ -108,10 +107,6 @@ def _jsonable(x):
     if isinstance(x, (list, tuple, set, frozenset)):
         seq = [_jsonable(v) for v in x]
         return sorted(seq, key=str) if isinstance(x, (set, frozenset)) else seq
-    if isinstance(x, Fraction):
-        return str(x)
-    if isinstance(x, (AffinePoint, InfinitePoint, BinaryForm)):
-        return str(x)
     if isinstance(x, bool) or x is None or isinstance(x, (int, str, float)):
         return x
     return str(x)
@@ -375,8 +370,7 @@ def _sqrt5_resultants():
     quadratic forms, computed over Q(sqrt5): Res_x(1 - lam x^k - 5 x^2k,
     1 - lam' x^k - 5 x^2k) for k = 3 and 1, lam = (55 + 27 sqrt5)/2."""
     K = algebra.auxiliary_field("sqrt5")
-    lam = K.element([Fraction(55, 2), Fraction(27, 2)])
-    lamc = K.element([Fraction(55, 2), Fraction(-27, 2)])
+    lam, lamc = K.element([55, 27], 2), K.element([55, -27], 2)
 
     def res(k):
         pad = [K.zero] * (k - 1)
@@ -481,8 +475,7 @@ def _stage_sextic(cfg):
             continue
         u, v = descent.SIEVE_WITNESSES[i]
         eta = descent.class_unit(descent.FIELD_REP[i], survivors[0])
-        val = s.H.evaluate(s.field.from_int(u),
-                           s.field.from_int(v)) * eta.inverse()
+        val = s.H.evaluate(u, v) * eta.inverse()
         root = algebra.nf_fifth_root(val)
         ok = root is not None and root**5 == val
         arts["witnesses"][i] = {"uv": [u, v], "fifth_root": ok}
@@ -986,7 +979,8 @@ def main(argv=None):
         os.environ["GFE_DATA_DIR"] = args.data
     try:
         return args.func(args)
-    except (DataProblem, FileNotFoundError, json.JSONDecodeError) as e:
+    except (DataProblem, descent.BadUnitData, FileNotFoundError,
+            json.JSONDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -195,15 +195,10 @@ def alpha_candidates(i, split=None):
     fifth_powers25 = padic.FIFTH_POWER_UNITS_MOD25 | {0}
     out = set()
     for exps in itertools.product(range(5), repeat=len(support)):
-        cand = 1
-        for p, e in zip(support, exps):
-            cand *= p**e
-        ok = True
-        for p, e in zip(support, exps):
-            if p in allowed and e % 5 not in allowed[p]:
-                ok = False
-        if not ok:
+        if any(p in allowed and e % 5 not in allowed[p]
+               for p, e in zip(support, exps)):
             continue
+        cand = math.prod(p**e for p, e in zip(support, exps))
         inv = pow(cand, -1, 25)
         if not any(G.evaluate(u, v) * inv % 25 in fifth_powers25
                    for (u, v) in pairs25):
@@ -456,8 +451,7 @@ def _check_sqrt5_identities(data):
             raise IdentityFailure(f"unit-twisted fifth power mismatch, j={data.j}")
     # F factors through conjugate linear combinations over Q(sqrt(-5))
     K = auxiliary_field("sqrt-5")
-    lam = K.element([Fraction(55, 27), Fraction(4, 27)])
-    lamc = K.element([Fraction(55, 27), Fraction(-4, 27)])
+    lam, lamc = K.element([55, 4], 27), K.element([55, -4], 27)
     c1 = data.g1 + data.g2.map_coeffs(lambda c: -lam * c)
     c2 = data.g1 + data.g2.map_coeffs(lambda c: -lamc * c)
     prod = c1 * c2
@@ -482,7 +476,7 @@ def sqrt5_family(j):
     if j not in (-2, -1, 0, 1, 2):
         raise ValueError("j must be in -2..2")
     # epsilon^j = c + d sqrt5 with epsilon = (1 + sqrt5)/2
-    eps = auxiliary_field("sqrt5").element([Fraction(1, 2), Fraction(1, 2)])
+    eps = auxiliary_field("sqrt5").element([1, 1], 2)
     c, d = (eps**j).coords
     g1 = BinaryForm(5, tuple(c * p + 5 * d * q for p, q in zip(_P5, _Q5)))
     g2 = BinaryForm(5, tuple(c * q + d * p for p, q in zip(_P5, _Q5)))
@@ -575,13 +569,13 @@ def _ideal_generator(order, basis, norm):
     """
     from sympy.polys.matrices import DomainMatrix
 
-    K = order.field
+    K, d = order.field, order.denom
     n = K.degree
-    # power-basis coords of the n ideal basis vectors
-    pb = [[Fraction(sum(a * basis[k][j] for k, a in enumerate(row)),
-                    order.denom) for row in order.matrix] for j in range(n)]
+    # power-basis numerators, over d, of the n ideal basis vectors
+    pb = [[sum(a * basis[k][j] for k, a in enumerate(row))
+           for row in order.matrix] for j in range(n)]
     pows = np.array([K.embeddings()**k for k in range(n)])
-    emb = np.array([[sum(complex(pb[j][i]) * pows[i, r] for i in range(n))
+    emb = np.array([[sum(complex(pb[j][i] / d) * pows[i, r] for i in range(n))
                      for r in range(n)] for j in range(n)])
     # LLL-reduce the lattice (scaled embedding, with an identity block to
     # recover the unimodular transform) so small coordinates suffice below
@@ -590,9 +584,9 @@ def _ideal_generator(order, basis, norm):
     rows = [[sp.ZZ(int(x)) for x in row] + [sp.ZZ(int(j == k)) for k in range(n)]
             for j, row in enumerate(np.rint(real * scale))]
     red = DomainMatrix(rows, (n, 3 * n), sp.ZZ).lll().to_list()
-    pb = [[sum(Fraction(int(red[j][2 * n + k])) * pb[k][i] for k in range(n))
+    pb = [[sum(int(red[j][2 * n + k]) * pb[k][i] for k in range(n))
            for i in range(n)] for j in range(n)]
-    emb = np.array([[sum(complex(pb[j][i]) * pows[i, r] for i in range(n))
+    emb = np.array([[sum(complex(pb[j][i] / d) * pows[i, r] for i in range(n))
                      for r in range(n)] for j in range(n)])
     for r in range(GENERATOR_BOUND + 1):
         for coords in _shell(r, n):
@@ -601,11 +595,9 @@ def _ideal_generator(order, basis, norm):
                 np.abs(np.log(np.maximum(absn, 1e-300)) - math.log(norm))
                 < 1e-6)[0]
             for c in coords[close]:
-                pc = [sum(Fraction(int(c[j])) * pb[j][k] for j in range(n))
-                      for k in range(n)]
-                g = K.element(pc)
-                m = g.norm()
-                if m.denominator == 1 and abs(int(m)) == norm:
+                g = K.element([sum(int(c[j]) * pb[j][k] for j in range(n))
+                               for k in range(n)], d)
+                if abs(g.norm()) == norm:
                     return g
     raise ContentNotClearable(
         f"no generator of norm {norm} found within bound {GENERATOR_BOUND}")
@@ -629,8 +621,8 @@ def _primitive_part(coeffs, rep):
     First clears rational denominators and content, then removes the residual
     content ideal by dividing through a norm-certified generator.
     """
-    den = math.lcm(*(x.denominator for c in coeffs for x in c.coords))
-    num = math.gcd(*(int(x * den) for c in coeffs for x in c.coords))
+    den = math.lcm(*(c.den for c in coeffs))
+    num = math.gcd(*(a * (den // c.den) for c in coeffs for a in c.num))
     K = coefficient_field(rep)
     order = maximal_order(K)
     out = [c * Fraction(den, num) for c in coeffs]
@@ -753,7 +745,7 @@ def _quadratic_factor(coeffs, K):
     x = D * np.linalg.solve(
         np.vander(K.embeddings(), K.degree, increasing=True), st[perms])
     best = x[np.abs(x - np.round(x.real)).max(axis=(1, 2)).argmin()]
-    q = [K.element([Fraction(int(c), D) for c in np.round(col.real)])
+    q = [K.element([int(c) for c in np.round(col.real)], D)
          for col in best.T] + [K.one]
     H, rem = poly.divmod([K.from_int(c) for c in coeffs], q)
     if rem:
@@ -782,8 +774,7 @@ def _irreducibility_primes(q, H, K):
     """
     polys = (q, H)
     disc = K.discriminant()
-    den = math.lcm(*(x.denominator for f in polys for c in f
-                     for x in c.coords))
+    den = math.lcm(*(c.den for f in polys for c in f))
     sums = [set(range(len(f))) for f in polys]
     used = []
     for p in sp.primerange(2, IRREDUCIBILITY_PRIME_BOUND):
@@ -827,9 +818,14 @@ def unit_data_file(rep):
 
 
 def load_unit_data(rep):
+    """(generators, certification primes) of K_rep from unit_data_file;
+    BadUnitData when a generator has other than degree coordinates."""
     raw = json.loads(unit_data_file(rep).read_text())
     K = coefficient_field(rep)
-    gens = [K.element([Fraction(c) for c in row]) for row in raw["generators"]]
+    if any(len(row) != K.degree for row in raw["generators"]):
+        raise BadUnitData(f"a generator of {K.label} does not have "
+                          f"{K.degree} coordinates")
+    gens = [K.element(row) for row in raw["generators"]]
     return gens, list(raw["certPrimes"])
 
 
@@ -1101,7 +1097,5 @@ def _fifth_powers_mod25(rep):
 def class_unit(rep, exponents):
     """The unit representing a sieve class."""
     gens, _ = load_unit_data(rep)
-    out = coefficient_field(rep).one
-    for g, e in zip(gens, exponents):
-        out = out * g**e
-    return out
+    return math.prod((g**e for g, e in zip(gens, exponents)),
+                     start=coefficient_field(rep).one)

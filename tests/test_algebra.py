@@ -1,6 +1,7 @@
 """Tests for number-field arithmetic, factorization, and residue splittings."""
 
 import itertools
+import math
 import warnings
 from fractions import Fraction
 
@@ -454,6 +455,42 @@ def test_nf_product_and_norm_match_sympy(K, ac, bc):
     if a:
         norm = sp.resultant(expr(K.min_poly), expr(a.coords), x)
         assert a.norm() == Fraction(str(norm))
+
+
+def test_nf_canonical_form_examples():
+    # one form per element: equal values built from different inputs have
+    # equal numerators and denominator, so they compare and hash equal
+    for K in NAMED_FIELDS:
+        half = K.element([Fraction(2, 4)])
+        for same in (K.element([Fraction(1, 2)]), K.element([1], 2),
+                     K.element([-3], -6), K.one / 2):
+            assert same == half and hash(same) == hash(half)
+        assert (half.num, half.den) == ((1,) + (0,) * (K.degree - 1), 2)
+        third = K.element([0, Fraction(2, 3)])
+        assert half * third == K.element([0, Fraction(1, 3)])
+        assert hash(half * third) == hash(K.element([0, 1], 3))
+        for zero in (K.zero, K.element([0, 0], 7), half - half, third * 0):
+            assert zero.num == (0,) * K.degree and zero.den == 1
+        with pytest.raises(ValueError):
+            K.element(range(K.degree + 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(NAMED_FIELDS), rational_coords, rational_coords)
+def test_nf_canonical_form(K, ac, bc):
+    ac, bc = ac[:K.degree], bc[:K.degree]
+    a, b = K.element(ac), K.element(bc)
+    pad = (Fraction(0),) * (K.degree - len(ac))
+    assert a.coords == tuple(ac) + pad
+    assert all(type(c) is Fraction for c in a.coords)
+    for x in (a, b, a + b, a - b, a * b, -a):
+        assert len(x.num) == K.degree and all(type(c) is int for c in x.num)
+        assert x.den >= 1 and math.gcd(*x.num, x.den) == 1
+        assert K.element(x.coords) == x and hash(K.element(x.coords)) == hash(x)
+        assert K.element([3 * c for c in x.num], 3 * x.den) == x
+    if a:
+        inv = a.inverse()
+        assert inv.den >= 1 and math.gcd(*inv.num, inv.den) == 1
 
 
 coord = st.integers(min_value=-9, max_value=9)

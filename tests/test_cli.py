@@ -6,7 +6,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from gfe25 import bforms, cli, frey
+from gfe25 import bforms, cli, descent, frey
 
 
 def _gfe(capsys, *argv):
@@ -108,6 +108,27 @@ def test_sextic_inputs_cover_external_unit_data(tmp_path, monkeypatch):
     assert inputs() == bundled
     (units / "K16.json").write_text(text + "\n")
     assert inputs() != bundled
+
+
+@pytest.mark.parametrize("extra", [["7"], []])
+def test_unit_generators_need_degree_coordinates(capsys, tmp_path,
+                                                 monkeypatch, extra):
+    # a 7th coordinate used to be dropped, and a missing 6th read as 0
+    raw = json.loads(resources.files("gfe25").joinpath(
+        "data/units/K16.json").read_text())
+    raw["generators"][0] = raw["generators"][0][:5 + len(extra)] + extra
+    (tmp_path / "units").mkdir()
+    (tmp_path / "units" / "K16.json").write_text(json.dumps(raw))
+    monkeypatch.setenv("GFE_DATA_DIR", str(tmp_path))
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    with pytest.raises(descent.BadUnitData, match="6 coordinates"):
+        descent.load_unit_data(16)
+    with pytest.raises(descent.BadUnitData):
+        descent.verify_unit_data(16)
+    for argv in (("unitsieve", "--i", "16", "--primes", "11"),
+                 ("run", "--stage", "sextic", "--no-cache")):
+        code, out, err = _gfe(capsys, *argv)
+        assert code == 2 and "6 coordinates" in err and out == ""
 
 
 def test_solutions_table_follows_ito_w_rows(monkeypatch):

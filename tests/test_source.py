@@ -225,3 +225,23 @@ def test_no_multiprecision_in_the_package():
             if any(n.split(".")[0] == "mpmath" for n in names):
                 found.append(f"{path.name}:{node.lineno}")
     assert not found, f"mpmath in the package: {found}"
+
+
+def test_no_element_denominators_outside_nfelement():
+    # an element is integer numerators over one denominator (NFElement.num
+    # and .den); a comprehension over an element's Fraction coords that reads
+    # their denominators or numerators recomputes that form by hand
+    found = []
+    for path in sorted(pathlib.Path(gfe25.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(node, (ast.ListComp, ast.SetComp,
+                                     ast.GeneratorExp, ast.DictComp)):
+                continue
+            over_coords = any(isinstance(n, ast.Attribute) and n.attr == "coords"
+                              for g in node.generators for n in ast.walk(g.iter))
+            if over_coords and any(
+                    isinstance(n, ast.Attribute)
+                    and n.attr in ("denominator", "numerator")
+                    for n in ast.walk(node)):
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, f"element denominators computed outside NFElement: {found}"
