@@ -798,13 +798,11 @@ def cmd_unitsieve(args):
     except descent.IndexRisk as e:
         raise DataProblem(f"{e}; choose other --primes") from e
     t0 = time.perf_counter()
-    survivors = descent.unit_sieve(args.i, primes=primes,
-                                   use_mod25=args.mod25, depth=args.depth)
+    survivors = descent.unit_sieve(args.i, primes=primes)
     report = DescentReport(
         stage=f"unitsieve-{args.i}",
         inputs=_stage_digest(f"unitsieve-{args.i}",
-                             {"primes": list(primes), "depth": args.depth,
-                              "mod25": args.mod25}, _data_digest()),
+                             {"primes": list(primes)}, _data_digest()),
         verdict="conditional-pass", assumptions=[CLASS_NUMBER],
         artifacts={"i": args.i, "primes": list(primes),
                    "survivors": [list(e) for e in survivors]},
@@ -927,9 +925,6 @@ def _build_parser():
     p.add_argument("--primes", type=_int_list,
                    help="comma-separated primes the sieve may walk "
                         "(default: all p = 1 mod 5 below 700)")
-    p.add_argument("--depth", type=_positive_int, default=3)
-    p.add_argument("--mod25", action=argparse.BooleanOptionalAction,
-                   default=True)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_unitsieve)
 

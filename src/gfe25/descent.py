@@ -819,13 +819,18 @@ def unit_data_file(rep):
 
 def load_unit_data(rep):
     """(generators, certification primes) of K_rep from unit_data_file;
-    BadUnitData when a generator has other than degree coordinates."""
+    BadUnitData when a generator has other than degree coordinates, or one
+    that is not a rational number."""
     raw = json.loads(unit_data_file(rep).read_text())
     K = coefficient_field(rep)
     if any(len(row) != K.degree for row in raw["generators"]):
         raise BadUnitData(f"a generator of {K.label} does not have "
                           f"{K.degree} coordinates")
-    gens = [K.element(row) for row in raw["generators"]]
+    try:
+        gens = [K.element(row) for row in raw["generators"]]
+    except (TypeError, ValueError, ZeroDivisionError) as e:
+        raise BadUnitData(f"a generator of {K.label} has a coordinate that "
+                          f"is not a rational number: {e}") from None
     return gens, list(raw["certPrimes"])
 
 
@@ -889,94 +894,40 @@ def verify_unit_data(rep, gens=None, cert_primes=None):
     return gens
 
 
-def _hensel_lift(T, g, p, k):
-    """Monic factor of T mod p**k reducing to the monic factor g of T mod p."""
-    c, r = poly.divmod_mod(T, g, p)
-    if any(r):
-        raise IndexRisk("factor does not divide mod p")
-    h, a, b = poly.gcdext_mod(g, c, p)
-    if h != [1]:
-        raise IndexRisk("local factors are not coprime")
-    G, C = g, c
-    for m in range(1, k):
-        pm, pm1 = p**m, p**(m + 1)
-        # T = G*C + pm*E mod pm1, and a*g + b*c = 1 splits E = dC*g + dG*c
-        prod = poly.mul_mod(G, C, pm1)
-        E = [(t - x) % pm1 // pm for t, x in zip(T, prod)]
-        qq, dG = poly.divmod_mod(poly.mul_mod(b, E, p), g, p)
-        dC = poly.add(poly.mul_mod(a, E, p), poly.mul_mod(qq, c, p))
-        G = [x + pm * y for x, y in zip(G, dG + [0])]
-        C = [x + pm * (y % p)
-             for x, y in itertools.zip_longest(C, dC, fillvalue=0)]
-    return [x % p**k for x in G]
-
-
-def _local_targets(split, rs, p, depth):
-    """Fifth-power-class vectors of H at the points of P^1(Z_p), refined,
-    for the residue fields rs of K at p.
+def _local_targets(split, rs, p):
+    """Fifth-power-class vectors of H at the p + 1 points (t, 1), (1, 0) of
+    P^1(F_p), for the residue fields rs of K at p.
 
     Returns the distinct vectors as the rows of an (n, slots) int array:
-    entry j is the class 0..4 of the unit part of H at slot j, or -1 when
-    the valuation there stayed undetermined at the cutoff depth.  Points
-    where some local valuation of H is visibly not divisible by 5 are
-    dropped entirely.
+    entry j is the class 0..4 of H(u, v) in the j-th residue field, or -1
+    when H(u, v) reduces to zero there.  H, of degree d = 10, is read once:
+    one (p + 1, d + 1) matrix of u^m v^(d - m) mod p, shared by all slots,
+    times the (d + 1, f) rows fq.reduce of H's coefficients.
 
-    The points of one level are the rows of the integer arrays u, v; level 1
-    holds the p + 1 points (t, 1) and (1, 0).  At level L, H(u, v) is
-    evaluated at each slot j in Z[x]/(p^L, G_j), for G_j the Hensel lift of
-    the j-th local factor, by homogeneous Horner reduced mod p^L after every
-    step.  Since p does not divide disc(K), every P_j is unramified, so the
-    valuation of H(u, v) at P_j is the smallest valuation of its coordinates,
-    capped at L.  A point is dropped when some slot has valuation v < L with
-    v not divisible by 5; a slot with v < L and 5 | v is classified from the
-    unit part (acc // p^v) mod p.  A point is finished when no slot is
-    undetermined or L = depth; every other point has p children, stepped in
-    u on the affine chart and in v at infinity, which make up level L + 1.
-
-    A Horner step sums two products of residues mod p^L, so int64 holds it
-    exactly while p^depth < 2^31; above that the arrays hold Python ints.
+    Every row is a necessary condition.  Since p does not divide disc(T),
+    the prime above p at slot j is P_j = (p, G_j) for the j-th local factor
+    G_j (Dedekind-Kummer; Cohen, GTM 138, 4.8).  If a coprime (u, v) has
+    H(u, v) = eta w^5, then at each slot j of its point mod p either P_j
+    divides H(u, v), and the slot is -1, or H(u, v) is a P_j-unit, so w is
+    one too and the class of H(u, v) is eta's class.  Scaling a point by
+    c in F_p^x multiplies H by c^10, a fifth power, so one representative
+    per point suffices.  A p-adic refinement of the points could only
+    remove rows; had a pass kept an extra class, the sextic stage would
+    report a mismatch, never a false pass.
     """
-    K = split.field
-    T = [int(c) for c in K.min_poly]
-    pk = p**depth
-    dtype = np.int64 if pk < 2**31 else object
-    lifted = [_hensel_lift(T, list(fq.modpoly), p, depth) for fq in rs]
-    # hred[j][m]: the coordinates of H's coefficient m in Z[x]/(p^depth, G_j)
-    hred = [np.array([poly.divmod_mod(c.coords_mod(pk), G, pk)[1]
-                      for c in split.H.coeffs], dtype=dtype) for G in lifted]
-    u = np.array([*range(p), 1], dtype=dtype)
-    v = np.array([1] * p + [0], dtype=dtype)
-    affine = v == 1
-    targets = []
-    for level in range(1, depth + 1):
-        pl = p**level
-        ppow = np.array([p**w for w in range(level + 1)], dtype=dtype)
-        keep = np.ones(len(u), dtype=bool)
-        classes = np.full((len(u), len(rs)), -1)  # -1: undetermined
-        for j, fq in enumerate(rs):
-            coeffs = hred[j] % pl
-            acc = np.repeat(coeffs[-1:], len(u), axis=0)
-            vpow = np.ones_like(v)
-            for c in coeffs[-2::-1]:
-                vpow = vpow * v % pl
-                acc = (acc * u[:, None] + c * vpow[:, None]) % pl
-            val = sum((acc % ppow[w] == 0).all(axis=1)
-                      for w in range(1, level + 1))
-            keep &= (val == level) | (val % 5 == 0)
-            known = keep & (val < level)
-            unit = acc[known] // ppow[val[known]][:, None] % p
-            classes[known, j] = fq.fifth_power_classes(unit)
-        done = keep & ((classes >= 0).all(axis=1) | (level == depth))
-        targets.append(classes[done])
-        grow = keep & ~done
-        if not grow.any():
-            break
-        affine = np.repeat(affine[grow], p)
-        step = np.tile(np.array(range(p), dtype=dtype) * pl, int(grow.sum()))
-        u = np.repeat(u[grow], p) + np.where(affine, step, 0)
-        v = np.repeat(v[grow], p) + np.where(affine, 0, step)
-    rows = sorted(set(map(tuple, np.vstack(targets).tolist())))
-    return np.array(rows, dtype=int).reshape(-1, len(rs))
+    d = split.H.degree
+    # an entry of the product sums d + 1 products of residues, which int64
+    # holds while p < 9 * 10^8, far above any p whose p + 1 rows fit in memory
+    points = [(t, 1) for t in range(p)] + [(1, 0)]
+    monomials = np.array([[pow(u, m, p) * pow(v, d - m, p) % p
+                           for m in range(d + 1)] for u, v in points])
+    targets = np.full((p + 1, len(rs)), -1)
+    for j, fq in enumerate(rs):
+        coeffs = np.array([fq.reduce(c) for c in split.H.coeffs])
+        values = monomials @ coeffs % p
+        unit = values.any(axis=1)
+        targets[unit, j] = fq.fifth_power_classes(values[unit])
+    return np.array(sorted(set(map(tuple, targets.tolist()))))
 
 
 #: default sieve primes: the primes p = 1 mod 5 below 700, where every
@@ -995,13 +946,14 @@ def check_sieve_primes(primes, rep):
                         f"prime to disc({K.label})")
 
 
-def unit_sieve(i, primes=DEFAULT_SIEVE_PRIMES, use_mod25=True, depth=3):
+def unit_sieve(i, primes=DEFAULT_SIEVE_PRIMES):
     """Surviving subset of the 125 unit classes twisting H_i(u, v) = w^5.
 
     The mod-25 pass runs first, on all 125 classes (_mod25_classes).  Then
-    at each prime, the class vector of every surviving exponent e is
-    e @ gen_classes mod 5, and e survives when some row of _local_targets
-    agrees with it at every slot where that row is not -1.  A slot whose
+    at each prime p, the class vector of every surviving exponent e is
+    e @ gen_classes mod 5, and e survives when some row of _local_targets,
+    H read at the points of P^1(F_p), agrees with it at every slot where
+    that row is not -1.  A slot whose
     residue field has q != 1 mod 5 gives class 0 to targets and generators
     alike, so it never separates anything.
 
@@ -1026,15 +978,14 @@ def unit_sieve(i, primes=DEFAULT_SIEVE_PRIMES, use_mod25=True, depth=3):
     split = sextic_split(i)
     gens = verify_unit_data(rep)
     survivors = np.array(list(itertools.product(range(5), repeat=3)))
-    if use_mod25:
-        survivors = survivors[_mod25_classes(split, gens, rep)]
+    survivors = survivors[_mod25_classes(split, gens, rep)]
     known = 1 if i in SIEVE_WITNESSES else 0
     for p in primes:
         if len(survivors) <= known:
             break
         rs = residue_split(K, p)
         gen_classes = _generator_classes(gens, rs)
-        targets = _local_targets(split, rs, p, depth)
+        targets = _local_targets(split, rs, p)
         classes = survivors @ gen_classes % 5
         match = (targets[None] < 0) | (targets[None] == classes[:, None])
         survivors = survivors[match.all(axis=2).any(axis=1)]

@@ -12,8 +12,7 @@ polynomial is [].  Three kinds of arithmetic are provided:
 * modulo an integer m, on ints only: products, and division by a monic
   polynomial whose remainder is a residue vector of exactly deg(divisor)
   entries in [0, m); powers in (Z/m)[y]/(g), and products there of the rows
-  of two integer arrays; and, over F_p, the extended Euclidean algorithm,
-  which gives the Bezout identities behind Hensel lifting (Cohen, 3.5.3);
+  of two integer arrays;
 * exact k-th roots of integers and Fractions.
 
 This module imports nothing from the package.
@@ -184,30 +183,6 @@ def mul_rows_mod(a, b, g, m):
         # y^f = -(g_0 + ... + g_(f-1) y^(f-1))
         out[:, k - f:k] = (out[:, k - f:k] - out[:, k:k + 1] * low) % m
     return out[:, :f]
-
-
-def gcdext_mod(a, b, p):
-    """(g, s, t) with s*a + t*b == g mod p and g the monic gcd over F_p.
-
-    p must be prime.  Coefficients come back in [0, p), without trailing
-    zeros."""
-    r0, r1 = _reduced(a, p), _reduced(b, p)
-    s0, s1, t0, t1 = [1], [], [], [1]
-    while r1:
-        inv = pow(r1[-1], -1, p)
-        q, r = divmod_mod(r0, [c * inv for c in r1], p)
-        q = [-c * inv for c in q]
-        r0, r1 = r1, trim(r)
-        s0, s1 = s1, _reduced(add(s0, mul(q, s1)), p)
-        t0, t1 = t1, _reduced(add(t0, mul(q, t1)), p)
-    if not r0:
-        return [], s0, t0
-    inv = pow(r0[-1], -1, p)
-    return tuple(_reduced(_scaled(x, inv), p) for x in (r0, s0, t0))
-
-
-def _reduced(a, p):
-    return trim([c % p for c in a])
 
 
 # ---------------------------------------------------------------------------

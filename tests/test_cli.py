@@ -42,6 +42,8 @@ def _gfe(capsys, *argv):
     ("search", "--curve", "x^5+sin(x)", "--height", "5"),
     ("mumford", "--curve", "x^5+1.5", "--a", "1", "--b", "1"),
     ("run", "--stage", "genus2", "--height", "3", "--no-cache"),
+    ("unitsieve", "--i", "16", "--depth", "3"),
+    ("unitsieve", "--i", "16", "--no-mod25"),
 ])
 def test_bad_arguments_exit_2(capsys, argv):
     code, out, err = _gfe(capsys, *argv)
@@ -110,25 +112,30 @@ def test_sextic_inputs_cover_external_unit_data(tmp_path, monkeypatch):
     assert inputs() != bundled
 
 
-@pytest.mark.parametrize("extra", [["7"], []])
+@pytest.mark.parametrize("extra", [
+    (6, ["7"], "6 coordinates"), (5, [], "6 coordinates"),
+    (5, ["x"], "not a rational number")])
 def test_unit_generators_need_degree_coordinates(capsys, tmp_path,
                                                  monkeypatch, extra):
-    # a 7th coordinate used to be dropped, and a missing 6th read as 0
+    # the first generator keeps `keep` coordinates and gets `tail`: a 7th
+    # coordinate used to be dropped, a missing 6th read as 0, and a
+    # non-numeric one escaped as a ValueError traceback
+    keep, tail, message = extra
     raw = json.loads(resources.files("gfe25").joinpath(
         "data/units/K16.json").read_text())
-    raw["generators"][0] = raw["generators"][0][:5 + len(extra)] + extra
+    raw["generators"][0] = raw["generators"][0][:keep] + tail
     (tmp_path / "units").mkdir()
     (tmp_path / "units" / "K16.json").write_text(json.dumps(raw))
     monkeypatch.setenv("GFE_DATA_DIR", str(tmp_path))
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
-    with pytest.raises(descent.BadUnitData, match="6 coordinates"):
+    with pytest.raises(descent.BadUnitData, match=message):
         descent.load_unit_data(16)
     with pytest.raises(descent.BadUnitData):
         descent.verify_unit_data(16)
     for argv in (("unitsieve", "--i", "16", "--primes", "11"),
                  ("run", "--stage", "sextic", "--no-cache")):
         code, out, err = _gfe(capsys, *argv)
-        assert code == 2 and "6 coordinates" in err and out == ""
+        assert code == 2 and message in err and out == ""
 
 
 def test_solutions_table_follows_ito_w_rows(monkeypatch):

@@ -434,79 +434,41 @@ def test_unit_data_rejects_other_signatures(monkeypatch):
         D.verify_unit_data(22, gens, qs)
 
 
-def _recursive_local_targets(split, rs, p, depth):
-    """The point-by-point refinement of P^1(Z_p) that _local_targets replaced,
-    kept as its oracle; a set of per-slot tuples, None where undetermined."""
-    T = [int(c) for c in split.field.min_poly]
-    pk = p**depth
-    slots = list(range(len(rs)))
-    lifted = [D._hensel_lift(T, list(rs[j].modpoly), p, depth)
-              for j in slots]
-    hred = [[poly.divmod_mod(c.coords_mod(pk), lifted[j], pk)[1]
-             for j in slots] for c in split.H.coeffs]
-
-    def profile(u, v, level):
-        pl = p**level
-        out = []
-        for j in slots:
-            f = len(lifted[j]) - 1
-            acc = [0] * f
-            for m in range(11):
-                s = pow(u, m, pl) * pow(v, 10 - m, pl) % pl
-                if s:
-                    for t in range(f):
-                        acc[t] = (acc[t] + s * hred[m][j][t]) % pl
-            val = level
-            for x in acc:
-                if x:
-                    val = min(val, max(w for w in range(level + 1)
-                                       if x % p**w == 0))
-            if val >= level:
-                out.append(None)
-            elif val % 5:
-                return None
-            else:
-                out.append(rs[j].fifth_power_class(
-                    [(x // p**val) % p for x in acc]))
-        return out
-
+def _reference_local_targets(split, rs, p, scale):
+    """The point-by-point oracle of _local_targets: H evaluated exactly in K
+    at scale times each point (t, 1), (1, 0) of P^1(F_p), reduced into each
+    residue field and classified; a set of per-slot tuples, None where the
+    value reduces to zero."""
+    K = split.field
     targets = set()
-
-    def visit(u, v, affine, level):
-        prof = profile(u, v, level)
-        if prof is None:
-            return
-        if None not in prof or level == depth:
-            targets.add(tuple(prof))
-            return
-        for s in range(p):
-            step = p**level * s
-            visit(u + step * affine, v + step * (not affine), affine,
-                  level + 1)
-
-    for t in range(p):
-        visit(t, 1, True, 1)
-    visit(1, 0, False, 1)
+    for u, v in [(t, 1) for t in range(p)] + [(1, 0)]:
+        h = split.H.evaluate(K.from_int(scale * u), K.from_int(scale * v))
+        row = []
+        for fq in rs:
+            x = fq.reduce(h)
+            row.append(fq.fifth_power_class(x) if any(x) else None)
+        targets.add(tuple(row))
     return targets
 
 
-# (index, prime, depth): default primes at depths 1..3; three cases with
-# p^depth > 2^31, where the arrays must hold Python ints; and K16 at 13
-# (f = 4) and 19 (f = 2 twice), where p != 1 mod 5 but q = 1 mod 5
+# (index, prime, scale): the oracle takes scale times each point, so a scale
+# above 1 checks that H's classes do not depend on the representative (the
+# scale^10 it multiplies H by is a fifth power); default primes, and K16 at
+# 13 (f = 4) and 19 (f = 2 twice), where p != 1 mod 5 but q = 1 mod 5
 LOCAL_TARGET_CASES = (
-    [(i, p, d) for i in (6, 16, 22) for p in (11, 31, 101) for d in (1, 2, 3)]
+    [(i, p, c) for i in (6, 16, 22) for p in (11, 31, 101) for c in (1, 2, 3)]
     + [(16, 241, 4), (22, 101, 5), (6, 41, 6)]
     + [(16, 13, 3), (16, 19, 3)])
 
 
-@pytest.mark.parametrize("i,p,depth", LOCAL_TARGET_CASES)
-def test_local_targets_match_recursive_reference(i, p, depth):
+@pytest.mark.parametrize("i,p,scale", LOCAL_TARGET_CASES)
+def test_local_targets_match_recursive_reference(i, p, scale):
     split = D.sextic_split(i)
     rs = residue_split(split.field, p)
-    got = D._local_targets(split, rs, p, depth)
+    got = D._local_targets(split, rs, p)
     rows = {tuple(None if c < 0 else c for c in row) for row in got.tolist()}
     assert got.shape == (len(rows), len(rs))
-    assert rows == _recursive_local_targets(split, rs, p, depth)
+    assert rows == _reference_local_targets(split, rs, p, scale)
 
 
 def test_local_targets_leave_numpy_ma_unloaded():
@@ -517,7 +479,7 @@ def test_local_targets_leave_numpy_ma_unloaded():
             "from gfe25 import descent as D\n"
             "from gfe25.algebra import residue_split\n"
             "s = D.sextic_split(22)\n"
-            "D._local_targets(s, residue_split(s.field, 11), 11, 2)\n"
+            "D._local_targets(s, residue_split(s.field, 11), 11)\n"
             "print('numpy.ma' in sys.modules)\n")
     src = pathlib.Path(gfe25.__file__).parent.parent
     env = {**os.environ, "PYTHONPATH": str(src)}
@@ -526,36 +488,57 @@ def test_local_targets_leave_numpy_ma_unloaded():
     assert out.stdout.strip() == "False"
 
 
+def _sieve_without_mod25(i, **kw):
+    """unit_sieve with a mod-25 pass that keeps all 125 classes: the prime
+    pass alone."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(D, "_mod25_classes",
+                   lambda split, gens, rep: np.ones(125, dtype=bool))
+        return D.unit_sieve(i, **kw)
+
+
 def test_unit_sieve_monotone_and_order_independent():
-    small = D.unit_sieve(22, primes=(11, 31), use_mod25=False)
-    bigger = D.unit_sieve(22, primes=(11, 31, 41, 61), use_mod25=False)
+    small = _sieve_without_mod25(22, primes=(11, 31))
+    bigger = _sieve_without_mod25(22, primes=(11, 31, 41, 61))
     assert set(bigger) <= set(small)
-    swapped = D.unit_sieve(22, primes=(61, 41, 31, 11), use_mod25=False)
+    swapped = _sieve_without_mod25(22, primes=(61, 41, 31, 11))
     assert swapped == bigger
 
 
 def test_unit_sieve_survivors_without_mod25():
-    # the local sieve alone; a target's None slot matches every class
-    assert D.unit_sieve(16, use_mod25=False) == [
-        (0, 1, 1), (0, 2, 3), (2, 0, 0), (4, 0, 0), (4, 2, 2), (4, 3, 4)]
-    assert D.unit_sieve(24, use_mod25=False) == [
-        (1, 1, 4), (2, 4, 0), (4, 4, 2)]
+    # the prime pass alone; a target's -1 slot matches every class.  Pinned
+    # from the p-adic refinement to depth 3 that the pass at the points of
+    # P^1(F_p) replaced: the two agree on every index
+    assert {i: _sieve_without_mod25(i) for i in D.SEXTIC_INDICES} == {
+        5: [(4, 4, 0)],
+        6: [(0, 0, 1), (0, 4, 1), (2, 1, 4), (2, 2, 0), (3, 0, 1)],
+        8: [(4, 1, 2), (4, 2, 3), (4, 3, 4)],
+        9: [],
+        13: [(0, 0, 0)],
+        14: [(0, 0, 1), (0, 4, 4), (2, 3, 3), (4, 0, 0), (4, 1, 2),
+             (4, 3, 3)],
+        15: [],
+        16: [(0, 1, 1), (0, 2, 3), (2, 0, 0), (4, 0, 0), (4, 2, 2),
+             (4, 3, 4)],
+        21: [],
+        22: [(4, 2, 0)],
+        23: [(0, 0, 1), (0, 4, 1), (2, 1, 4), (2, 2, 0), (3, 0, 1)],
+        24: [(1, 1, 4), (2, 4, 0), (4, 4, 2)]}
     # 13 and 19 (p != 1 mod 5) sieve nothing here, 11 keeps 75 classes
-    assert len(D.unit_sieve(16, primes=(13, 19, 11), use_mod25=False)) == 75
+    assert len(_sieve_without_mod25(16, primes=(13, 19, 11))) == 75
 
 
 def test_unit_sieve_does_not_depend_on_class_labels(monkeypatch):
     # the labels 0..4 come from the choice of generator of mu_5; another
     # choice relabels every class k as c*k mod 5 for a unit c, which leaves
     # the sieve's linear matching, and so its survivors, as they are
-    want = {i: (D.unit_sieve(i, use_mod25=False), D.unit_sieve(i))
+    want = {i: (_sieve_without_mod25(i), D.unit_sieve(i))
             for i in (8, 16, 22, 24)}
     classes = Fq.fifth_power_classes
     monkeypatch.setattr(Fq, "fifth_power_classes",
                         lambda fq, rows: 2 * classes(fq, rows) % 5)
     for i, survivors in want.items():
-        assert (D.unit_sieve(i, use_mod25=False), D.unit_sieve(i)) == \
-            survivors, i
+        assert (_sieve_without_mod25(i), D.unit_sieve(i)) == survivors, i
 
 
 def test_unit_sieve_stop_matches_full_walk(monkeypatch):
@@ -571,19 +554,19 @@ def test_unit_sieve_walks_primes_until_known_classes(monkeypatch):
     # while the survivors outnumber the known classes, explicit primes too
     walked = []
     targets = D._local_targets
-    monkeypatch.setattr(D, "_local_targets", lambda split, rs, p, depth:
-                        walked.append(p) or targets(split, rs, p, depth))
+    monkeypatch.setattr(D, "_local_targets", lambda split, rs, p:
+                        walked.append(p) or targets(split, rs, p))
 
-    def count(i, **kw):
+    def count(i, sieve=D.unit_sieve, **kw):
         walked.clear()
-        D.unit_sieve(i, **kw)
+        sieve(i, **kw)
         return len(walked)
 
     assert {i: count(i) for i in D.SEXTIC_INDICES} == {
         6: 0, 22: 0, 23: 0, 5: 1, 13: 1, 14: 1, 16: 1, 9: 2, 8: 6,
         15: 13, 21: 13, 24: 13}
     assert count(22, primes=(61, 41, 31, 11)) == 0
-    assert count(22, primes=(61, 41, 31, 11), use_mod25=False) == 4
+    assert count(22, _sieve_without_mod25, primes=(61, 41, 31, 11)) == 4
 
 
 def _mod25_reference(i):
@@ -625,6 +608,22 @@ def test_index_two_substitutions(a, b, M):
     # over one field
     assert transform(edwards_triple(a).h, M) == edwards_triple(b).h.scale(64)
     assert D.FIELD_REP[a] == D.FIELD_REP[b]
+    # the quadratic factor is unique up to a scalar, so H_a o M = c H_b
+    split_a, split_b = D.sextic_split(a), D.sextic_split(b)
+    Ha_M = transform(split_a.H, M)
+    c = Ha_M.coeff(10) / split_b.H.coeff(10)
+    assert all(x == c * y for x, y in zip(Ha_M.coeffs, split_b.H.coeffs))
+    assert c.norm() == (-1 if a == 15 else 1) * 2**30
+    # M is invertible mod every sieve prime, so it permutes P^1(F_p), and
+    # H_b = (H_a o M) / c shifts a's targets by -class(c), slot by slot
+    for p in D.DEFAULT_SIEVE_PRIMES:
+        rs = residue_split(split_a.field, p)
+        shift = np.array([fq.fifth_power_classes([fq.reduce(c)])[0]
+                          for fq in rs])
+        got = D._local_targets(split_a, rs, p)
+        got = np.where(got < 0, -1, (got - shift) % 5)
+        assert sorted(got.tolist()) == \
+            D._local_targets(split_b, rs, p).tolist(), p
 
 
 def test_unit_sieve_rejects_bad_prime():

@@ -38,19 +38,13 @@ def test_divmod_and_gcdext_over_q(a, b):
 @settings(max_examples=200, deadline=None)
 @given(int_polys, int_polys, st.sampled_from(SMALL_PRIMES),
        st.integers(1, 3))
-def test_divmod_and_gcdext_mod_p(a, b, p, k):
+def test_divmod_mod_p(a, b, p, k):
     m = p**k
     monic = _mod(b, m)[:4] + [1]
     q, r = poly.divmod_mod(a, monic, m)
     assert len(r) == len(monic) - 1
     assert all(0 <= c < m for c in q + r)
     assert _mod(poly.add(poly.mul_mod(q, monic, m), r), m) == _mod(a, m)
-    g, s, t = poly.gcdext_mod(a, b, p)
-    assert _mod(poly.add(poly.mul(s, a), poly.mul(t, b)), p) == g
-    if g:
-        assert g[-1] == 1
-        for f in (a, b):
-            assert not any(poly.divmod_mod(f, g, p)[1])
 
 
 @settings(max_examples=100, deadline=None)
@@ -69,8 +63,6 @@ def test_gcd_examples():
     assert poly.gcd([-2, 1, 1], [-3, 2, 1]) == [-1, 1]
     assert poly.gcd([1, 0, 1], [0, 1]) == [1]
     assert poly.gcd([], []) == []
-    # x^2 + 1 = (x + 2)(x + 3) mod 5
-    assert poly.gcdext_mod([1, 0, 1], [2, 1], 5)[0] == [2, 1]
 
 
 @settings(max_examples=200, deadline=None)
