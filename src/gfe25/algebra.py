@@ -1,10 +1,12 @@
 """Number fields, exact element arithmetic, and polynomial factorization.
 
-Factorization over F_p and Q is delegated to sympy, and so is factorization
-over number fields, which no stage uses: the types over Q(sqrt5) come from
-the factors over Q (see factorization_certificates).  A field element is
-held in one form, integer power-basis numerators over one positive
-denominator (NFElement), and so are the integral basis and its inverse.
+Factorization over F_p is gfe25.poly's (poly.factor_mod and
+poly.distinct_degree_mod).  Factorization over Q is delegated to sympy, and
+so is factorization over number fields, which no stage uses: the types over
+Q(sqrt5) come from the factors over Q (see factorization_certificates).  A
+field element is held in one form, integer power-basis numerators over one
+positive denominator (NFElement), and so are the integral basis and its
+inverse.
 
 Polynomials at this module's boundaries are ascending coefficient lists.
 """
@@ -343,14 +345,6 @@ def _from_sympy_z(poly):
     return [int(c) for c in reversed(poly.all_coeffs())]
 
 
-def factor_fp(coeffs, p):
-    """Factor over F_p.  Returns (leading unit mod p, [(ascending coeffs, mult)])."""
-    P = sp.Poly([int(c) % p for c in reversed(list(coeffs))], _X, modulus=p)
-    lead, facs = P.factor_list()
-    out = [([int(c) % p for c in reversed(f.all_coeffs())], m) for f, m in facs]
-    return int(lead) % p, out
-
-
 def factor_q(coeffs):
     """Factor over Q.  Returns (rational content, [(primitive integer factor, mult)])."""
     P = _to_sympy_q(coeffs)
@@ -460,9 +454,9 @@ def _golden_split(g):
     for p in sp.primerange(2, INERT_PRIME_BOUND):
         if p % 5 not in (2, 3) or g[-1] % p == 0:
             continue
-        facs = factor_fp(g, p)[1]
-        if all(m == 1 for _, m in facs) \
-                and any((len(f) - 1) % 2 for f, _ in facs):
+        blocks = poly.distinct_degree_mod(g, p)
+        if all(e == 1 for _, e, _ in blocks) \
+                and any(k % 2 for k, _, _ in blocks):
             return [d], {"inert_prime": p}
     for k in itertools.count(1):
         facs = factor_q(_shifted_norm(g, k))[1]
@@ -561,8 +555,7 @@ class Fq:
     @lru_cache(maxsize=None)
     def _frobenius_matrix(self):
         """M with a^p = a @ M for a row a: row k holds (y^k)^p."""
-        return [poly.pow_mod([0] * k + [1], self.p, self.modpoly, self.p)
-                for k in range(self.f)]
+        return poly.frobenius_rows(self.modpoly, self.p)
 
     @lru_cache(maxsize=None)
     def _norm_characters(self):
@@ -610,9 +603,9 @@ def _element_scan(fq):
 @lru_cache(maxsize=None)
 def residue_split(K, p):
     """The residue fields of K at p, one Fq per monic irreducible factor of
-    K's minimal polynomial mod p, in factor_fp's order; cached, since it
-    depends only on K and p."""
-    facs = factor_fp(K.min_poly, p)[1]
+    K's minimal polynomial mod p, in poly.factor_mod's order; cached, since
+    it depends only on K and p."""
+    facs = poly.factor_mod(K.min_poly, p)[1]
     if sum((len(g) - 1) * e for g, e in facs) != K.degree:
         raise ArithmeticError(f"local factors mod {p} do not multiply up "
                               f"to the degree of {K.label}")

@@ -34,7 +34,7 @@ import sympy as sp
 
 from . import padic, poly
 from .algebra import (ZeroInput, auxiliary_field, coefficient_field,
-                      factor_fp, maximal_order, residue_split)
+                      maximal_order, residue_split)
 from .bforms import BinaryForm, binary_resultant, edwards_triple, transform
 from .search import HyperellipticModel, InfinitePoint
 
@@ -780,9 +780,9 @@ def _irreducibility_primes(q, H, K):
     for p in sp.primerange(2, IRREDUCIBILITY_PRIME_BOUND):
         if disc % p == 0 or den % p == 0:
             continue
-        for a in range(p):
-            if sum(c * a**k for k, c in enumerate(K.min_poly)) % p:
-                continue
+        roots = sorted(-g[0] % p for g, _ in poly.factor_mod(K.min_poly, p)[1]
+                       if len(g) == 2)
+        for a in roots:
             powers = [pow(a, k, p) for k in range(K.degree)]
             reduced = [[sum(x * y for x, y in zip(c.coords_mod(p), powers)) % p
                         for c in f] for f in polys]
@@ -791,9 +791,9 @@ def _irreducibility_primes(q, H, K):
             narrowed = False
             for k, f in enumerate(reduced):
                 here = {0}
-                for g, m in factor_fp(f, p)[1]:
-                    for _ in range(m):
-                        here |= {d + len(g) - 1 for d in here}
+                for d, e, g in poly.distinct_degree_mod(f, p):
+                    for _ in range(e * (len(g) - 1) // d):
+                        here |= {x + d for x in here}
                 narrowed |= not sums[k] <= here
                 sums[k] &= here
             if narrowed:

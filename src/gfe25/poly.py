@@ -1,7 +1,7 @@
 """Exact univariate polynomial arithmetic and exact integer roots.
 
 A polynomial is a list of coefficients in ascending powers of x, and the zero
-polynomial is [].  Three kinds of arithmetic are provided:
+polynomial is [].  The module provides:
 
 * over a field, on ints and Fractions (over Q) or on any field elements with
   + - * / and truth, such as number-field elements: ring operations,
@@ -13,6 +13,10 @@ polynomial is [].  Three kinds of arithmetic are provided:
   polynomial whose remainder is a residue vector of exactly deg(divisor)
   entries in [0, m); powers in (Z/m)[y]/(g), and products there of the rows
   of two integer arrays;
+* factorization modulo a prime p (Cohen, GTM 138, 3.4): a squarefree
+  decomposition that takes p-th roots where the derivative vanishes, then
+  distinct-degree factorization by the Frobenius rows, then a deterministic
+  Cantor-Zassenhaus equal-degree split;
 * exact k-th roots of integers and Fractions.
 
 This module imports nothing from the package.
@@ -183,6 +187,125 @@ def mul_rows_mod(a, b, g, m):
         # y^f = -(g_0 + ... + g_(f-1) y^(f-1))
         out[:, k - f:k] = (out[:, k - f:k] - out[:, k:k + 1] * low) % m
     return out[:, :f]
+
+
+def frobenius_rows(g, p):
+    """The rows (y^k)^p in F_p[y]/(g), k < deg g, for g monic mod p: a^p is
+    the row a times this matrix.  One pow_mod gives y^p, and each row is the
+    previous one times y^p."""
+    yp = pow_mod([0, 1], p, g, p)
+    rows = [divmod_mod([1], g, p)[1]]
+    for _ in range(len(g) - 2):
+        rows.append(divmod_mod(mul_mod(rows[-1], yp, p), g, p)[1])
+    return rows
+
+
+# ---------------------------------------------------------------------------
+# factorization over F_p (Cohen, GTM 138, 3.4): trimmed residue lists
+
+def _monic(a, p):
+    """a mod p, trimmed and scaled to be monic ([] for a = 0 mod p)."""
+    a = trim([c % p for c in a])
+    inv = pow(a[-1], -1, p) if a else 1
+    return [c * inv % p for c in a]
+
+
+def _gcd_mod(a, b, p):
+    """The monic gcd mod p, or [] when a and b are both zero mod p."""
+    a, b = _monic(a, p), _monic(b, p)
+    while b:
+        a, b = b, _monic(divmod_mod(a, b, p)[1], p)
+    return a
+
+
+def _quo_mod(a, b, p):
+    """a / b for b monic dividing a mod p."""
+    return trim(divmod_mod(a, b, p)[0])
+
+
+def _squarefree_mod(a, p):
+    """[(e, s)]: a monic a = prod s^e mod p with every s monic, squarefree
+    and coprime to the others, and no s = 1.
+
+    Where p divides a multiplicity the derivative loses that factor, so the
+    part c left after the loop is a polynomial in x^p, and its p-th root is
+    c with only the coefficients of x^(kp), as b^p = b for b in F_p."""
+    out = []
+    c = _gcd_mod(a, [k * x for k, x in enumerate(a)][1:], p)
+    w, e = _quo_mod(a, c, p), 1
+    while len(w) > 1:
+        y = _gcd_mod(w, c, p)
+        if len(w) > len(y):
+            out.append((e, _quo_mod(w, y, p)))
+        w, c, e = y, _quo_mod(c, y, p), e + 1
+    if len(c) > 1:
+        out += [(e * p, s) for e, s in _squarefree_mod(c[::p], p)]
+    return out
+
+
+def distinct_degree_mod(a, p):
+    """[(d, e, g)]: the monic irreducible factors of a mod p of degree d and
+    multiplicity e have the monic product g; a is nonzero mod p.
+
+    Distinct-degree factorization of each squarefree part s: h = x^(p^d)
+    mod s by the Frobenius rows of s, and gcd(s, h - x) collects the
+    factors of degree dividing d, of which those of lower degree have
+    already been divided out."""
+    out = []
+    for e, s in _squarefree_mod(_monic(a, p), p):
+        # h stays reduced mod the first s, of which each later s is a factor
+        frob, h, d = frobenius_rows(s, p), [0, 1], 0
+        while len(s) - 1 >= 2 * (d + 1):
+            d += 1
+            h = [sum(x * r[k] for x, r in zip(h, frob)) % p
+                 for k in range(len(frob))]
+            g = _gcd_mod(s, add(h, [0, -1]), p)
+            if len(g) > 1:
+                out.append((d, e, g))
+                s = _quo_mod(s, g, p)
+        if len(s) > 1:
+            out.append((len(s) - 1, e, s))
+    return out
+
+
+def factor_mod(a, p):
+    """(lead, [(f, e)]): a = lead * prod f^e mod p with the f monic,
+    irreducible and distinct, sorted by degree, then multiplicity, then the
+    coefficients from the top (sympy's order); (0, []) for a = 0 mod p."""
+    a = trim([c % p for c in a])
+    if not a:
+        return 0, []
+    out = [(f, e) for d, e, g in distinct_degree_mod(a, p)
+           for f in _equal_degree_mod(g, d, p)]
+    return a[-1], sorted(out, key=lambda fe: (len(fe[0]), fe[1], fe[0][::-1]))
+
+
+def _equal_degree_mod(g, d, p):
+    """The monic irreducible factors of g, a monic squarefree product of
+    factors of degree d, by Cantor-Zassenhaus.  The candidates t run
+    through the polynomials of degree below deg g that are not constants,
+    t = x, x + 1, ..., by the base-p digits of p, p + 1, ...  The gcd of g
+    with t^((p^d - 1)/2) - 1 for odd p, or with the trace
+    t + t^2 + ... + t^(2^(d-1)) for p = 2, splits g as soon as t has
+    different characters (traces) modulo two of its factors; by the Chinese
+    remainder theorem some candidate does."""
+    if len(g) - 1 == d:
+        return [g]
+    for n in range(p, p**(len(g) - 1)):
+        t = [n // p**k % p for k in range(len(g) - 1)]
+        if p == 2:
+            u = list(t)
+            for _ in range(d - 1):
+                t = divmod_mod(mul_mod(t, t, p), g, p)[1]
+                u = [x ^ y for x, y in zip(u, t)]
+        else:
+            u = pow_mod(t, (p**d - 1) // 2, g, p)
+            u[0] = (u[0] - 1) % p
+        f = _gcd_mod(g, u, p)
+        if 1 < len(f) < len(g):
+            return _equal_degree_mod(f, d, p) \
+                + _equal_degree_mod(_quo_mod(g, f, p), d, p)
+    raise ArithmeticError("no candidate splits the equal-degree product")
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from fractions import Fraction
 import pytest
 
 import conftest
-from gfe25 import algebra, cli, padic
+from gfe25 import algebra, cli, padic, poly
 from gfe25.bforms import BinaryForm, evaluate_triple, transform
 from gfe25.search import HyperellipticModel, rational_points
 
@@ -173,7 +173,7 @@ def _prop_factor_roundtrip(rng):
         p = rng.choice([3, 5, 7, 11, 13])
         deg = rng.randrange(2, 6)
         coeffs = [rng.randrange(p) for _ in range(deg)] + [1]
-        lead, facs = algebra.factor_fp(coeffs, p)
+        lead, facs = poly.factor_mod(coeffs, p)
         prod = [lead]
         for f, e in facs:
             for _ in range(e):

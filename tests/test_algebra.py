@@ -21,17 +21,6 @@ FACT_TYPES = {
 }
 
 
-def test_factor_fp_gauss_mod5():
-    lead, facs = alg.factor_fp([1, 0, 1], 5)
-    assert lead == 1
-    assert sorted(f for f, _ in facs) == [[2, 1], [3, 1]]
-
-
-def test_factor_fp_gauss_mod3_irreducible():
-    _, facs = alg.factor_fp([1, 0, 1], 3)
-    assert facs == [([1, 0, 1], 1)]
-
-
 def test_factor_q_content_and_factors():
     content, facs = alg.factor_q([-4, 0, 4])   # 4x^2 - 4 = 4(x-1)(x+1)
     assert content == 4

@@ -18,8 +18,8 @@ from hypothesis import given, settings, strategies as st
 import gfe25
 from gfe25 import descent as D, poly
 from gfe25.algebra import (Fq, NumberField, auxiliary_field,
-                           coefficient_field, factor_fp, maximal_order,
-                           nf_fifth_root, residue_split)
+                           coefficient_field, maximal_order, nf_fifth_root,
+                           residue_split)
 from gfe25.bforms import (ALL_INDICES, BinaryForm, edwards_triple,
                           evaluate_triple, transform)
 from gfe25.search import AffinePoint, InfinitePoint
@@ -307,6 +307,22 @@ def test_sextic_split_digests():
         assert digest == SPLIT_DIGESTS[i], i
 
 
+#: the degree-1 primes (p, a) of each split's irreducibility certificate
+IRREDUCIBILITY_PRIMES = {
+    5: ((7, 4), (7, 6), (41, 11)), 6: ((19, 6),),
+    8: ((13, 10), (13, 12), (31, 11)), 9: ((7, 4), (7, 6), (41, 11)),
+    13: ((7, 4), (7, 6), (41, 11)), 14: ((11, 2), (13, 10), (13, 12)),
+    15: ((11, 10), (19, 14)), 16: ((11, 2), (13, 10), (13, 12)),
+    21: ((7, 4), (7, 5), (11, 10)), 22: ((11, 6), (13, 8), (13, 9)),
+    23: ((19, 6),), 24: ((7, 4), (7, 5), (11, 10)),
+}
+
+
+def test_sextic_split_certificate_primes():
+    assert {i: D.sextic_split(i).irreducibility_primes
+            for i in D.SEXTIC_INDICES} == IRREDUCIBILITY_PRIMES
+
+
 def test_sextic_split_certificate_primes_prove_irreducibility():
     # recompute the certificate from the recorded primes alone: at each
     # P = (p, theta - a), the subset sums of the factor degrees of q and H
@@ -322,7 +338,7 @@ def test_sextic_split_certificate_primes_prove_irreducibility():
                 red = [sum(x * a**k for k, x in enumerate(c.coords_mod(p))) % p
                        for c in f]
                 assert red[-1] != 0
-                degrees = [len(g) - 1 for g, m in factor_fp(red, p)[1]
+                degrees = [len(g) - 1 for g, m in poly.factor_mod(red, p)[1]
                            for _ in range(m)]
                 sums = {sum(c) for r in range(len(degrees) + 1)
                         for c in itertools.combinations(degrees, r)}

@@ -173,3 +173,135 @@ def test_resultant_vanishes_on_common_factor(c, a, b):
     a, b = poly.mul(c, a), poly.mul(c, b)
     assume(a and b)
     assert poly.resultant(a, b) == 0
+
+
+# ---------------------------------------------------------------------------
+# factorization over F_p; sympy's factor_list is the reference
+
+
+def _sympy_factor_mod(a, p):
+    x = sp.Symbol("x")
+    lead, facs = sp.Poly([c % p for c in a[::-1]], x, modulus=p).factor_list()
+    return int(lead) % p, [([int(c) % p for c in f.all_coeffs()[::-1]], m)
+                           for f, m in facs]
+
+
+@st.composite
+def polys_mod_p(draw):
+    """(p, a) with 1 <= deg a <= 12: dense integer polynomials, whose top
+    coefficient may vanish mod p, or products of powers of monic factors,
+    whose multiplicities may be multiples of p."""
+    p = draw(st.sampled_from(SMALL_PRIMES))
+    n = draw(st.integers(1, 12))
+    if draw(st.booleans()):
+        return p, draw(st.lists(st.integers(-60, 60), min_size=n + 1,
+                                max_size=n + 1))
+    a = [draw(st.integers(1, 60))]
+    while len(a) <= n:
+        d = draw(st.integers(1, min(3, n + 1 - len(a))))
+        f = draw(st.lists(st.integers(0, p - 1), min_size=d, max_size=d))
+        e = draw(st.integers(1, (n + 1 - len(a)) // d))
+        a = poly.mul(a, poly.power(f + [1], e, [1], poly.mul))
+    return p, a
+
+
+@settings(max_examples=400, deadline=None)
+@given(polys_mod_p())
+def test_factor_mod_matches_sympy(pa):
+    p, a = pa
+    lead, facs = poly.factor_mod(a, p)
+    want_lead, want = _sympy_factor_mod(a, p)
+    prod = [lead]
+    for f, e in facs:
+        assert f[-1] == 1 and all(0 <= c < p for c in f)
+        prod = poly.mul_mod(prod, poly.power(f, e, [1], poly.mul), p)
+    assert _mod(prod, p) == _mod(a, p)
+    assert sorted(facs) == sorted(want)
+    assert (lead, facs) == (want_lead, want)   # sympy's order as well
+    blocks = poly.distinct_degree_mod(a, p) if lead else []
+    for d, e, g in blocks:
+        here = [f for f, m in facs if len(f) - 1 == d and m == e]
+        assert g == _mod(_product_mod(here, p), p)
+    assert sorted((d, e) for d, e, _ in blocks) == \
+        sorted({(len(f) - 1, e) for f, e in facs})
+
+
+def _product_mod(fs, p):
+    out = [1]
+    for f in fs:
+        out = poly.mul_mod(out, f, p)
+    return out
+
+
+def test_factor_mod_gauss_mod5():
+    lead, facs = poly.factor_mod([1, 0, 1], 5)
+    assert lead == 1
+    assert sorted(f for f, _ in facs) == [[2, 1], [3, 1]]
+
+
+def test_factor_mod_gauss_mod3_irreducible():
+    _, facs = poly.factor_mod([1, 0, 1], 3)
+    assert facs == [([1, 0, 1], 1)]
+
+
+def test_factor_mod_edge_cases():
+    # vanishing derivatives: (x^2 + 1)^5 and x^10 + x^5 + 1 = (x^2 + x + 1)^5
+    assert poly.factor_mod(poly.power([1, 0, 1], 5, [1], poly.mul), 5) == \
+        (1, [([2, 1], 5), ([3, 1], 5)])
+    assert poly.factor_mod([1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1], 5) == \
+        (1, [([1, 1, 1], 5)])
+    # x^4 + 1 = (x + 1)^4 and x^6 + 1 = ((x + 1)(x^2 + x + 1))^2 mod 2:
+    # p-th roots taken twice, and once
+    assert poly.factor_mod([1, 0, 0, 0, 1], 2) == (1, [([1, 1], 4)])
+    assert poly.factor_mod([1, 0, 0, 0, 0, 0, 1], 2) == \
+        (1, [([1, 1], 2), ([1, 1, 1], 2)])
+    # not monic, and a top coefficient that vanishes mod p
+    assert poly.factor_mod([3, 0, 3], 7) == (3, [([1, 0, 1], 1)])
+    assert poly.factor_mod([1, 2, 5], 5) == (2, [([3, 1], 1)])
+    # constants
+    assert poly.factor_mod([4], 7) == (4, [])
+    assert poly.factor_mod([7, 14], 7) == (0, [])
+    assert poly.factor_mod([], 3) == (0, [])
+    for a, p in (([1, 0, 1], 5), ([3, 0, 3], 7), ([1, 2, 5], 5), ([4], 7)):
+        assert poly.factor_mod(a, p) == _sympy_factor_mod(a, p)
+
+
+def test_frobenius_rows_are_pth_powers():
+    for g, p in (([1, 1, 0, 1], 2), ([2, 0, 1, 0, 1], 7), ([3, 1], 11)):
+        rows = poly.frobenius_rows(g, p)
+        assert rows == [poly.pow_mod([0] * k + [1], p, g, p)
+                        for k in range(len(g) - 1)]
+
+
+#: the factorization types of the sextic fields' minimal polynomials at 5,
+#: 7, 13, 19 and the 30 default sieve primes, in that order ("d^e" for a
+#: factor of degree d and multiplicity e > 1)
+SEXTIC_TYPES = {
+    5: "1 1^5,1 1 4,6,3 3,3 3,1 1 2 2,1 5,3 3,1 5,3 3,1 1 2 2,1 5,3 3,3 3,"
+       "1 1 2 2,1 5,1 1 2 2,1 1 2 2,1 5,1 5,1 5,1 1 2 2,1 1 2 2,1 1 2 2,1 5,"
+       "1 5,3 3,1 1 2 2,1 1 1 1 1 1,3 3,1 5,3 3,1 1 2 2,1 5",
+    6: "1 1^5,6,6,1 5,3 3,3 3,1 5,3 3,3 3,3 3,3 3,1 5,1 1 2 2,1 1 2 2,"
+       "1 1 2 2,3 3,1 5,1 5,3 3,3 3,1 5,1 1 2 2,1 5,3 3,3 3,1 5,1 1 2 2,1 5,"
+       "3 3,1 1 2 2,1 1 2 2,1 1 2 2,3 3,1 5",
+    16: "1 1^5,6,1 1 4,1 1 2 2,1 5,1 5,1 5,1 5,3 3,1 1 2 2,3 3,3 3,3 3,3 3,"
+        "3 3,1 5,1 1 2 2,3 3,3 3,1 1 2 2,3 3,1 5,3 3,1 1 2 2,1 1 2 2,3 3,"
+        "1 5,1 5,3 3,3 3,3 3,3 3,1 5,3 3",
+    22: "1 1^5,6,1 1 4,3 3,1 5,1 1 2 2,3 3,1 5,1 1 2 2,1 5,1 1 2 2,1 5,3 3,"
+        "1 5,1 5,1 1 2 2,1 1 2 2,1 1 2 2,3 3,3 3,1 1 2 2,1 5,1 5,1 5,3 3,3 3,"
+        "3 3,1 1 2 2,3 3,1 1 2 2,1 1 2 2,1 5,3 3,3 3",
+    24: "1 1^5,1 1 4,2 2 2,1 5,1 5,3 3,1 1 2 2,1 5,1 5,1 5,3 3,1 5,1 1 2 2,"
+        "3 3,3 3,1 5,1 1 2 2,1 5,1 1 2 2,1 5,1 1 2 2,1 5,1 1 2 2,3 3,1 5,"
+        "1 1 2 2,1 5,3 3,3 3,3 3,1 5,1 5,3 3,1 5",
+}
+
+
+def test_sextic_minimal_polynomial_types():
+    from gfe25.algebra import coefficient_field
+    from gfe25.descent import DEFAULT_SIEVE_PRIMES
+
+    for rep, want in SEXTIC_TYPES.items():
+        K = coefficient_field(rep)
+        types = [" ".join(f"{len(f) - 1}^{e}" if e > 1 else f"{len(f) - 1}"
+                          for f, e in poly.factor_mod(K.min_poly, p)[1])
+                 for p in (5, 7, 13, 19) + DEFAULT_SIEVE_PRIMES]
+        assert ",".join(types) == want, rep

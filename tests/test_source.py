@@ -113,6 +113,7 @@ def test_table4_does_not_reach_factor_nf():
     funcs = {node.name: node for node in tree.body
              if isinstance(node, ast.FunctionDef)}
     seen, todo, found = set(), ["factorization_certificates"], []
+    idents = set()
     while todo:
         name = todo.pop()
         if name in seen:
@@ -121,13 +122,26 @@ def test_table4_does_not_reach_factor_nf():
         for node in ast.walk(funcs[name]):
             ident = node.name if isinstance(node, ast.alias) else \
                 getattr(node, "id", None) or getattr(node, "attr", None)
+            idents.add(ident)
             if ident == "factor_nf":
                 found.append(f"{name}:{node.lineno}")
             if isinstance(node, ast.Name) and node.id in funcs:
                 todo.append(node.id)
     assert {"factorization_certificates", "_golden_factorization",
-            "_golden_split", "_shifted_norm", "factor_q", "factor_fp"} <= seen
+            "_golden_split", "_shifted_norm", "factor_q"} <= seen
+    assert "distinct_degree_mod" in idents   # the inert-prime test
     assert not found, f"table4 reaches factor_nf: {found}"
+
+
+def test_no_sympy_modular_polynomials():
+    # factorization over F_p is gfe25.poly's (factor_mod and
+    # distinct_degree_mod); a sympy Poly over GF(p) is a second copy of it
+    found = []
+    for path in sorted(pathlib.Path(gfe25.__file__).parent.glob("*.py")):
+        found += [f"{path.name}:{node.lineno}"
+                  for node in ast.walk(ast.parse(path.read_text(), str(path)))
+                  if isinstance(node, ast.keyword) and node.arg == "modulus"]
+    assert not found, f"sympy polynomials modulo p in the package: {found}"
 
 
 def test_private_names_are_used():
