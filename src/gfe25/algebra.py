@@ -499,90 +499,37 @@ class Fq:
         return poly.divmod_mod(elem.coords_mod(p), self.modpoly, p)[1]
 
     def fifth_power_class(self, a):
-        """0..4; 0 iff the row a is a fifth power in F_q^x.  Trivial when
-        q != 1 mod 5.
-
-        The class is the k with a^((q-1)/5) = gen^k, for the element gen of
-        order 5 from _mu5_generator.
-        """
+        """fifth_power_classes of the one row a."""
         return int(self.fifth_power_classes([a])[0])
 
     def fifth_power_classes(self, rows):
-        """fifth_power_class of every row of an (n, f) integer array, as an
-        int64 array of n labels from _mu5_powers."""
-        rows = self._rows(rows)
-        if (rows == 0).all(axis=1).any():
-            raise ZeroInput("fifth_power_classes of zero")
-        if (self.q - 1) % 5 != 0:
-            return np.zeros(len(rows), dtype=np.int64)
-        labels = np.array(self._mu5_powers(), dtype=rows.dtype)
-        hits = (self._character(rows)[:, None, :] == labels[None]).all(axis=2)
-        if not hits.any(axis=1).all():
-            raise ArithmeticError("exponent test failed to land in mu_5")
-        return hits.argmax(axis=1)
+        """The class 0..4 of every row a of an (n, f) integer array, as an
+        int64 array; 0 iff a is a fifth power in F_q^x.  For p = 1 mod 5
+        only, where mu_5 lies in F_p: ValueError at any other p.
 
-    def _rows(self, rows):
-        """rows as an (n, f) array reduced mod p, int64 or Python ints as
-        poly.mul_rows_mod chooses for the modulus p."""
-        dtype = np.int64 if self.f * self.p**2 < 2**63 else object
-        return np.asarray(rows, dtype=dtype).reshape(-1, self.f) % self.p
-
-    def _character(self, rows):
-        """a^((q-1)/5) for every row a of an array from _rows, for q = 1 mod 5.
-
-        When p = 1 mod 5, mu_5 lies in F_p and the character is
-        N(a)^((p-1)/5), read off a table of length p; the norm
-        N(a) = a * a^p * ... * a^(p^(f-1)) is the product of the Frobenius
-        conjugates, each the previous one times the Frobenius matrix.
-        Otherwise a^((q-1)/5) is taken by poly.power on the rows.
+        There a^((q-1)/5) = N(a)^((p-1)/5) for the norm
+        N(a) = a * a^p * ... * a^(p^(f-1)) in F_p, the product of the
+        Frobenius conjugates, each the previous one times the Frobenius
+        matrix; the class is _fifth_power_labels(p) at N(a).
         """
         p, g = self.p, self.modpoly
-        if (p - 1) % 5 == 0:
-            frob = np.array(self._frobenius_matrix(), dtype=rows.dtype)
-            norm, conj = rows, rows
-            for _ in range(self.f - 1):
-                conj = conj @ frob % p
-                norm = poly.mul_rows_mod(norm, conj, g, p)
-            out = np.zeros_like(rows)
-            out[:, 0] = np.array(self._norm_characters())[
-                norm[:, 0].astype(np.int64)]
-            return out
-        one = np.zeros_like(rows)
-        one[:, 0] = 1
-        return poly.power(rows, (self.q - 1) // 5, one,
-                          lambda a, b: poly.mul_rows_mod(a, b, g, p))
+        if p % 5 != 1:
+            raise ValueError(f"fifth-power classes need p = 1 mod 5, "
+                             f"not p = {p}")
+        rows = np.asarray(rows, dtype=np.int64).reshape(-1, self.f) % p
+        frob = np.array(self._frobenius_matrix())
+        norm, conj = rows, rows
+        for _ in range(self.f - 1):
+            conj = conj @ frob % p
+            norm = poly.mul_rows_mod(norm, conj, g, p)
+        if (norm[:, 0] == 0).any():  # N(a) = 0 only for a = 0
+            raise ZeroInput("fifth_power_classes of zero")
+        return _fifth_power_labels(p)[norm[:, 0]]
 
     @lru_cache(maxsize=None)
     def _frobenius_matrix(self):
         """M with a^p = a @ M for a row a: row k holds (y^k)^p."""
         return poly.frobenius_rows(self.modpoly, self.p)
-
-    @lru_cache(maxsize=None)
-    def _norm_characters(self):
-        """For p = 1 mod 5: n^((p-1)/5) mod p at index n, for n in F_p."""
-        return [pow(n, (self.p - 1) // 5, self.p) for n in range(self.p)]
-
-    @lru_cache(maxsize=None)
-    def _mu5_powers(self):
-        """The rows gen^0, ..., gen^4, which label the classes 0..4."""
-        gen = self._mu5_generator()
-        return [poly.pow_mod(gen, k, self.modpoly, self.p) for k in range(5)]
-
-    @lru_cache(maxsize=None)
-    def _mu5_generator(self):
-        """The character, as a row, of the first element of _element_scan
-        that is not a fifth power, among its first 10000; it has exact order
-        5.  The scan is read in chunks of doubling size, so an early hit
-        builds a short array."""
-        scan, size = itertools.islice(_element_scan(self), 10000), 8
-        while chunk := list(itertools.islice(scan, size)):
-            chi = self._character(self._rows(chunk))
-            one = np.eye(1, self.f, dtype=chi.dtype)  # the row of 1
-            hit = (chi != one).any(axis=1)
-            if hit.any():
-                return chi[hit.argmax()].tolist()
-            size *= 2
-        raise ArithmeticError("no fifth-power-class generator found")
 
     def __hash__(self):
         return hash((self.p, self.modpoly))
@@ -591,13 +538,18 @@ class Fq:
         return isinstance(other, Fq) and (self.p, self.modpoly) == (other.p, other.modpoly)
 
 
-def _element_scan(fq):
-    """The nonzero rows of degree below min(f, 3), padded to f entries: by
-    degree, then lexicographically with the top coefficient fastest."""
-    for d in range(min(fq.f, 3)):
-        for low in itertools.product(range(fq.p), repeat=d):
-            for top in range(1, fq.p):
-                yield [*low, top] + [0] * (fq.f - d - 1)
+@lru_cache(maxsize=None)
+def _fifth_power_labels(p):
+    """For p = 1 mod 5: the int64 array whose entry n, for n in F_p^x, is the
+    k with n^((p-1)/5) = zeta^k mod p, where zeta = c^((p-1)/5) for the least
+    c with c^((p-1)/5) != 1 (so c has class 1); entry 0 is unused."""
+    e = (p - 1) // 5
+    chars = [pow(n, e, p) for n in range(p)]
+    zeta = next(x for x in chars[1:] if x != 1)
+    label = {pow(zeta, k, p): k for k in range(5)}
+    labels = np.array([label.get(x, 0) for x in chars], dtype=np.int64)
+    labels.flags.writeable = False  # every field at p shares the array
+    return labels
 
 
 @lru_cache(maxsize=None)

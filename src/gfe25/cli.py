@@ -793,12 +793,11 @@ def cmd_derive(args):
 
 def cmd_unitsieve(args):
     primes = args.primes or descent.DEFAULT_SIEVE_PRIMES
+    t0 = time.perf_counter()
     try:
-        descent.check_sieve_primes(primes, descent.FIELD_REP[args.i])
+        survivors = descent.unit_sieve(args.i, primes=primes)
     except descent.IndexRisk as e:
         raise DataProblem(f"{e}; choose other --primes") from e
-    t0 = time.perf_counter()
-    survivors = descent.unit_sieve(args.i, primes=primes)
     report = DescentReport(
         stage=f"unitsieve-{args.i}",
         inputs=_stage_digest(f"unitsieve-{args.i}",
@@ -923,8 +922,8 @@ def _build_parser():
     p.add_argument("--i", type=int, required=True,
                    choices=descent.SEXTIC_INDICES)
     p.add_argument("--primes", type=_int_list,
-                   help="comma-separated primes the sieve may walk "
-                        "(default: all p = 1 mod 5 below 700)")
+                   help="comma-separated primes p = 1 mod 5 the sieve "
+                        "may walk (default: all of them below 700)")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_unitsieve)
 

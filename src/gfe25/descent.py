@@ -780,12 +780,11 @@ def _irreducibility_primes(q, H, K):
     for p in sp.primerange(2, IRREDUCIBILITY_PRIME_BOUND):
         if disc % p == 0 or den % p == 0:
             continue
-        roots = sorted(-g[0] % p for g, _ in poly.factor_mod(K.min_poly, p)[1]
-                       if len(g) == 2)
-        for a in roots:
-            powers = [pow(a, k, p) for k in range(K.degree)]
-            reduced = [[sum(x * y for x, y in zip(c.coords_mod(p), powers)) % p
-                        for c in f] for f in polys]
+        # P has residue field F_p[y]/(y + g_0), where theta reduces to -g_0
+        linear = {-fq.modpoly[0] % p: fq for fq in residue_split(K, p)
+                  if fq.f == 1}
+        for a, fq in sorted(linear.items()):
+            reduced = [[fq.reduce(c)[0] for c in f] for f in polys]
             if not all(f[-1] for f in reduced):
                 continue
             narrowed = False
@@ -820,9 +819,15 @@ def unit_data_file(rep):
 def load_unit_data(rep):
     """(generators, certification primes) of K_rep from unit_data_file;
     BadUnitData when a generator has other than degree coordinates, or one
-    that is not a rational number."""
+    that is not a rational number, or when a certification prime fails
+    check_sieve_primes."""
     raw = json.loads(unit_data_file(rep).read_text())
     K = coefficient_field(rep)
+    try:
+        check_sieve_primes(raw.get("certPrimes"), rep)
+    except (TypeError, IndexRisk) as e:  # not a list, or a bad entry
+        raise BadUnitData(f"bad certPrimes in the unit file of {K.label}: "
+                          f"{e}") from None
     if any(len(row) != K.degree for row in raw["generators"]):
         raise BadUnitData(f"a generator of {K.label} does not have "
                           f"{K.degree} coordinates")
@@ -855,12 +860,12 @@ def _rank_mod5(rows):
 def _generator_classes(gens, rs):
     """The fifth-power classes of the generators at the residue fields rs,
     as a (len(gens), slots) array; ZeroInput when a generator vanishes at
-    one of them.  A slot with q != 1 mod 5 gives class 0."""
+    one of them."""
     return np.array([fq.fifth_power_classes([fq.reduce(g) for g in gens])
                      for fq in rs]).T
 
 
-def verify_unit_data(rep, gens=None, cert_primes=None):
+def verify_unit_data(rep):
     """Prove that the three generators span O_K^x modulo fifth powers.
 
     Sturm counting gives K exactly two real places, so its signature is
@@ -870,8 +875,7 @@ def verify_unit_data(rep, gens=None, cert_primes=None):
     certification primes, the classes unit_sieve uses, to have rank 3 mod 5,
     so they span it.
     """
-    if gens is None:
-        gens, cert_primes = load_unit_data(rep)
+    gens, cert_primes = load_unit_data(rep)
     K = coefficient_field(rep)
     real_places = sp.Poly(K.min_poly[::-1], sp.Symbol("x")).count_roots()
     if real_places != 2:
@@ -930,19 +934,21 @@ def _local_targets(split, rs, p):
     return np.array(sorted(set(map(tuple, targets.tolist()))))
 
 
-#: default sieve primes: the primes p = 1 mod 5 below 700, where every
-#: residue field above p carries nontrivial fifth-power classes
+#: default sieve primes: the primes p = 1 mod 5 below 700
 DEFAULT_SIEVE_PRIMES = tuple(p for p in sp.primerange(7, 700) if p % 5 == 1)
 
 
 def check_sieve_primes(primes, rep):
-    """Raise IndexRisk unless every sieve prime is a prime above 5 that does
-    not divide disc(K) for the sextic field K labelled rep."""
+    """Raise IndexRisk unless every sieve prime is an int p = 1 mod 5 that
+    is prime and does not divide disc(K), for the sextic field K labelled
+    rep: mu_5 lies in F_p, so every residue field above p has fifth-power
+    classes (Fq.fifth_power_classes)."""
     K = coefficient_field(rep)
     disc = K.discriminant()
-    bad = [p for p in primes if p <= 5 or not sp.isprime(p) or disc % p == 0]
+    bad = [p for p in primes if not isinstance(p, int) or p % 5 != 1
+           or not sp.isprime(p) or disc % p == 0]
     if bad:
-        raise IndexRisk(f"sieve primes {bad} are not primes above 5 "
+        raise IndexRisk(f"sieve primes {bad} are not primes p = 1 mod 5 "
                         f"prime to disc({K.label})")
 
 
@@ -953,9 +959,8 @@ def unit_sieve(i, primes=DEFAULT_SIEVE_PRIMES):
     at each prime p, the class vector of every surviving exponent e is
     e @ gen_classes mod 5, and e survives when some row of _local_targets,
     H read at the points of P^1(F_p), agrees with it at every slot where
-    that row is not -1.  A slot whose
-    residue field has q != 1 mod 5 gives class 0 to targets and generators
-    alike, so it never separates anything.
+    that row is not -1.  The primes must be p = 1 mod 5
+    (check_sieve_primes).
 
     The primes are walked only while the survivors outnumber the classes of
     known global points: known = 1 for an index of SIEVE_WITNESSES, 0 for

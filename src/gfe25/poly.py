@@ -172,14 +172,15 @@ def mul_rows_mod(a, b, g, m):
     entries in [0, m), for g monic of degree f; an (n, f) array in [0, m).
 
     A product coefficient sums at most f products of residues, so the arrays
-    are int64 while f * m^2 < 2^63 and hold Python ints above that."""
+    are int64; ValueError when f * m^2 >= 2^63, where they could overflow."""
     import numpy as np
 
     f = len(g) - 1
-    dtype = np.int64 if f * m * m < 2**63 else object
-    a, b = np.asarray(a, dtype=dtype), np.asarray(b, dtype=dtype)
-    low = np.array([c % m for c in g[:f]], dtype=dtype)
-    out = np.zeros((len(a), 2 * f - 1), dtype=dtype)
+    if f * m * m >= 2**63:
+        raise ValueError(f"int64 rows overflow for degree {f} modulo {m}")
+    a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
+    low = np.array([c % m for c in g[:f]], dtype=np.int64)
+    out = np.zeros((len(a), 2 * f - 1), dtype=np.int64)
     for k in range(f):
         out[:, k:k + f] += a[:, k:k + 1] * b
     out %= m

@@ -1,6 +1,5 @@
 """Tests for number-field arithmetic, factorization, and residue splittings."""
 
-import itertools
 import math
 import warnings
 from fractions import Fraction
@@ -267,39 +266,37 @@ def test_fq_fifth_power_class():
 
 
 # residue fields of K16 with f = 1 and 5 (p = 11), 3 (p = 71) and 1, 2
-# (p = 101), where p = 1 mod 5; and F_{7^4}, where p = 2 mod 5 but q = 1 mod 5
+# (p = 101); fifth-power classes are taken only at p = 1 mod 5
 FIELDS_WITH_MU5 = [fq for p in (11, 71, 101) for fq in
-                   alg.residue_split(alg.coefficient_field(16), p)
-                   ] + [alg.Fq(7, [1, 1, 0, 0, 1])]
+                   alg.residue_split(alg.coefficient_field(16), p)]
 
 
-# every residue field of K16 at 11, 71, 101 (p = 1 mod 5), 13 and 19, and of
-# K5 at 7 (p != 1 mod 5, with slots f = 4 and 2 where q = 1 mod 5)
-SIEVE_FIELDS = [fq for rep, p in ((16, 11), (16, 71), (16, 101), (16, 13),
-                                  (16, 19), (5, 7))
+# every residue field of K5 and K22 at the certification primes 11, 31, 41
+SIEVE_FIELDS = [fq for rep in (5, 22) for p in (11, 31, 41)
                 for fq in alg.residue_split(alg.coefficient_field(rep), p)]
 
 
+def _zeta(p):
+    # c^((p-1)/5) for the least c where that is not 1
+    e = (p - 1) // 5
+    return next(z for z in (pow(c, e, p) for c in range(1, p)) if z != 1)
+
+
 def _class_by_definition(fq, a):
-    # the k with a^((q-1)/5) = gen^k, by scalar powers; 0 when q != 1 mod 5
-    if (fq.q - 1) % 5:
-        return 0
+    # the k with a^((q-1)/5) = zeta^k, by scalar powers in F_q
     g, p = fq.modpoly, fq.p
-    one = [1] + [0] * (fq.f - 1)
     chi = poly.pow_mod(a, (fq.q - 1) // 5, g, p)
-    gen, acc = fq._mu5_generator(), one
-    assert gen != one and poly.pow_mod(gen, 5, g, p) == one
+    assert not any(chi[1:])  # mu_5 lies in F_p
     for k in range(5):
-        if chi == acc:
+        if chi[0] == pow(_zeta(p), k, p):
             return k
-        acc = poly.divmod_mod(poly.mul_mod(acc, gen, p), g, p)[1]
-    raise AssertionError(f"{chi} is not a power of {gen}")
+    raise AssertionError(f"{chi} is not a power of {_zeta(p)}")
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.sampled_from(FIELDS_WITH_MU5 + SIEVE_FIELDS), st.data())
 def test_fq_fifth_power_class_matches_definition(fq, data):
-    assert [F.f for F in FIELDS_WITH_MU5] == [1, 5, 3, 3, 1, 1, 2, 2, 4]
+    assert [F.f for F in FIELDS_WITH_MU5] == [1, 5, 3, 3, 1, 1, 2, 2]
     rows = data.draw(st.lists(
         st.lists(st.integers(0, fq.p - 1), min_size=fq.f, max_size=fq.f)
         .filter(any), min_size=1, max_size=12))
@@ -324,19 +321,20 @@ def test_fifth_power_classes_match_scalar_class(fq, data):
         fq.fifth_power_classes(rows + [[0] * fq.f])
 
 
-def test_mu5_generator_is_first_scanned_character_off_one():
-    # the generator fixes the class labels, which the sieve survivors do
-    # not depend on (test_unit_sieve_does_not_depend_on_class_labels): it
-    # is the character of the first scanned non-fifth power
-    for fq in FIELDS_WITH_MU5 + SIEVE_FIELDS:
-        if (fq.q - 1) % 5:
-            continue
-        g, p, e = fq.modpoly, fq.p, (fq.q - 1) // 5
-        one = [1] + [0] * (fq.f - 1)
-        scan = itertools.islice(alg._element_scan(fq), 10000)
-        want = next(c for c in (poly.pow_mod(a, e, g, p) for a in scan)
-                    if c != one)
-        assert fq._mu5_generator() == want
+def test_fifth_power_labels_pin_zeta():
+    # zeta = c^((p-1)/5) for the least c that is not a fifth power mod p
+    # fixes the class labels, which the sieve survivors do not depend on
+    # (test_unit_sieve_does_not_depend_on_class_labels): c has class 1 and
+    # every smaller residue class 0
+    for p, c, zeta in [(11, 2, 4), (31, 2, 2), (41, 2, 10), (151, 3, 59),
+                       (431, 5, 405)]:
+        assert _zeta(p) == zeta == pow(c, (p - 1) // 5, p)
+        labels = alg._fifth_power_labels(p)
+        assert labels[1:c].tolist() == [0] * (c - 1) and labels[c] == 1
+        assert alg.Fq(p, [-c, 1]).fifth_power_class([c]) == 1
+        assert [int(labels[n]) for n in range(1, p)] == \
+            [next(k for k in range(5) if pow(n, (p - 1) // 5, p)
+                  == pow(zeta, k, p)) for n in range(1, p)]
 
 
 @settings(max_examples=60, deadline=None)
@@ -361,9 +359,16 @@ def test_fq_rejects_modulus_not_monic():
     assert alg.Fq(7, [1, 1, 0, 0, 8]).modpoly == (1, 1, 0, 0, 1)
 
 
-def test_fq_fifth_power_class_trivial_when_q_not_1_mod_5():
-    fq = alg.Fq(3, [1, 0, 1])  # q = 9, 9 % 5 != 1
-    assert fq.fifth_power_class([1, 2]) == 0
+def test_fq_fifth_power_classes_refuse_p_not_1_mod_5():
+    # F_9, and F_{7^4} and the fields of K16 at 13 and 19, where q = 1 mod 5
+    # but p != 1 mod 5: classes are taken only where mu_5 lies in F_p
+    fields = [alg.Fq(3, [1, 0, 1]), alg.Fq(7, [1, 1, 0, 0, 1])] + [
+        fq for p in (13, 19)
+        for fq in alg.residue_split(alg.coefficient_field(16), p)]
+    for fq in fields:
+        with pytest.raises(ValueError, match="p = 1 mod 5"):
+            fq.fifth_power_classes([[1] + [0] * (fq.f - 1)])
+    assert alg.Fq(3, [1, 0, 1]).q == 9  # the field itself still builds
 
 
 def test_reduction_map_is_ring_hom():

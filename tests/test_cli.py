@@ -44,6 +44,8 @@ def _gfe(capsys, *argv):
     ("run", "--stage", "genus2", "--height", "3", "--no-cache"),
     ("unitsieve", "--i", "16", "--depth", "3"),
     ("unitsieve", "--i", "16", "--no-mod25"),
+    ("unitsieve", "--i", "16", "--primes", "13"),
+    ("unitsieve", "--i", "16", "--primes", "11,19"),
 ])
 def test_bad_arguments_exit_2(capsys, argv):
     code, out, err = _gfe(capsys, *argv)
@@ -136,6 +138,31 @@ def test_unit_generators_need_degree_coordinates(capsys, tmp_path,
                  ("run", "--stage", "sextic", "--no-cache")):
         code, out, err = _gfe(capsys, *argv)
         assert code == 2 and message in err and out == ""
+
+
+@pytest.mark.parametrize("cert_primes", [[2, 31, 41], [31, 41, "x"],
+                                         [1, 31, 41], 31, None])
+def test_unit_cert_primes_are_sieve_primes(capsys, tmp_path, monkeypatch,
+                                           cert_primes):
+    # certPrimes is outside input: 2 (p != 1 mod 5), a string and 1 used to
+    # escape as a ValueError, TypeError or ArithmeticError traceback, exit 1,
+    # and so did a number in place of the list (31) or no list (None)
+    raw = json.loads(resources.files("gfe25").joinpath(
+        "data/units/K5.json").read_text())
+    if cert_primes is None:
+        del raw["certPrimes"]
+    else:
+        raw["certPrimes"] = cert_primes
+    (tmp_path / "units").mkdir()
+    (tmp_path / "units" / "K5.json").write_text(json.dumps(raw))
+    monkeypatch.setenv("GFE_DATA_DIR", str(tmp_path))
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    with pytest.raises(descent.BadUnitData, match="certPrimes"):
+        descent.load_unit_data(5)
+    for argv in (("unitsieve", "--i", "5", "--primes", "11"),
+                 ("run", "--stage", "sextic", "--no-cache")):
+        code, out, err = _gfe(capsys, *argv)
+        assert code == 2 and "certPrimes" in err and out == ""
 
 
 def test_solutions_table_follows_ito_w_rows(monkeypatch):

@@ -427,27 +427,30 @@ def test_unit_data_verifies():
         D.verify_unit_data(rep)
 
 
-def test_unit_data_rejects_non_units():
+def test_unit_data_rejects_non_units(monkeypatch):
     gens, qs = D.load_unit_data(22)
     bad = [gens[0] * 2, gens[1], gens[2]]
+    monkeypatch.setattr(D, "load_unit_data", lambda rep: (bad, qs))
     with pytest.raises(D.BadUnitData):
-        D.verify_unit_data(22, bad, qs)
+        D.verify_unit_data(22)
 
 
-def test_unit_data_rejects_dependent_sets():
+def test_unit_data_rejects_dependent_sets(monkeypatch):
     gens, qs = D.load_unit_data(22)
     bad = [gens[0], gens[1], gens[0] * gens[1]]
+    monkeypatch.setattr(D, "load_unit_data", lambda rep: (bad, qs))
     with pytest.raises(D.BadUnitData):
-        D.verify_unit_data(22, bad, qs)
+        D.verify_unit_data(22)
 
 
 def test_unit_data_rejects_other_signatures(monkeypatch):
     # completeness rests on signature (2, 2); x^6 + 1 has no real place
-    gens, qs = D.load_unit_data(22)
+    data = D.load_unit_data(22)
+    monkeypatch.setattr(D, "load_unit_data", lambda rep: data)
     monkeypatch.setattr(D, "coefficient_field",
                         lambda rep: NumberField([1, 0, 0, 0, 0, 0, 1], "x6"))
     with pytest.raises(D.BadUnitData, match="real places"):
-        D.verify_unit_data(22, gens, qs)
+        D.verify_unit_data(22)
 
 
 def _reference_local_targets(split, rs, p, scale):
@@ -469,12 +472,11 @@ def _reference_local_targets(split, rs, p, scale):
 
 # (index, prime, scale): the oracle takes scale times each point, so a scale
 # above 1 checks that H's classes do not depend on the representative (the
-# scale^10 it multiplies H by is a fifth power); default primes, and K16 at
-# 13 (f = 4) and 19 (f = 2 twice), where p != 1 mod 5 but q = 1 mod 5
+# scale^10 it multiplies H by is a fifth power); default primes only, as
+# classes are taken only at p = 1 mod 5
 LOCAL_TARGET_CASES = (
     [(i, p, c) for i in (6, 16, 22) for p in (11, 31, 101) for c in (1, 2, 3)]
-    + [(16, 241, 4), (22, 101, 5), (6, 41, 6)]
-    + [(16, 13, 3), (16, 19, 3)])
+    + [(16, 241, 4), (22, 101, 5), (6, 41, 6)])
 
 
 @pytest.mark.parametrize("i,p,scale", LOCAL_TARGET_CASES)
@@ -540,8 +542,8 @@ def test_unit_sieve_survivors_without_mod25():
         22: [(4, 2, 0)],
         23: [(0, 0, 1), (0, 4, 1), (2, 1, 4), (2, 2, 0), (3, 0, 1)],
         24: [(1, 1, 4), (2, 4, 0), (4, 4, 2)]}
-    # 13 and 19 (p != 1 mod 5) sieve nothing here, 11 keeps 75 classes
-    assert len(_sieve_without_mod25(16, primes=(13, 19, 11))) == 75
+    # 11 alone keeps 75 classes
+    assert len(_sieve_without_mod25(16, primes=(11,))) == 75
 
 
 def test_unit_sieve_does_not_depend_on_class_labels(monkeypatch):
@@ -645,6 +647,10 @@ def test_index_two_substitutions(a, b, M):
 def test_unit_sieve_rejects_bad_prime():
     with pytest.raises(D.IndexRisk):
         D.unit_sieve(22, primes=(5,))
+    # a prime p != 1 mod 5 has residue fields without fifth-power classes
+    for primes in ((13,), (11, 19)):
+        with pytest.raises(D.IndexRisk, match="p = 1 mod 5"):
+            D.unit_sieve(22, primes=primes)
 
 
 def test_unit_sieve_catalan_witness():

@@ -3,6 +3,7 @@
 from fractions import Fraction as Fr
 
 import numpy as np
+import pytest
 import sympy as sp
 from hypothesis import assume, given, settings, strategies as st
 
@@ -106,9 +107,8 @@ def test_fraction_root():
     assert poly.fraction_root(0, 2) == 0
 
 
-# moduli for the row products: primes and 25 held in int64, and a prime
-# with f * m^2 >= 2^63, where the rows hold Python ints
-ROW_MODULI = (2, 7, 31, 25, 2**61 - 1)
+# moduli for the row products: primes and 25, all held in int64
+ROW_MODULI = (2, 7, 31, 25, 691)
 
 
 @settings(max_examples=100, deadline=None)
@@ -121,14 +121,15 @@ def test_mul_rows_mod_matches_products(m, f, data):
     b = (b * len(a))[:len(a)]
     want = [poly.divmod_mod(poly.mul_mod(x, y, m), g, m)[1]
             for x, y in zip(a, b)]
-    # int64 or object input rows alike; the kernel picks the row type
+    # int64 or object input rows alike; the kernel computes in int64
     for dtype in (np.int64, object):
-        if dtype is np.int64 and m > 2**31:
-            continue
         got = poly.mul_rows_mod(np.array(a, dtype=dtype),
                                 np.array(b, dtype=dtype), g, m)
-        assert got.dtype == (np.int64 if f * m * m < 2**63 else object)
+        assert got.dtype == np.int64
         assert got.tolist() == want
+    # f * m^2 >= 2^63 could overflow int64, so the kernel refuses it
+    with pytest.raises(ValueError, match="overflow"):
+        poly.mul_rows_mod(a, b, g, 2**61 - 1)
 
 
 def _sympy_resultant(a, b):

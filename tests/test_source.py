@@ -75,6 +75,30 @@ def test_one_square_and_multiply():
     assert not found, f"square-and-multiply loops outside poly.power: {found}"
 
 
+def _q_minus_one_over_five(tree):
+    """The lines of the exponents (q - 1) // 5 in tree, for q a name or an
+    attribute q."""
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.FloorDiv)
+            and isinstance(node.right, ast.Constant) and node.right.value == 5
+            and isinstance(node.left, ast.BinOp)
+            and isinstance(node.left.op, ast.Sub)
+            and "q" in (getattr(node.left.left, "id", None),
+                        getattr(node.left.left, "attr", None))]
+
+
+def test_one_fifth_power_character():
+    # Fq.fifth_power_classes reads a class off the norm to F_p with the
+    # exponent (p - 1) // 5; an exponent (q - 1) // 5 is a second character
+    # on F_q, for the primes p != 1 mod 5 that the package refuses
+    found = []
+    for path in sorted(pathlib.Path(gfe25.__file__).parent.glob("*.py")):
+        found += [f"{path.name}:{line}" for line in
+                  _q_minus_one_over_five(ast.parse(path.read_text()))]
+    assert not found, f"(q - 1) // 5 exponents in the package: {found}"
+    assert _q_minus_one_over_five(ast.parse("e = (fq.q - 1) // 5"))
+
+
 def test_no_sympy_matrix_in_the_order_layer():
     # O_K and its ideals are integer matrices (algebra.maximal_order); sympy
     # Matrix round trips are a second representation of the same objects
