@@ -6,7 +6,8 @@ so is factorization over number fields, which no stage uses: the types over
 Q(sqrt5) come from the factors over Q (see factorization_certificates).  A
 field element is held in one form, integer power-basis numerators over one
 positive denominator (NFElement), and so are the integral basis and its
-inverse.
+inverse.  The maximal order is certified prime by prime with Dedekind's
+criterion, from theta and a few stored local generators (maximal_order).
 
 Polynomials at this module's boundaries are ascending coefficient lists.
 """
@@ -16,7 +17,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from importlib import resources
 
 import numpy as np
@@ -81,10 +82,6 @@ class NumberField:
         return self.element([n])
 
     # -- invariants --------------------------------------------------------
-    @property
-    def sympy_poly(self):
-        return sp.Poly(list(reversed(self.min_poly)), _X)
-
     @lru_cache(maxsize=None)
     def discriminant(self):
         """disc(T) = (-1)^(n(n-1)/2) Res(T, T') for the monic T = min_poly
@@ -95,7 +92,7 @@ class NumberField:
 
     def sympy_gen(self):
         # any fixed root works; factorization data is root-independent
-        return sp.CRootOf(self.sympy_poly.as_expr(), 0)
+        return sp.CRootOf(sp.Poly(self.min_poly[::-1], _X).as_expr(), 0)
 
     # -- numerics ----------------------------------------------------------
     @lru_cache(maxsize=None)
@@ -252,8 +249,9 @@ def auxiliary_field(name):
 @dataclass(frozen=True)
 class MaximalOrder:
     """O_K as the Z-span of the columns of matrix / denom, in power-basis
-    coordinates; ideals are integer matrices in the coordinates of that
-    integral basis."""
+    coordinates, an upper-triangular HNF over the least denominator
+    (maximal_order builds it from Dedekind certificates); ideals are integer
+    matrices in the coordinates of that integral basis."""
     field: NumberField
     matrix: tuple       # n rows of n ints
     denom: int
@@ -288,9 +286,6 @@ class MaximalOrder:
         of the upper-triangular integer matrix HNF are a Z-basis of it, the
         HNF of the columns of the multiplication matrices sum c_i T_i of the
         elements (Cohen, GTM 138, 2.4.3), and the norm is its determinant."""
-        from sympy.polys.matrices import DomainMatrix
-        from sympy.polys.matrices.normalforms import hermite_normal_form
-
         n, tab = self.field.degree, self.mult_tab()
         cols = []
         for elem in elems:
@@ -299,27 +294,120 @@ class MaximalOrder:
                 raise ValueError(f"{elem!r} is not in the maximal order")
             cols += [[sum(c[i] * tab[i][j][k] for i in range(n))
                       for k in range(n)] for j in range(n)]
-        rows = [[sp.ZZ(col[k]) for col in cols] for k in range(n)]
-        hnf = hermite_normal_form(DomainMatrix(rows, (n, len(cols)), sp.ZZ))
-        if hnf.shape != (n, n):
+        basis = _column_hnf(cols, n)
+        if len(basis[0]) != n:
             raise ValueError("the elements generate the zero ideal")
-        basis = tuple(tuple(int(x) for x in row) for row in hnf.to_list())
         return basis, math.prod(basis[k][k] for k in range(n))
+
+
+def _column_hnf(cols, n):
+    """The Hermite normal form of the integer columns of length n, as a tuple
+    of n rows: upper triangular with n columns when they span a lattice of
+    rank n, with fewer otherwise."""
+    from sympy.polys.matrices import DomainMatrix
+    from sympy.polys.matrices.normalforms import hermite_normal_form
+
+    rows = [[sp.ZZ(col[k]) for col in cols] for k in range(n)]
+    hnf = hermite_normal_form(DomainMatrix(rows, (n, len(cols)), sp.ZZ))
+    return tuple(tuple(int(x) for x in row) for row in hnf.to_list())
+
+
+#: For the fields whose Z[theta] fails Dedekind's criterion at p: an alpha_p
+#: in O_K with Z[alpha_p] p-maximal, as (power-basis numerators,
+#: denominator), keyed by the minimal polynomial and then by p.
+#: maximal_order checks each one before it uses it.
+_P_MAXIMAL_ELEMENTS = {
+    (5, 24, 0, 10, 0, 0, 1): {2: ((-10, -8, -9, -4, 0, -1), 6),      # K5
+                              3: ((-14, -9, -11, -6, -1, -1), 6)},
+    (-3, -6, 0, 0, 0, -2, 1): {2: ((-4, -3, -3, -2, -1, -1), 2)},     # K6
+    (-10, 18, -15, 10, 0, 0, 1): {2: ((-2, 0, -3, -2, -1, 0), 2)},    # K16
+    (-4, 12, 0, -10, 0, 3, 1): {2: ((-2, -2, -2, -3, -1, 0), 2)},     # K22
+    (5, -6, 0, -10, 0, 0, 1): {3: ((-6, -7, -5, -5, -1, -1), 3)},     # K24
+    (-5, 0, 1): {2: ((1, 1), 2)},                                     # sqrt5
+}
 
 
 @lru_cache(maxsize=None)
 def maximal_order(K):
-    """The maximal order of K, by the Round Two algorithm (Cohen, GTM 138,
-    6.1), with the least common denominator."""
-    from sympy.polys.numberfields.basis import round_two
+    """The maximal order of K, with the least common denominator.
 
-    ZK, _ = round_two(K.sympy_poly)
-    matrix = [[int(x) for x in row] for row in ZK.matrix.to_list()]
-    g = math.gcd(int(ZK.denom), *itertools.chain(*matrix))
+    Z[theta] is p-maximal at every p whose square does not divide disc(T),
+    as disc(T) = [O_K : Z[theta]]^2 d_K.  At each p whose square does,
+    Dedekind's criterion (_dedekind_maximal) decides whether it is.  Where
+    it is not, _p_maximal_element(K, p) gives an integral alpha_p with
+    Z[alpha_p] p-maximal, certified by the same criterion on the
+    characteristic polynomial of alpha_p; it raises ValueError when no stored
+    alpha_p passes.
+
+    The Z-module M = Z[theta] + sum_p Z[alpha_p] is then O_K: it lies in
+    O_K, as theta and every alpha_p are integral, and at every p it contains
+    an order R that is p-maximal.  As R <= M <= O_K, [O_K : M] divides
+    [O_K : R], which is prime to p; so the finite index [O_K : M] is prime
+    to every p, hence 1.  O_K is the HNF of the columns theta^j and
+    alpha_p^j, j < n, over one denominator.
+    """
+    n = K.degree
+    gens = [K.gen] + [_p_maximal_element(K, p)
+                      for p, k in sp.factorint(K.discriminant()).items()
+                      if k >= 2 and not _dedekind_maximal(K.min_poly, p)]
+    powers = [g**j for g in gens for j in range(n)]
+    denom = math.lcm(*(x.den for x in powers))
+    matrix = _column_hnf([[a * (denom // x.den) for a in x.num]
+                          for x in powers], n)
+    g = math.gcd(denom, *itertools.chain(*matrix))
     # (matrix / denom)^-1 = denom * matrix^-1
     return MaximalOrder(
-        K, tuple(tuple(x // g for x in row) for row in matrix),
-        int(ZK.denom) // g, *_integer_inverse(matrix, int(ZK.denom)))
+        K, tuple(tuple(x // g for x in row) for row in matrix), denom // g,
+        *_integer_inverse(matrix, denom))
+
+
+def _dedekind_maximal(T, p):
+    """Whether Z[x]/(T) is p-maximal, for a monic integer T, by Dedekind's
+    criterion (Cohen, GTM 138, Thm 6.1.4): with T = prod g_i^e_i mod p,
+    g = prod g_i, h = prod g_i^(e_i - 1) and F = (T - g h) / p, it is iff
+    gcd(F, g, h) = 1 mod p."""
+    facs = poly.factor_mod(T, p)[1]
+    g = reduce(poly.mul, [f for f, _ in facs], [1])
+    h = reduce(poly.mul, [f for f, e in facs for _ in range(e - 1)], [1])
+    F = [c // p for c in poly.add(T, [-c for c in poly.mul(g, h)])]
+    return len(poly.gcd_mod(poly.gcd_mod(F, g, p), h, p)) == 1
+
+
+def _p_maximal_element(K, p):
+    """The stored alpha_p of K, once its characteristic polynomial is shown
+    to be integral (so alpha_p is in O_K), squarefree (so Q(alpha_p) = K)
+    and p-maximal by Dedekind's criterion; ValueError otherwise, or when K
+    has no alpha_p at p."""
+    stored = _P_MAXIMAL_ELEMENTS.get(K.min_poly, {}).get(p)
+    if stored is None:
+        raise ValueError(f"Z[theta] is not {p}-maximal in {K.label}, "
+                         f"and no alpha_{p} is stored for it")
+    alpha = K.element(*stored)
+    chi = _charpoly(alpha)
+    if any(c.denominator != 1 for c in chi):
+        raise ValueError(f"alpha_{p} of {K.label} is not integral")
+    chi = [int(c) for c in chi]
+    if len(poly.gcd(chi, [k * c for k, c in enumerate(chi)][1:])) != 1:
+        raise ValueError(f"alpha_{p} of {K.label} does not generate it")
+    if not _dedekind_maximal(chi, p):
+        raise ValueError(f"Z[alpha_{p}] is not {p}-maximal in {K.label}")
+    return alpha
+
+
+def _charpoly(a):
+    """The characteristic polynomial of a over Q, ascending Fractions, by
+    Newton's identities from the traces of a, a^2, ..., a^n:
+    k e_k = sum_(i=1..k) (-1)^(i-1) e_(k-i) Tr(a^i)."""
+    n, sums = a.field.degree, _power_sums(a.field.min_poly, a.field.degree)
+    traces, x = [], a.field.one
+    for _ in range(n):
+        x = x * a
+        traces.append(Fraction(sum(c * s for c, s in zip(x.num, sums)), x.den))
+    e = [Fraction(1)]
+    for k in range(1, n + 1):
+        e.append(sum((-1) ** (i - 1) * e[k - i] * traces[i - 1]
+                     for i in range(1, k + 1)) / k)
+    return [(-1) ** (n - j) * e[n - j] for j in range(n + 1)]
 
 
 def _integer_inverse(rows, scale=1):

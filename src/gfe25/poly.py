@@ -211,7 +211,7 @@ def _monic(a, p):
     return [c * inv % p for c in a]
 
 
-def _gcd_mod(a, b, p):
+def gcd_mod(a, b, p):
     """The monic gcd mod p, or [] when a and b are both zero mod p."""
     a, b = _monic(a, p), _monic(b, p)
     while b:
@@ -232,10 +232,10 @@ def _squarefree_mod(a, p):
     part c left after the loop is a polynomial in x^p, and its p-th root is
     c with only the coefficients of x^(kp), as b^p = b for b in F_p."""
     out = []
-    c = _gcd_mod(a, [k * x for k, x in enumerate(a)][1:], p)
+    c = gcd_mod(a, [k * x for k, x in enumerate(a)][1:], p)
     w, e = _quo_mod(a, c, p), 1
     while len(w) > 1:
-        y = _gcd_mod(w, c, p)
+        y = gcd_mod(w, c, p)
         if len(w) > len(y):
             out.append((e, _quo_mod(w, y, p)))
         w, c, e = y, _quo_mod(c, y, p), e + 1
@@ -260,7 +260,7 @@ def distinct_degree_mod(a, p):
             d += 1
             h = [sum(x * r[k] for x, r in zip(h, frob)) % p
                  for k in range(len(frob))]
-            g = _gcd_mod(s, add(h, [0, -1]), p)
+            g = gcd_mod(s, add(h, [0, -1]), p)
             if len(g) > 1:
                 out.append((d, e, g))
                 s = _quo_mod(s, g, p)
@@ -302,7 +302,7 @@ def _equal_degree_mod(g, d, p):
         else:
             u = pow_mod(t, (p**d - 1) // 2, g, p)
             u[0] = (u[0] - 1) % p
-        f = _gcd_mod(g, u, p)
+        f = gcd_mod(g, u, p)
         if 1 < len(f) < len(g):
             return _equal_degree_mod(f, d, p) \
                 + _equal_degree_mod(_quo_mod(g, f, p), d, p)

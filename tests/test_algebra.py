@@ -405,6 +405,66 @@ def test_maximal_order_coords_round_trip(K, c):
     assert order.coords(order.element(c[:K.degree])) == c[:K.degree]
 
 
+def _round_two(K):
+    """(matrix, denom) of sympy's Round Two order, normalised by the gcd as
+    maximal_order normalises its own: the reference for the Dedekind
+    construction."""
+    from sympy.polys.numberfields.basis import round_two
+
+    ZK, _ = round_two(sp.Poly(K.min_poly[::-1], sp.symbols("x")))
+    matrix = [[int(x) for x in row] for row in ZK.matrix.to_list()]
+    g = math.gcd(int(ZK.denom), *(x for row in matrix for x in row))
+    return tuple(tuple(x // g for x in row) for row in matrix), int(ZK.denom) // g
+
+
+@pytest.mark.parametrize("K", NAMED_FIELDS + [alg.NumberField([-2, 0, 0, 0, 0, 1])],
+                         ids=repr)
+def test_maximal_order_matches_round_two(K):
+    order = alg.maximal_order(K)
+    assert (order.matrix, order.denom) == _round_two(K)
+
+
+def test_maximal_order_indices():
+    # [O_K : Z[theta]] = denom^n / det(matrix)
+    for i, index in {5: 72, 6: 4, 16: 4, 22: 4, 24: 9}.items():
+        order = alg.maximal_order(alg.coefficient_field(i))
+        det = math.prod(order.matrix[k][k] for k in range(6))
+        assert Fraction(order.denom**6, det) == index, i
+
+
+def test_dedekind_criterion_on_known_orders():
+    assert not alg._dedekind_maximal([3, 0, 1], 2)       # Z[sqrt-3]
+    assert not alg._dedekind_maximal([-5, 0, 1], 2)      # Z[sqrt5]
+    assert alg._dedekind_maximal([-1, -1, 1], 2)         # Z[(1 + sqrt5)/2]
+    assert alg._dedekind_maximal([-1, -1, 1], 5)
+    for p in (2, 5):                                     # Z[2^(1/5)]
+        assert alg._dedekind_maximal([-2, 0, 0, 0, 0, 1], p)
+
+
+def test_charpoly_of_a_p_maximal_element():
+    # alpha_2 = (1 + sqrt5)/2 has x^2 - x - 1
+    K = alg.auxiliary_field("sqrt5")
+    assert alg._charpoly(K.element([1, 1], 2)) == [-1, -1, 1]
+
+
+@pytest.mark.parametrize("alpha, why", [
+    (((0, 1), 2), "not integral"),           # sqrt5/2: x^2 - 5/4
+    (((1, 0), 1), "does not generate"),      # 1: (x - 1)^2
+    (((0, 1), 1), "not 2-maximal"),          # sqrt5 itself
+])
+def test_a_stored_element_that_fails_its_check_raises(monkeypatch, alpha, why):
+    K = alg.auxiliary_field("sqrt5")
+    monkeypatch.setitem(alg._P_MAXIMAL_ELEMENTS, K.min_poly, {2: alpha})
+    with pytest.raises(ValueError, match=why):
+        alg.maximal_order.__wrapped__(K)
+
+
+def test_a_field_without_its_stored_element_raises():
+    # Z[sqrt-3] is not 2-maximal, and no alpha_2 is stored for x^2 + 3
+    with pytest.raises(ValueError, match="no alpha_2"):
+        alg.maximal_order(alg.NumberField([3, 0, 1], label="sqrt-3"))
+
+
 def test_maximal_order_coords_reject_non_integral_elements():
     K = alg.coefficient_field(5)  # [O_K : Z[theta]] = 2^3 3^2
     order = alg.maximal_order(K)

@@ -168,6 +168,17 @@ def test_no_sympy_modular_polynomials():
     assert not found, f"sympy polynomials modulo p in the package: {found}"
 
 
+def test_no_sympy_number_field_module():
+    # O_K comes from Dedekind certificates (algebra.maximal_order); sympy's
+    # number-field module (round_two and its kin) is a second copy of it
+    found = []
+    for path in sorted(pathlib.Path(gfe25.__file__).parent.glob("*.py")):
+        found += [f"{path.name}:{number}"
+                  for number, line in enumerate(path.read_text().splitlines(), 1)
+                  if "numberfields" in line]
+    assert not found, f"sympy.polys.numberfields in the package: {found}"
+
+
 def test_private_names_are_used():
     # a private function or method that nothing in the package refers to is
     # dead code, or code kept alive only for a test
