@@ -1,41 +1,40 @@
 """Modular prescreen kernel for the rational point search.
 
 The search tests whether T = sum_k c_k p^k q^(d-k) (times q for odd degree)
-is a perfect square.  A square is a square modulo every m, so the kernel
-evaluates T by Horner in int64 numpy arrays modulo two coprime moduli and
-looks each residue up in a table of the squares mod m:
+is a perfect square.  A square is a square modulo every m, and T mod m
+depends only on p mod m and q mod m.  So the kernel is a table sieve, as in
+Stoll's ratpoints: no arithmetic per (p, q) pair.
 
-- M1 = 63 * 64 * 65 = 262080, where 1.54% of the classes are squares;
-- M2 = 11 * 13 * 17 * 19 * 23 = 1062347, where 4.3% are.
+- For each modulus m of MODULI, T is evaluated once on the m x m grid of
+  (q mod m, p mod m), and the squares mod m are marked.
+- Grid row r, spread along the row of p values of the box (p mod m), is the
+  pattern of every q = r mod m; it is packed into bits, one bit per p.
+- The mask of a block of q values is the AND, over the moduli, of the packed
+  rows at q mod m, unpacked once.
 
-Values of a curve are not spread evenly over the classes.  On the genus-2
-curves y^2 = x^5 + 32000 and y^2 = x^5 + 8000 at height 1000, 2.9% of the
-coprime pairs pass M1 (5.5% of the whole box, where a common factor of p
-and q makes T more often a square).  Only those pairs are evaluated mod M2;
-0.54% of the box passes both, about 10,800 pairs per curve, of which about
-3,300 are coprime.  The kernel only discards; the caller checks every pair
+MODULI are pairwise coprime: 64, 63 = 9 * 7, 25 and the primes 11 to 43.
+On the genus-2 curves y^2 = x^5 + 32000 and y^2 = x^5 + 8000 at height
+1000 (2,001,000 box points each), each modulus alone passes 29% to 69% of
+the box, and 429 and 513 pairs pass them all (0.021% and 0.026%; 61 and 179
+of them coprime), against 10,775 and 10,758 (0.54%) for the moduli
+63 * 64 * 65 and 11 * 13 * 17 * 19 * 23 of the int64 Horner prescreen that
+this sieve replaced.  The kernel only discards; the caller checks every pair
 it keeps exactly.
+
+The tables depend on the coefficients and on the row of p values, so they
+are built by the first call of a search and kept, one set at a time, for the
+next blocks of the same search.  They take sum(MODULI) = 416 packed rows of
+ceil(len(row) / 8) bytes.  The power and square tables of each modulus do
+not depend on the curve and are kept once built.  Nothing is built at
+import.
 """
 
 import functools
 
 import numpy as np
 
-MODULI = (63 * 64 * 65, 11 * 13 * 17 * 19 * 23)
-_HALF = 1 << 62  # two terms below this sum to less than 2^63
-
-
-@functools.cache
-def _square_table(mod):
-    """Boolean table of the squares mod `mod`.  It is built on first use, so
-    runs that never search do not pay for it, and in slices of r, so that
-    building it needs little memory beyond the table itself."""
-    t = np.zeros(mod, dtype=np.bool_)
-    half = mod // 2 + 1
-    for start in range(0, half, 1 << 16):
-        r = np.arange(start, min(start + (1 << 16), half), dtype=np.int64)
-        t[r * r % mod] = True
-    return t
+MODULI = (64, 63, 25, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43)
+_POWERS = 11  # exponents 0..10: T has degree <= 10, times q for odd degree
 
 
 def active_backend():
@@ -43,53 +42,69 @@ def active_backend():
     return "numpy"
 
 
-def _value_mod(coeffs, ps, qs, odd, mod):
-    """T mod `mod` at each pair: Horner in p with the q-powers carried along.
-
-    Reducing mod `mod` costs far more than a product, so the arrays are
-    reduced only where a bound on their absolute values, kept alongside,
-    says that the next step could leave int64."""
-    P, Q1 = (int(np.abs(a).max(initial=0)) for a in (ps, qs))
-    if P >= mod:
-        ps, P = ps % mod, mod
-    if Q1 >= mod:
-        qs, Q1 = qs % mod, mod
-    cm = [c % mod for c in coeffs]
-    acc = np.full(ps.shape, cm[-1], dtype=np.int64)
-    qpow = np.ones_like(ps)
-    A, Q = cm[-1], 1
-    for c in reversed(cm[:-1]):
-        if Q * Q1 >= _HALF:
-            qpow %= mod
-            Q = mod
-        qpow *= qs
-        Q *= Q1
-        if c * Q >= _HALF:
-            qpow %= mod
-            Q = mod
-        if A * P >= _HALF:
-            acc %= mod
-            A = mod
-        acc *= ps
-        if c:
-            acc += c * qpow
-        A = A * P + c * Q
-    if odd:
-        if A * Q1 >= _HALF:
-            acc %= mod
-        acc *= qs
-    return acc % mod
+@functools.cache
+def _residue_tables(m):
+    """t^j mod m for t < m and j < _POWERS, as an (m, _POWERS) float64
+    array, and whether v mod m is a square, for v < _POWERS * m^2, as a
+    boolean table; built on first use."""
+    t = np.arange(m, dtype=np.int64)
+    powers = np.ones((m, _POWERS), dtype=np.int64)
+    for j in range(1, _POWERS):
+        powers[:, j] = powers[:, j - 1] * t % m
+    squares = np.zeros(m, dtype=np.bool_)
+    squares[powers[:, 2]] = True
+    squares = np.tile(squares, _POWERS * m)
+    powers = powers.astype(np.float64)
+    powers.flags.writeable = squares.flags.writeable = False
+    return powers, squares
 
 
-def prescreen(coeffs, ps, qs, odd):
-    """Boolean mask: the (p, q) pairs whose T is a square mod M1 and mod M2.
+def _square_grid(coeffs, odd, m):
+    """(m, m) boolean grid: whether T(p, q) is a square mod m, at row q mod m
+    and column p mod m.
 
-    coeffs are ints (ascending, any size); ps and qs are integer arrays."""
-    ps = np.asarray(ps, dtype=np.int64)
+    T(p, q) = sum_k c_k p^k q^(e - k), with e = d, or d + 1 for odd degree,
+    is one matrix product of the power tables, with c_k q^(e - k) reduced
+    mod m first: its entries are integers below _POWERS * m^2, so float64
+    holds them exactly and they index the square table directly."""
+    powers, squares = _residue_tables(m)
+    d = len(coeffs) - 1
+    e = d + 1 if odd else d
+    c = np.array([ck % m for ck in coeffs], dtype=np.float64)
+    a = np.fmod(powers[:, e - d:e + 1][:, ::-1] * c, m)
+    return squares[(a @ powers[:, :d + 1].T).astype(np.intp)]
+
+
+@functools.lru_cache(maxsize=1)
+def _packed_rows(coeffs, odd, row_bytes):
+    """The packed rows of every modulus, stacked: the (sum(MODULI), bytes)
+    uint8 array whose row offset_m + r is grid row r of modulus m at the p
+    values of the row, one bit per p; and the offsets."""
+    row = np.frombuffer(row_bytes, dtype=np.int64)
+    width = -(-row.size // 8)
+    # columns past the row pad it to whole bytes, so that a grid's rows pack
+    # as one flat array; unpacking drops them again
+    columns = np.zeros(8 * width, dtype=np.intp)
+    blocks = []
+    for m in MODULI:
+        columns[:row.size] = row % m
+        grid = _square_grid(coeffs, odd, m)
+        blocks.append(np.packbits(grid[:, columns]).reshape(m, width))
+    packed = np.concatenate(blocks)
+    packed.flags.writeable = False
+    offsets = np.cumsum((0,) + MODULI[:-1])
+    return packed, offsets
+
+
+def prescreen(coeffs, row, qs, odd):
+    """(len(qs), len(row)) boolean mask: whether T(p, q) is a square mod
+    every modulus, at q = qs[i] and p = row[j].
+
+    coeffs are ints (ascending, any size); row and qs are integer arrays."""
+    row = np.ascontiguousarray(row, dtype=np.int64)
     qs = np.asarray(qs, dtype=np.int64)
-    m1, m2 = MODULI
-    mask = _square_table(m1)[_value_mod(coeffs, ps, qs, odd, m1)]
-    keep = np.flatnonzero(mask)
-    mask[keep] = _square_table(m2)[_value_mod(coeffs, ps[keep], qs[keep],
-                                              odd, m2)]
-    return mask
+    packed, offsets = _packed_rows(tuple(int(c) for c in coeffs), odd,
+                                   row.tobytes())
+    moduli = np.array(MODULI)[:, None]
+    bits = np.bitwise_and.reduce(packed[offsets[:, None] + qs % moduli])
+    return np.unpackbits(bits, axis=1, count=row.size).view(np.bool_)

@@ -874,9 +874,20 @@ def verify_unit_data(rep):
     checked to be integral units, and their fifth-power classes at the
     certification primes, the classes unit_sieve uses, to have rank 3 mod 5,
     so they span it.
+
+    The unit file is read on every call; the certificate is kept per
+    (field, generators, certification primes), so the sieve of each index
+    re-reads its field's file but certifies the same data only once.
     """
     gens, cert_primes = load_unit_data(rep)
-    K = coefficient_field(rep)
+    return list(_certified_units(coefficient_field(rep), tuple(gens),
+                                 tuple(cert_primes)))
+
+
+@lru_cache(maxsize=None)
+def _certified_units(K, gens, cert_primes):
+    """verify_unit_data's certificate for the generators gens of K; returns
+    gens, or raises BadUnitData (which is not cached)."""
     real_places = sp.Poly(K.min_poly[::-1], sp.Symbol("x")).count_roots()
     if real_places != 2:
         raise BadUnitData(f"{K.label} has {real_places} real places, not 2")
@@ -894,7 +905,7 @@ def verify_unit_data(rep):
         blocks = None
     if not blocks or _rank_mod5(np.hstack(blocks).tolist()) != 3:
         raise BadUnitData("independence certificate failed at the "
-                          f"certification primes {cert_primes}")
+                          f"certification primes {list(cert_primes)}")
     return gens
 
 
@@ -1005,8 +1016,9 @@ def _mod25_classes(split, gens, rep):
 
     Reduction mod 25 is a ring map on the coordinates, whose denominators
     divide the order index and so are prime to 5.  The 125 rows of
-    eta_e^-1 mod 25 are products of the powers 0..4 of the three reduced
-    inverses, and all 125 x 30 twists are one poly.mul_rows_mod call."""
+    eta_e^-1 mod 25 (_unit_inverses_mod25, kept per field) are products of
+    the powers 0..4 of the three reduced inverses, and all 125 x 30 twists
+    are one poly.mul_rows_mod call."""
     K = split.field
     if maximal_order(K).denom % 5 == 0:
         raise IndexRisk("5 divides the order index; mod-25 pass unavailable")
@@ -1018,6 +1030,20 @@ def _mod25_classes(split, gens, rep):
              zip(*(c.coords_mod(25) for c in split.H.coeffs))]
     hvals = np.array([[f.evaluate(u, v) % 25 for f in forms]
                       for u, v in pairs])
+    inv = _unit_inverses_mod25(K, tuple(gens))
+    twisted = poly.mul_rows_mod(np.repeat(inv, len(hvals), axis=0),
+                                np.tile(hvals, (len(inv), 1)), T, 25)
+    fifths = _fifth_powers_mod25(rep)
+    hit = np.array([tuple(w) in fifths for w in twisted.tolist()])
+    return hit.reshape(len(inv), len(hvals)).any(axis=1)
+
+
+@lru_cache(maxsize=None)
+def _unit_inverses_mod25(K, gens):
+    """The 125 rows of eta_e^-1 mod 25, in itertools.product order of e, as
+    a read-only array; they depend only on the field and its generators, so
+    the indices of one field share them."""
+    T = [int(c) for c in K.min_poly]
     inv = np.array([K.one.coords_mod(25)])
     for g in gens:
         r = g.inverse().coords_mod(25)
@@ -1027,11 +1053,8 @@ def _mod25_classes(split, gens, rep):
                                             25))
         # row 5a + k is row a of the rows before g, times r^k
         inv = np.stack(powers, axis=1).reshape(-1, len(T) - 1)
-    twisted = poly.mul_rows_mod(np.repeat(inv, len(hvals), axis=0),
-                                np.tile(hvals, (len(inv), 1)), T, 25)
-    fifths = _fifth_powers_mod25(rep)
-    hit = np.array([tuple(w) in fifths for w in twisted.tolist()])
-    return hit.reshape(len(inv), len(hvals)).any(axis=1)
+    inv.flags.writeable = False
+    return inv
 
 
 @lru_cache(maxsize=None)

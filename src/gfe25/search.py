@@ -82,10 +82,11 @@ _BATCH = 1 << 15  # box points per block; a block is always whole q-rows
 def rational_points(model, H):
     """All points of naive height <= H (|num(x)|, den(x) <= H), plus infinity.
 
-    The box |p| <= H, 1 <= q <= H is walked in blocks of whole q-rows, each
-    an int64 array of about _BATCH pairs and at least one row, so memory is
-    bounded by the block, not by H^2.  `_kernels.prescreen` screens each
-    block modulo two moduli and only discards.  Its survivors are tested for
+    The box |p| <= H, 1 <= q <= H is walked in blocks of whole q-rows, about
+    _BATCH pairs and at least one row each.  `_kernels.prescreen` returns a
+    block's boolean mask from its packed residue tables, which it builds on
+    the first block, so memory is bounded by the block and the tables, not
+    by H^2.  The kernel only discards.  Its survivors are tested for
     gcd(p, q) = 1 and then, as Python ints, for an exact square root of the
     homogeneous value; every point found is checked against y^2 = F(x) in
     exact rationals."""
@@ -101,10 +102,9 @@ def rational_points(model, H):
     rows = max(1, _BATCH // row.size)
     for q0 in range(1, H + 1, rows):
         q_block = np.arange(q0, min(q0 + rows, H + 1), dtype=np.int64)
-        ps = np.tile(row, q_block.size)
-        qs = np.repeat(q_block, row.size)
-        mask = _kernels.prescreen(coeffs, ps, qs, odd)
-        ps, qs = ps[mask], qs[mask]
+        mask = _kernels.prescreen(coeffs, row, q_block, odd)
+        qi, pi = np.divmod(np.flatnonzero(mask), row.size)
+        ps, qs = row[pi], q_block[qi]
         coprime = np.gcd(ps, qs) == 1
         for p, q in zip(ps[coprime].tolist(), qs[coprime].tolist()):
             N = form.evaluate(p, q)

@@ -1,6 +1,7 @@
 """Tests for rational point search and Mumford checks."""
 
 import functools
+import itertools
 import math
 import random
 import tracemalloc
@@ -8,9 +9,10 @@ from fractions import Fraction as Fr
 
 import numpy as np
 import pytest
+import sympy as sp
 
 from gfe25 import _kernels as K
-from gfe25 import poly
+from gfe25 import descent, poly
 from gfe25 import search as S
 
 # M_4: y^2 = 3x(x^4 - 10x^2 + 5)(x^5 + 10x^4 - 10x^3 - 20x^2 + 5x + 2)
@@ -153,52 +155,72 @@ def _squares(m):
 
 def test_square_tables_hold_exactly_the_squares():
     for m in K.MODULI:
-        table = K._square_table(m)
-        assert set(np.flatnonzero(table).tolist()) == _squares(m)
+        powers, table = K._residue_tables(m)
+        assert table.size == powers.shape[1] * m * m  # every grid entry
+        assert set(np.flatnonzero(table[:m]).tolist()) == _squares(m)
+        assert (table.reshape(-1, m) == table[:m]).all()  # v mod m
+        assert powers.tolist() == [[t**j % m for j in range(powers.shape[1])]
+                                   for t in range(m)]
 
 
-def _screen_oracle(coeffs, ps, qs, odd):
+def _screen_oracle(coeffs, row, qs, odd):
     """Python ints: is T a square mod each modulus of the kernel?"""
     d = len(coeffs) - 1
     out = []
-    for p, q in zip(ps, qs):
-        T = sum(c * p**k * q**(d - k) for k, c in enumerate(coeffs))
-        T *= q if odd else 1
-        out.append(all(T % m in _squares(m) for m in K.MODULI))
+    for q in qs:
+        out.append([])
+        for p in row:
+            T = sum(c * p**k * q**(d - k) for k, c in enumerate(coeffs))
+            T *= q if odd else 1
+            out[-1].append(all(T % m in _squares(m) for m in K.MODULI))
     return out
 
 
 def test_prescreen_matches_a_python_square_test():
     rng = random.Random(5)
-    for trial in range(12):
-        d = rng.randrange(3, 11)
-        bound = 2**80 if trial % 2 else 100
+    primes = [m for m in K.MODULI if sp.isprime(m)]
+    for d, bound in itertools.product(range(3, 11), (100, 2**80)):
         coeffs = [rng.randrange(-bound, bound) for _ in range(d)]
         coeffs.append(rng.choice([1, -1]) * rng.randrange(1, bound))
-        top = 10**7 if trial % 3 else 1000  # above both moduli, or below
-        ps = [rng.randrange(-top, top + 1) for _ in range(300)]
-        qs = [rng.randrange(1, top + 1) for _ in range(300)]
         odd = d % 2 == 1
-        mask = K.prescreen(coeffs, np.array(ps), np.array(qs), odd)
-        assert mask.tolist() == _screen_oracle(coeffs, ps, qs, odd)
+        # p of both signs, and q on every residue class that is not a unit
+        # mod some modulus: multiples of 2, 3, 5, 7 and of each prime
+        row = sorted({0, 1, -1} | {rng.randrange(-10**7, 10**7)
+                                   for _ in range(40)})
+        qs = [k * rng.randrange(1, 10**5) for k in [2, 3, 5, 7] + primes]
+        qs += [64, 63, 25, 9, 49, 125, 2**20, 3**10]
+        qs += [rng.randrange(1, 10**7) for _ in range(10)]
+        mask = K.prescreen(coeffs, np.array(row), np.array(qs), odd)
+        assert mask.shape == (len(qs), len(row))
+        assert mask.tolist() == _screen_oracle(coeffs, row, qs, odd)
 
 
-@pytest.mark.parametrize("d", [3, 4, 5, 6, 9, 10])
-def test_prescreen_at_the_bounds_of_its_lazy_reduction(d):
-    # coefficients -1 mod both moduli (or 0, which lets the q-powers grow
-    # unreduced) and p = q = v make the intermediate values as large as the
-    # kernel's bounds allow; v sweeps 2^1 .. 2^25
-    M1, M2 = K.MODULI
-    top = M1 * M2 - 1
-    for coeffs in ([top] * (d + 1), [top] + [0] * (d - 1) + [top],
-                   [0] * d + [1]):
-        for k in range(4, 100):
-            v = int(2 ** (k / 4))
-            for ps, qs in (([v, -v], [v, v]), ([v], [1]), ([1], [v])):
-                mask = K.prescreen(coeffs, np.array(ps), np.array(qs),
-                                   d % 2 == 1)
-                assert mask.tolist() == _screen_oracle(coeffs, ps, qs,
-                                                       d % 2 == 1)
+# the points of the eight searches of the pipeline (genus2, gauss, sqrt5) at
+# their default heights, as the int64 Horner prescreen that the table sieve
+# replaced found them
+PIPELINE_POINTS = {
+    "x^5+32000": ["inf", "(-4, -176)", "(-4, 176)"],
+    "x^5+8000": ["inf"],
+    "M4": ["(0, 0)", "(1, -12)", "(1, 12)"],
+    "D1t": ["inf+", "inf-"],
+    "D2t": ["inf+", "inf-"],
+    "D_0": ["inf+", "inf-"],
+    "D_-1": ["(1, -192)", "(1, 192)"],
+    "D_-2": ["(1, -96)", "(1, 96)"],
+}
+
+
+def test_pipeline_searches_return_the_pinned_points():
+    models = {"x^5+32000": ((32000, 0, 0, 0, 0, 1), 1000),
+              "x^5+8000": ((8000, 0, 0, 0, 0, 1), 1000),
+              "M4": (descent.gauss_family(4).F, 100),
+              "D1t": (D1T, 50), "D2t": (D2T, 50)}
+    models.update({f"D_{j}": (descent.sqrt5_family(j).D.coeffs, 50)
+                   for j in (0, -1, -2)})
+    assert models.keys() == PIPELINE_POINTS.keys()
+    for name, (coeffs, H) in models.items():
+        pts = S.rational_points(S.HyperellipticModel(tuple(coeffs)), H)
+        assert [str(p) for p in pts] == PIPELINE_POINTS[name], name
 
 
 def test_search_memory_is_bounded_by_the_block():

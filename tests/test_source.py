@@ -294,3 +294,116 @@ def test_no_element_denominators_outside_nfelement():
                     for n in ast.walk(node)):
                 found.append(f"{path.name}:{node.lineno}")
     assert not found, f"element denominators computed outside NFElement: {found}"
+
+
+def _numpy_calls_at_import(trees):
+    """module:line of every call into numpy that importing the modules would
+    make.  trees maps a module name of the package to its parsed source.  A
+    call into numpy is a call, in a module-level statement, a class body, a
+    decorator or a default value, of a numpy name or of a module-level
+    function that refers to one, itself or through the functions it calls
+    by name (f, or module.f for `from . import module`)."""
+    numpy_names, funcs, imported = {}, {}, {}
+    for mod, tree in trees.items():
+        numpy_names[mod] = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                numpy_names[mod] |= {a.asname or a.name.split(".")[0]
+                                     for a in node.names
+                                     if a.name.split(".")[0] == "numpy"}
+            elif isinstance(node, ast.ImportFrom) and \
+                    (node.module or "").split(".")[0] == "numpy":
+                numpy_names[mod] |= {a.asname or a.name for a in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.level:
+                for a in node.names:  # (module, function) or (module, None)
+                    imported[mod, a.asname or a.name] = \
+                        (node.module, a.name) if node.module else (a.name, None)
+        funcs.update({(mod, node.name): node for node in tree.body
+                      if isinstance(node, ast.FunctionDef)})
+
+    def target(mod, func):
+        """"numpy", a key of funcs, or None for the callee expression func."""
+        root = func
+        while isinstance(root, ast.Attribute):
+            root = root.value
+        if isinstance(root, ast.Name) and root.id in numpy_names[mod]:
+            return "numpy"
+        if isinstance(func, ast.Name):
+            key = imported.get((mod, func.id), (mod, func.id))
+        elif isinstance(func, ast.Attribute) and func.value is root and \
+                imported.get((mod, getattr(root, "id", None)), (0, 0))[1] is None:
+            key = (imported[mod, root.id][0], func.attr)
+        else:
+            return None
+        return key if key in funcs else None
+
+    touches = {key: any(isinstance(node, ast.Name)
+                        and node.id in numpy_names[key[0]]
+                        for node in ast.walk(fn)) for key, fn in funcs.items()}
+    touches["numpy"] = True
+    changed = True
+    while changed:
+        changed = False
+        for key, fn in funcs.items():
+            if not touches[key] and any(
+                    touches.get(target(key[0], node.func), False)
+                    for node in ast.walk(fn) if isinstance(node, ast.Call)):
+                touches[key] = changed = True
+
+    def run_at_import(stmts):
+        """(node, is a decorator) for each part of stmts that runs at
+        import: statements, class bodies and bases, decorators and default
+        values, but no function body."""
+        for stmt in stmts:
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                yield from ((dec, True) for dec in stmt.decorator_list)
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield from ((default, False) for default in
+                            stmt.args.defaults + stmt.args.kw_defaults)
+            elif isinstance(stmt, ast.ClassDef):
+                yield from ((base, False) for base in stmt.bases)
+                yield from run_at_import(stmt.body)
+            else:
+                yield stmt, False
+
+    found = []
+    for mod, tree in trees.items():
+        for top, decorator in run_at_import(tree.body):
+            if decorator and touches.get(target(mod, top), False):
+                found.append(f"{mod}:{top.lineno}")  # applying it calls it
+            todo = [top]
+            while todo:
+                node = todo.pop()
+                if node is None or isinstance(node, ast.Lambda):
+                    continue
+                if isinstance(node, ast.Call) and \
+                        touches.get(target(mod, node.func), False):
+                    found.append(f"{mod}:{node.lineno}")
+                todo += ast.iter_child_nodes(node)
+    return found
+
+
+def test_no_numpy_work_at_import():
+    # the search tables depend on the curve, and every gfe invocation pays
+    # for what the package builds at import: nothing may call numpy then
+    package = pathlib.Path(gfe25.__file__).parent
+    trees = {path.stem: ast.parse(path.read_text(), str(path))
+             for path in sorted(package.glob("*.py"))}
+    found = _numpy_calls_at_import(trees)
+    assert not found, f"numpy calls at import: {found}"
+    mutants = {
+        "k": "import numpy as np\ndef f(m):\n    return np.arange(m)\n"
+             "T = [f(m) for m in (2, 3)]\n",
+        "j": "from . import k\nfrom .k import f\nclass C:\n    A = k.f(2)\n"
+             "    B = f(3)\n",
+        "i": "from numpy import zeros as z\ndef g(x=z(3)):\n    pass\n",
+        "h": "import numpy\n@numpy.vectorize\ndef g(x):\n    pass\n"
+             "class D(numpy.ndarray):\n    pass\n",
+    }
+    assert _numpy_calls_at_import(
+        {m: ast.parse(s) for m, s in mutants.items()}) == \
+        ["k:4", "j:4", "j:5", "i:2", "h:2"]
+    lazy = "import numpy as np\ndef f(m):\n    return np.arange(m)\n" \
+           "X = np.int64\nG = lambda: f(3)\n"
+    assert _numpy_calls_at_import({"k": ast.parse(lazy)}) == []
