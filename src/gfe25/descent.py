@@ -820,8 +820,19 @@ def load_unit_data(rep):
     """(generators, certification primes) of K_rep from unit_data_file;
     BadUnitData when a generator has other than degree coordinates, or one
     that is not a rational number, or when a certification prime fails
-    check_sieve_primes."""
-    raw = json.loads(unit_data_file(rep).read_text())
+    check_sieve_primes.
+
+    The file is read on every call, so an edit under GFE_DATA_DIR is seen;
+    each (rep, file text) is parsed and checked once (_parsed_unit_data)."""
+    gens, cert_primes = _parsed_unit_data(rep, unit_data_file(rep).read_text())
+    return list(gens), list(cert_primes)
+
+
+@lru_cache(maxsize=None)
+def _parsed_unit_data(rep, text):
+    """load_unit_data for the unit file text of K_rep, as two tuples;
+    BadUnitData (which is not cached) as there."""
+    raw = json.loads(text)
     K = coefficient_field(rep)
     try:
         check_sieve_primes(raw.get("certPrimes"), rep)
@@ -832,11 +843,11 @@ def load_unit_data(rep):
         raise BadUnitData(f"a generator of {K.label} does not have "
                           f"{K.degree} coordinates")
     try:
-        gens = [K.element(row) for row in raw["generators"]]
+        gens = tuple(K.element(row) for row in raw["generators"])
     except (TypeError, ValueError, ZeroDivisionError) as e:
         raise BadUnitData(f"a generator of {K.label} has a coordinate that "
                           f"is not a rational number: {e}") from None
-    return gens, list(raw["certPrimes"])
+    return gens, tuple(raw["certPrimes"])
 
 
 def _rank_mod5(rows):
@@ -875,9 +886,11 @@ def verify_unit_data(rep):
     certification primes, the classes unit_sieve uses, to have rank 3 mod 5,
     so they span it.
 
-    The unit file is read on every call; the certificate is kept per
-    (field, generators, certification primes), so the sieve of each index
-    re-reads its field's file but certifies the same data only once.
+    The unit file is read on every call (load_unit_data), so an edit under
+    GFE_DATA_DIR is seen; its text is parsed and checked once per (field,
+    file text), and the certificate is kept per (field, generators,
+    certification primes), so the sieve of each index re-reads its field's
+    file but parses and certifies the same data only once.
     """
     gens, cert_primes = load_unit_data(rep)
     return list(_certified_units(coefficient_field(rep), tuple(gens),
@@ -994,7 +1007,7 @@ def unit_sieve(i, primes=DEFAULT_SIEVE_PRIMES):
     split = sextic_split(i)
     gens = verify_unit_data(rep)
     survivors = np.array(list(itertools.product(range(5), repeat=3)))
-    survivors = survivors[_mod25_classes(split, gens, rep)]
+    survivors = survivors[_mod25_classes(split, gens)]
     known = 1 if i in SIEVE_WITNESSES else 0
     for p in primes:
         if len(survivors) <= known:
@@ -1008,17 +1021,18 @@ def unit_sieve(i, primes=DEFAULT_SIEVE_PRIMES):
     return sorted(map(tuple, survivors.tolist()))
 
 
-def _mod25_classes(split, gens, rep):
+def _mod25_classes(split, gens):
     """Boolean mask over the 125 exponents e, in itertools.product order:
     whether H(u, v) / eta_e is a fifth power mod 25 at one of the 30 points
     (u, 1), u mod 25, and (1, 5t), t mod 5, of P^1(Z/25), for
     eta_e = gens[0]^e0 gens[1]^e1 gens[2]^e2.
 
     Reduction mod 25 is a ring map on the coordinates, whose denominators
-    divide the order index and so are prime to 5.  The 125 rows of
-    eta_e^-1 mod 25 (_unit_inverses_mod25, kept per field) are products of
-    the powers 0..4 of the three reduced inverses, and all 125 x 30 twists
-    are one poly.mul_rows_mod call."""
+    divide the order index and so are prime to 5.  H / eta_e is
+    H eta_e^4 / eta_e^5, so it is a fifth power iff H eta_e^4 is: the 125
+    rows of eta_e^4 mod 25 (_unit_powers_mod25, kept per field) twist the
+    30 values of H in one poly.mul_rows_mod call, and no inverse is taken.
+    The 3,750 twists are then tested by _is_fifth_power_mod25."""
     K = split.field
     if maximal_order(K).denom % 5 == 0:
         raise IndexRisk("5 divides the order index; mod-25 pass unavailable")
@@ -1030,47 +1044,85 @@ def _mod25_classes(split, gens, rep):
              zip(*(c.coords_mod(25) for c in split.H.coeffs))]
     hvals = np.array([[f.evaluate(u, v) % 25 for f in forms]
                       for u, v in pairs])
-    inv = _unit_inverses_mod25(K, tuple(gens))
-    twisted = poly.mul_rows_mod(np.repeat(inv, len(hvals), axis=0),
-                                np.tile(hvals, (len(inv), 1)), T, 25)
-    fifths = _fifth_powers_mod25(rep)
-    hit = np.array([tuple(w) in fifths for w in twisted.tolist()])
-    return hit.reshape(len(inv), len(hvals)).any(axis=1)
+    units = _unit_powers_mod25(K, tuple(gens))
+    twisted = poly.mul_rows_mod(np.repeat(units, len(hvals), axis=0),
+                                np.tile(hvals, (len(units), 1)), T, 25)
+    hit = _is_fifth_power_mod25(K, twisted)
+    return hit.reshape(len(units), len(hvals)).any(axis=1)
 
 
 @lru_cache(maxsize=None)
-def _unit_inverses_mod25(K, gens):
-    """The 125 rows of eta_e^-1 mod 25, in itertools.product order of e, as
-    a read-only array; they depend only on the field and its generators, so
-    the indices of one field share them."""
+def _unit_powers_mod25(K, gens):
+    """The 125 rows of eta_e^4 mod 25, in itertools.product order of e, as
+    a read-only array: products of the powers 0..4 of the reduced g^4 of
+    each generator g.  They depend only on the field and its generators,
+    so the indices of one field share them."""
     T = [int(c) for c in K.min_poly]
-    inv = np.array([K.one.coords_mod(25)])
+    rows = np.array([K.one.coords_mod(25)])
     for g in gens:
-        r = g.inverse().coords_mod(25)
-        powers = [inv]
+        r = poly.pow_mod(g.coords_mod(25), 4, T, 25)
+        powers = [rows]
         for _ in range(4):
-            powers.append(poly.mul_rows_mod(powers[-1], [r] * len(inv), T,
+            powers.append(poly.mul_rows_mod(powers[-1], [r] * len(rows), T,
                                             25))
         # row 5a + k is row a of the rows before g, times r^k
-        inv = np.stack(powers, axis=1).reshape(-1, len(T) - 1)
-    inv.flags.writeable = False
-    return inv
+        rows = np.stack(powers, axis=1).reshape(-1, len(T) - 1)
+    rows.flags.writeable = False
+    return rows
+
+
+def _is_fifth_power_mod25(K, rows):
+    """Whether each row of an (n, deg K) integer array in [0, 25), the
+    power-basis coordinates of an element of O/25O, is a fifth power there;
+    a boolean array.  For 5 not dividing [O : Z[theta]], where
+    O/25O = (Z/25)[x]/(T) for the minimal polynomial T of theta.
+
+    The test runs on the Chinese-remainder parts of O/25O (Cohen, GTM 138,
+    3.5).  Let T = prod f_j^(e_j) mod 5 with the f_j distinct monic
+    irreducibles.  The parts f_j^(e_j) are pairwise coprime mod 5, and one
+    Hensel step lifts them to monic T_j with T = prod T_j mod 25
+    (poly.hensel_lift).  Two of them are comaximal in (Z/25)[x]: there
+    s T_i + t T_k = 1 - 5h, a unit.  So O/25O is the product of the parts
+    (Z/25)[x]/(T_j), and the map to part j is reduction mod T_j, a fixed
+    integer matrix on the coordinates (_fifth_power_parts).  A row is a
+    fifth power iff each of its parts is, since fifth roots in the parts
+    combine to one in the product.  Every element of part j is b + 5c with
+    the coefficients of b in [0, 5), and (b + 5c)^5 = b^5 mod 25, as 25
+    divides binomial(5, k) (5c)^k for k >= 1.  So the fifth powers of part
+    j are those of its 5^(deg T_j) bases b, kept as sorted integer codes.
+    """
+    hit = np.ones(len(rows), dtype=bool)
+    for proj, codes in _fifth_power_parts(K):
+        got = rows @ proj % 25 @ 25 ** np.arange(proj.shape[1])
+        at = np.searchsorted(codes, got).clip(max=len(codes) - 1)
+        hit &= codes[at] == got
+    return hit
 
 
 @lru_cache(maxsize=None)
-def _fifth_powers_mod25(rep):
-    """All fifth powers in O/25O; (a + 5b)^5 = a^5 mod 25, so the bases only
-    need to run over O/5O.  The bases are raised to the fifth power as rows
-    of integer arrays, 5^5 at a time to keep the arrays small."""
-    T = coefficient_field(rep).min_poly
-    fifths = set()
-    for first in range(5):
-        w = np.stack([g.ravel() for g in np.meshgrid(
-            first, *[np.arange(5)] * 5, indexing="ij")], axis=1)
-        w2 = poly.mul_rows_mod(w, w, T, 25)
-        w4 = poly.mul_rows_mod(w2, w2, T, 25)
-        fifths.update(map(tuple, poly.mul_rows_mod(w4, w, T, 25).tolist()))
-    return fifths
+def _fifth_power_parts(K):
+    """One (projection, codes) pair per part (Z/25)[x]/(T_j) of O/25O, as
+    read-only arrays: the (deg T, deg T_j) matrix whose row k is x^k mod
+    (25, T_j), and the sorted codes sum c_k 25^k of the fifth powers of the
+    part, from the fifth powers of its 5^(deg T_j) bases with coefficients
+    in [0, 5) (_is_fifth_power_mod25 gives the argument)."""
+    T = [int(c) for c in K.min_poly]
+    _, factors = poly.factor_mod(T, 5)
+    parts = [poly.power(f, e, [1], lambda a, b: poly.mul_mod(a, b, 5))
+             for f, e in factors]
+    out = []
+    for g in poly.hensel_lift(T, parts, 5):
+        d = len(g) - 1
+        proj = np.array([poly.divmod_mod([0] * k + [1], g, 25)[1]
+                         for k in range(len(T) - 1)])
+        bases = np.array(list(itertools.product(range(5), repeat=d)))
+        squares = poly.mul_rows_mod(bases, bases, g, 25)
+        fifths = poly.mul_rows_mod(poly.mul_rows_mod(squares, squares, g, 25),
+                                   bases, g, 25)
+        codes = np.sort(fifths @ 25 ** np.arange(d))
+        proj.flags.writeable = codes.flags.writeable = False
+        out.append((proj, codes))
+    return tuple(out)
 
 
 def class_unit(rep, exponents):

@@ -16,7 +16,8 @@ polynomial is [].  The module provides:
 * factorization modulo a prime p (Cohen, GTM 138, 3.4): a squarefree
   decomposition that takes p-th roots where the derivative vanishes, then
   distinct-degree factorization by the Frobenius rows, then a deterministic
-  Cantor-Zassenhaus equal-degree split;
+  Cantor-Zassenhaus equal-degree split; and one Hensel step that lifts a
+  coprime factorization modulo p to one modulo p^2;
 * exact k-th roots of integers and Fractions.
 
 This module imports nothing from the package.
@@ -222,6 +223,51 @@ def gcd_mod(a, b, p):
 def _quo_mod(a, b, p):
     """a / b for b monic dividing a mod p."""
     return trim(divmod_mod(a, b, p)[0])
+
+
+def _inverse_mod(a, g, p):
+    """a^-1 in F_p[y]/(g) for g monic, by the extended Euclidean algorithm;
+    ValueError when a and g are not coprime mod p.  Each step keeps
+    t * a = r mod g, with the divisor r made monic."""
+    r0, r1 = list(g), trim(divmod_mod(a, g, p)[1])
+    t0, t1 = [], [1]
+    while r1:
+        inv = pow(r1[-1], -1, p)
+        r1, t1 = [c * inv % p for c in r1], [c * inv % p for c in t1]
+        q, r = divmod_mod(r0, r1, p)
+        r0, r1 = r1, trim(r)
+        t0, t1 = t1, trim([c % p for c in add(t0, mul([-c for c in q], t1))])
+    if len(r0) != 1:
+        raise ValueError("not invertible modulo g")
+    return divmod_mod(t0, g, p)[1]
+
+
+def hensel_lift(a, factors, p):
+    """Monic g_j = f_j mod p with a = prod g_j mod p^2, for a monic and
+    monic factors f_j, pairwise coprime mod p, with a = prod f_j mod p: one
+    Hensel step (Hensel's lemma; Cohen, GTM 138, 3.5), as lists of residues
+    mod p^2.
+
+    With e = (a - prod f_j) / p and c_j the product of the other factors,
+    g_j = f_j + p d_j for d_j = e / c_j mod f_j.  Then sum d_j c_j = e mod
+    p, since both sides agree modulo every f_j and have degree below
+    deg a, so prod g_j = prod f_j + p e = a mod p^2."""
+    m = p * p
+    prod = [1]
+    for f in factors:
+        prod = mul_mod(prod, f, m)
+    e = [(x - y) % m // p for x, y in zip_longest(a, prod, fillvalue=0)]
+    lifted = []
+    for j, f in enumerate(factors):
+        c = [1]
+        for k, other in enumerate(factors):
+            if k != j:
+                c = mul_mod(c, other, p)
+        d = divmod_mod(mul_mod(divmod_mod(e, f, p)[1], _inverse_mod(c, f, p),
+                               p), f, p)[1]
+        lifted.append([(x + p * y) % m for x, y in
+                       zip_longest(f, d, fillvalue=0)])
+    return lifted
 
 
 def _squarefree_mod(a, p):

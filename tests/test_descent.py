@@ -1,6 +1,7 @@
 """Tests for the four descent pipelines: Klein/genus-2, Gaussian, real
 quadratic, and the sextic splitting with its unit sieve."""
 
+import functools
 import hashlib
 import itertools
 import json
@@ -17,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 import gfe25
 from gfe25 import descent as D, poly
-from gfe25.algebra import (Fq, NumberField, auxiliary_field,
+from gfe25.algebra import (Fq, NFElement, NumberField, auxiliary_field,
                            coefficient_field, maximal_order, nf_fifth_root,
                            residue_split)
 from gfe25.bforms import (ALL_INDICES, BinaryForm, edwards_triple,
@@ -427,6 +428,32 @@ def test_unit_data_verifies():
         D.verify_unit_data(rep)
 
 
+def test_unit_file_parsed_once_per_text(tmp_path, monkeypatch):
+    # the file is read on every call, so an edit is seen at once; a text is
+    # parsed and checked once, and a bad text raises on every call
+    checks = []
+    check = D.check_sieve_primes
+    monkeypatch.setattr(D, "check_sieve_primes",
+                        lambda primes, rep: checks.append(rep)
+                        or check(primes, rep))
+    raw = json.loads(D.unit_data_file(16).read_text())
+    (tmp_path / "units").mkdir()
+    path = tmp_path / "units" / "K16.json"
+    monkeypatch.setenv("GFE_DATA_DIR", str(tmp_path))
+    good = json.dumps(raw, indent=3)  # a text no other test parses
+    path.write_text(good)
+    want = D.load_unit_data(16)
+    assert D.load_unit_data(16) == want and len(checks) == 1
+    raw["generators"][0].append(7)
+    path.write_text(json.dumps(raw))
+    for _ in range(2):
+        with pytest.raises(D.BadUnitData, match="6 coordinates"):
+            D.load_unit_data(16)
+    assert len(checks) == 3
+    path.write_text(good)
+    assert D.load_unit_data(16) == want and len(checks) == 3
+
+
 def test_unit_data_rejects_non_units(monkeypatch):
     gens, qs = D.load_unit_data(22)
     bad = [gens[0] * 2, gens[1], gens[2]]
@@ -491,13 +518,16 @@ def test_local_targets_match_recursive_reference(i, p, scale):
 
 def test_local_targets_leave_numpy_ma_unloaded():
     # np.unique(..., axis=0) imports numpy.ma on its first call, a cold cost
-    # that nothing else on the sextic path pays; a fresh interpreter, since
-    # pytest's own process may have loaded numpy.ma already
+    # that nothing else on the sextic path pays: neither the targets nor the
+    # whole sieve of an index, its mod-25 pass and per-field tables included;
+    # a fresh interpreter, since pytest's own process may have loaded
+    # numpy.ma already
     code = ("import sys, gfe25.cli\n"
             "from gfe25 import descent as D\n"
             "from gfe25.algebra import residue_split\n"
             "s = D.sextic_split(22)\n"
             "D._local_targets(s, residue_split(s.field, 11), 11)\n"
+            "D.unit_sieve(16)\n"
             "print('numpy.ma' in sys.modules)\n")
     src = pathlib.Path(gfe25.__file__).parent.parent
     env = {**os.environ, "PYTHONPATH": str(src)}
@@ -511,7 +541,7 @@ def _sieve_without_mod25(i, **kw):
     pass alone."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(D, "_mod25_classes",
-                   lambda split, gens, rep: np.ones(125, dtype=bool))
+                   lambda split, gens: np.ones(125, dtype=bool))
         return D.unit_sieve(i, **kw)
 
 
@@ -587,16 +617,34 @@ def test_unit_sieve_walks_primes_until_known_classes(monkeypatch):
     assert count(22, _sieve_without_mod25, primes=(61, 41, 31, 11)) == 4
 
 
+@functools.lru_cache(maxsize=None)
+def _fifth_powers_mod25(rep):
+    """All fifth powers in O/25O = Z[x]/(25, T) for the sextic field K_rep,
+    as a set of coordinate tuples: every base of O/5O raised to the fifth
+    power by Python products, since (a + 5b)^5 = a^5 mod 25."""
+    T = [int(c) for c in coefficient_field(rep).min_poly]
+
+    def mul(a, b):
+        return poly.divmod_mod(poly.mul_mod(a, b, 25), T, 25)[1]
+
+    fifths = set()
+    for base in itertools.product(range(5), repeat=6):
+        w2 = mul(base, base)
+        fifths.add(tuple(mul(mul(w2, w2), base)))
+    return fifths
+
+
 def _mod25_reference(i):
     """The per-class pass that _mod25_classes replaced, kept as its oracle:
     for each exponent e, the inverse of the power product eta_e reduced mod
-    25 twists H(u, v), evaluated in K, at the 30 points of P^1(Z/25)."""
+    25 twists H(u, v), evaluated in K, at the 30 points of P^1(Z/25), and
+    the twist is looked up among all fifth powers of O/25O."""
     rep = D.FIELD_REP[i]
     split = D.sextic_split(i)
     K = split.field
     T = [int(c) for c in K.min_poly]
     gens = D.verify_unit_data(rep)
-    fifths = D._fifth_powers_mod25(rep)
+    fifths = _fifth_powers_mod25(rep)
     pairs = [(u, 1) for u in range(25)] + [(1, 5 * t) for t in range(5)]
     hvals = [split.H.evaluate(K.from_int(u), K.from_int(v)).coords_mod(25)
              for u, v in pairs]
@@ -610,11 +658,27 @@ def _mod25_reference(i):
     return kept
 
 
-@pytest.mark.parametrize("i", (5, 6, 16, 22, 24))  # one index per field
+@pytest.mark.parametrize("i", D.SEXTIC_INDICES)
 def test_mod25_pass_matches_reference(i):
     rep = D.FIELD_REP[i]
-    got = D._mod25_classes(D.sextic_split(i), D.verify_unit_data(rep), rep)
+    got = D._mod25_classes(D.sextic_split(i), D.verify_unit_data(rep))
     assert got.tolist() == _mod25_reference(i)
+
+
+def test_mod25_pass_takes_no_inverse(monkeypatch):
+    # eta^-1 = eta^4 modulo fifth powers, so the unit rows are powers of the
+    # reduced generators; the per-field tables are rebuilt under the patch
+    split = D.sextic_split(16)
+    gens = D.verify_unit_data(16)
+    want = D._mod25_classes(split, gens)
+    D._unit_powers_mod25.cache_clear()
+    D._fifth_power_parts.cache_clear()
+
+    def refuse(self):
+        raise AssertionError("NFElement.inverse on the mod-25 path")
+
+    monkeypatch.setattr(NFElement, "inverse", refuse)
+    assert D._mod25_classes(split, gens).tolist() == want.tolist()
 
 
 @pytest.mark.parametrize("a,b,M", [(5, 13, ((1, 0), (-1, -2))),
@@ -670,16 +734,43 @@ def test_unit_sieve_one_empty_case():
     assert D.unit_sieve(9) == []
 
 
+def _rows_in_primes_above_5(T, fifths, rng, n):
+    """2n rows of each prime P = (5, x - a) above 5, for the linear factors
+    x - a of T mod 5, reduced mod (25, T): (x - a) z + 5r for random z and
+    r, and (x - a)^5 w + 5r for w among the fifth powers."""
+    rows = []
+    for f, _ in poly.factor_mod(T, 5)[1]:
+        for k in (1, 5):
+            fk = poly.power(f, k, [1], poly.mul)
+            for _ in range(n):
+                z = list(rng.choice(fifths)) if k == 5 else \
+                    [rng.randrange(25) for _ in range(6)]
+                rows.append([(x + 5 * rng.randrange(5)) % 25 for x in
+                             poly.divmod_mod(poly.mul_mod(fk, z, 25), T, 25)[1]])
+    return rows
+
+
 def test_fifth_powers_mod25_match_products():
-    # the array pass against the definition: every base of O/5O raised to
-    # the fifth power in Z[x]/(25, T) by Python products
-    T = list(coefficient_field(22).min_poly)
-
-    def mul(a, b):
-        return poly.divmod_mod(poly.mul_mod(a, b, 25), T, 25)[1]
-
-    slow = set()
-    for base in itertools.product(range(5), repeat=6):
-        w2 = mul(base, base)
-        slow.add(tuple(mul(mul(w2, w2), base)))
-    assert D._fifth_powers_mod25(22) == slow
+    # the membership test on the parts of O/25O against the listing of all
+    # fifth powers by Python products: every listed power, and a seeded
+    # sample of uniform rows, of rows near the listed powers (w + 5r) and of
+    # rows in each prime above 5
+    rng = random.Random(25)
+    for rep in sorted(set(D.FIELD_REP.values())):
+        K = coefficient_field(rep)
+        T = [int(c) for c in K.min_poly]
+        fifths = _fifth_powers_mod25(rep)
+        assert len(fifths) == 12525
+        listed = sorted(fifths)
+        assert D._is_fifth_power_mod25(K, np.array(listed)).all(), rep
+        near = [[(c + 5 * rng.randrange(5)) % 25 for c in rng.choice(listed)]
+                for _ in range(2000)]
+        uniform = [[rng.randrange(25) for _ in range(6)] for _ in range(2000)]
+        primes = _rows_in_primes_above_5(T, listed, rng, 500)
+        assert len(primes) == 2000
+        rows = near + uniform + primes
+        got = D._is_fifth_power_mod25(K, np.array(rows)).tolist()
+        assert got == [tuple(r) in fifths for r in rows], rep
+        # the sample meets both outcomes in each group
+        for group in (near, primes):
+            assert len({tuple(r) in fifths for r in group}) == 2, rep

@@ -267,6 +267,30 @@ def test_factor_mod_edge_cases():
         assert poly.factor_mod(a, p) == _sympy_factor_mod(a, p)
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(SMALL_PRIMES),
+       st.lists(st.integers(-60, 60), min_size=1, max_size=9))
+def test_hensel_lift_matches_factorization(p, low):
+    # the coprime parts f^e of a monic a mod p lift to monic g = f^e mod p
+    # whose product is a mod p^2
+    a = low + [1]
+    m = p * p
+    parts = [poly.power(f, e, [1], lambda x, y: poly.mul_mod(x, y, p))
+             for f, e in poly.factor_mod(a, p)[1]]
+    lifted = poly.hensel_lift(a, parts, p)
+    assert len(lifted) == len(parts)
+    for f, g in zip(parts, lifted):
+        assert len(g) == len(f) and g[-1] == 1
+        assert all(0 <= c < m for c in g) and _mod(g, p) == _mod(f, p)
+    assert _mod(_product_mod(lifted, m), m) == _mod(a, m)
+
+
+def test_hensel_lift_rejects_common_factors():
+    # x^2 = x * x mod 5 is not a coprime factorization
+    with pytest.raises(ValueError):
+        poly.hensel_lift([0, 0, 1], [[0, 1], [0, 1]], 5)
+
+
 def test_frobenius_rows_are_pth_powers():
     for g, p in (([1, 1, 0, 1], 2), ([2, 0, 1, 0, 1], 7), ([3, 1], 11)):
         rows = poly.frobenius_rows(g, p)
