@@ -444,12 +444,6 @@ def _stage_sqrt5(cfg):
 def _stage_sextic(cfg):
     fails = []
     arts = {"splits": {}, "survivors": {}, "witnesses": {}, "scans": {}}
-    try:
-        for rep in sorted(set(descent.FIELD_REP.values())):
-            descent.verify_unit_data(rep)
-    except (FileNotFoundError, json.JSONDecodeError, KeyError,
-            descent.BadUnitData) as e:
-        raise DataProblem(f"unit data invalid: {e}") from e
     for i in descent.SEXTIC_INDICES:
         s = descent.sextic_split(i)
         arts["splits"][i] = {
@@ -475,7 +469,8 @@ def _stage_sextic(cfg):
             continue
         u, v = descent.SIEVE_WITNESSES[i]
         eta = descent.class_unit(descent.FIELD_REP[i], survivors[0])
-        val = s.H.evaluate(u, v) * eta.inverse()
+        # H eta^4 = (H / eta) eta^5 is a fifth power iff H / eta is
+        val = s.H.evaluate(u, v) * eta**4
         root = algebra.nf_fifth_root(val)
         ok = root is not None and root**5 == val
         arts["witnesses"][i] = {"uv": [u, v], "fifth_root": ok}
@@ -614,7 +609,7 @@ def _digest_files(files):
 
 def _data_digest():
     """Digest of every bundled data file and of the unit files that
-    descent.load_unit_data reads, through GFE_DATA_DIR where it is set."""
+    descent.verify_unit_data reads, through GFE_DATA_DIR where it is set."""
     data = _PACKAGE / "data"
     files = [(p.relative_to(data).as_posix(), p)
              for p in sorted(data.rglob("*")) if p.is_file()]

@@ -79,7 +79,7 @@ FIELD_REP = {5: 5, 9: 5, 13: 5, 6: 6, 23: 6, 8: 16, 14: 16, 16: 16,
 # index, and the sextic indices where no unit class survives
 SIEVE_WITNESSES = {22: (1, 0), 6: (0, 1), 23: (0, 1), 24: (1, 0),
                    5: (0, 1), 13: (0, 1), 14: (1, -1), 16: (0, 1)}
-SIEVE_EMPTY = (8, 9, 15, 21)
+SIEVE_EMPTY = tuple(i for i in SEXTIC_INDICES if i not in SIEVE_WITNESSES)
 
 ROOT_PAIRS = {
     1: (BinaryForm(1, (0, 1)), BinaryForm(1, (1, 0))),      # u, v
@@ -805,49 +805,14 @@ def _irreducibility_primes(q, H, K):
 
 
 def unit_data_file(rep):
-    """The unit-generator file of field K_rep: units/K{rep}.json or
-    K{rep}.json under GFE_DATA_DIR when one is there, else the bundled one."""
+    """The unit-generator file of field K_rep: units/K{rep}.json under
+    GFE_DATA_DIR when it is there, else the bundled one."""
     base = os.environ.get("GFE_DATA_DIR")
     if base:
-        for rel in (f"units/K{rep}.json", f"K{rep}.json"):
-            path = pathlib.Path(base) / rel
-            if path.is_file():
-                return path
+        path = pathlib.Path(base) / f"units/K{rep}.json"
+        if path.is_file():
+            return path
     return resources.files("gfe25").joinpath(f"data/units/K{rep}.json")
-
-
-def load_unit_data(rep):
-    """(generators, certification primes) of K_rep from unit_data_file;
-    BadUnitData when a generator has other than degree coordinates, or one
-    that is not a rational number, or when a certification prime fails
-    check_sieve_primes.
-
-    The file is read on every call, so an edit under GFE_DATA_DIR is seen;
-    each (rep, file text) is parsed and checked once (_parsed_unit_data)."""
-    gens, cert_primes = _parsed_unit_data(rep, unit_data_file(rep).read_text())
-    return list(gens), list(cert_primes)
-
-
-@lru_cache(maxsize=None)
-def _parsed_unit_data(rep, text):
-    """load_unit_data for the unit file text of K_rep, as two tuples;
-    BadUnitData (which is not cached) as there."""
-    raw = json.loads(text)
-    K = coefficient_field(rep)
-    try:
-        check_sieve_primes(raw.get("certPrimes"), rep)
-    except (TypeError, IndexRisk) as e:  # not a list, or a bad entry
-        raise BadUnitData(f"bad certPrimes in the unit file of {K.label}: "
-                          f"{e}") from None
-    if any(len(row) != K.degree for row in raw["generators"]):
-        raise BadUnitData(f"a generator of {K.label} does not have "
-                          f"{K.degree} coordinates")
-    try:
-        gens = tuple(K.element(row) for row in raw["generators"])
-    except (TypeError, ValueError, ZeroDivisionError) as e:
-        raise BadUnitData(f"a generator of {K.label} has a coordinate that "
-                          f"is not a rational number: {e}") from None
-    return gens, tuple(raw["certPrimes"])
 
 
 def _rank_mod5(rows):
@@ -877,7 +842,8 @@ def _generator_classes(gens, rs):
 
 
 def verify_unit_data(rep):
-    """Prove that the three generators span O_K^x modulo fifth powers.
+    """The three generators of K_rep's unit file, proved to span O_K^x
+    modulo fifth powers; BadUnitData for any file that does not give them.
 
     Sturm counting gives K exactly two real places, so its signature is
     (2, 2): the unit rank is 3 and the only roots of unity are +-1, which
@@ -886,21 +852,40 @@ def verify_unit_data(rep):
     certification primes, the classes unit_sieve uses, to have rank 3 mod 5,
     so they span it.
 
-    The unit file is read on every call (load_unit_data), so an edit under
-    GFE_DATA_DIR is seen; its text is parsed and checked once per (field,
-    file text), and the certificate is kept per (field, generators,
-    certification primes), so the sieve of each index re-reads its field's
-    file but parses and certifies the same data only once.
+    This is the one reader of a unit file.  The file is read on every call,
+    so an edit under GFE_DATA_DIR is seen, and each (field, file contents)
+    is parsed, checked and certified once (_certified_units).
     """
-    gens, cert_primes = load_unit_data(rep)
-    return list(_certified_units(coefficient_field(rep), tuple(gens),
-                                 tuple(cert_primes)))
+    K = coefficient_field(rep)
+    return list(_certified_units(K, unit_data_file(rep).read_bytes()))
 
 
 @lru_cache(maxsize=None)
-def _certified_units(K, gens, cert_primes):
-    """verify_unit_data's certificate for the generators gens of K; returns
-    gens, or raises BadUnitData (which is not cached)."""
+def _certified_units(K, data):
+    """verify_unit_data for the unit file contents data of K, as a tuple;
+    BadUnitData (which is not cached) as there."""
+    where = f"the unit file of {K.label}"
+    try:
+        raw = json.loads(data)
+    except (ValueError, RecursionError) as e:  # also not UTF-8, too deep
+        raise BadUnitData(f"{where} is not JSON: {e}") from None
+    rows = raw.get("generators") if isinstance(raw, dict) else None
+    if not isinstance(rows, list):
+        raise BadUnitData(f"{where} is not an object with a list "
+                          "'generators'")
+    cert_primes = raw.get("certPrimes")
+    try:
+        check_sieve_primes(cert_primes, K)
+    except (TypeError, IndexRisk) as e:  # not a list, or a bad entry
+        raise BadUnitData(f"bad certPrimes in {where}: {e}") from None
+    if any(not isinstance(row, list) or len(row) != K.degree for row in rows):
+        raise BadUnitData(f"a generator of {K.label} does not have "
+                          f"{K.degree} coordinates")
+    try:
+        gens = tuple(K.element(row) for row in rows)
+    except (TypeError, ValueError, ArithmeticError) as e:
+        raise BadUnitData(f"a generator of {K.label} has a coordinate that "
+                          f"is not a rational number: {e}") from None
     real_places = sp.Poly(K.min_poly[::-1], sp.Symbol("x")).count_roots()
     if real_places != 2:
         raise BadUnitData(f"{K.label} has {real_places} real places, not 2")
@@ -918,7 +903,7 @@ def _certified_units(K, gens, cert_primes):
         blocks = None
     if not blocks or _rank_mod5(np.hstack(blocks).tolist()) != 3:
         raise BadUnitData("independence certificate failed at the "
-                          f"certification primes {list(cert_primes)}")
+                          f"certification primes {cert_primes}")
     return gens
 
 
@@ -962,12 +947,11 @@ def _local_targets(split, rs, p):
 DEFAULT_SIEVE_PRIMES = tuple(p for p in sp.primerange(7, 700) if p % 5 == 1)
 
 
-def check_sieve_primes(primes, rep):
+def check_sieve_primes(primes, K):
     """Raise IndexRisk unless every sieve prime is an int p = 1 mod 5 that
-    is prime and does not divide disc(K), for the sextic field K labelled
-    rep: mu_5 lies in F_p, so every residue field above p has fifth-power
-    classes (Fq.fifth_power_classes)."""
-    K = coefficient_field(rep)
+    is prime and does not divide disc(K), for the sextic field K: mu_5 lies
+    in F_p, so every residue field above p has fifth-power classes
+    (Fq.fifth_power_classes)."""
     disc = K.discriminant()
     bad = [p for p in primes if not isinstance(p, int) or p % 5 != 1
            or not sp.isprime(p) or disc % p == 0]
@@ -1003,7 +987,7 @@ def unit_sieve(i, primes=DEFAULT_SIEVE_PRIMES):
     """
     rep = FIELD_REP[i]
     K = coefficient_field(rep)
-    check_sieve_primes(primes, rep)
+    check_sieve_primes(primes, K)
     split = sextic_split(i)
     gens = verify_unit_data(rep)
     survivors = np.array(list(itertools.product(range(5), repeat=3)))
@@ -1127,6 +1111,6 @@ def _fifth_power_parts(K):
 
 def class_unit(rep, exponents):
     """The unit representing a sieve class."""
-    gens, _ = load_unit_data(rep)
+    gens = verify_unit_data(rep)
     return math.prod((g**e for g, e in zip(gens, exponents)),
                      start=coefficient_field(rep).one)

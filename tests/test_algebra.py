@@ -190,8 +190,7 @@ def test_nf_fifth_root_rejects_every_unit_generator():
     from gfe25 import descent
 
     for rep in (5, 6, 16, 22, 24):
-        gens, _ = descent.load_unit_data(rep)
-        for g in gens:
+        for g in descent.verify_unit_data(rep):
             assert abs(g.norm()) == 1
             assert alg.nf_fifth_root(g) is None, (rep, g)
 

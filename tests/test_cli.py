@@ -131,13 +131,33 @@ def test_unit_generators_need_degree_coordinates(capsys, tmp_path,
     monkeypatch.setenv("GFE_DATA_DIR", str(tmp_path))
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
     with pytest.raises(descent.BadUnitData, match=message):
-        descent.load_unit_data(16)
-    with pytest.raises(descent.BadUnitData):
         descent.verify_unit_data(16)
     for argv in (("unitsieve", "--i", "16", "--primes", "11"),
                  ("run", "--stage", "sextic", "--no-cache")):
         code, out, err = _gfe(capsys, *argv)
         assert code == 2 and message in err and out == ""
+
+
+@pytest.mark.parametrize("data", [
+    b"{not json", b"[]", b'{"certPrimes": [11, 31, 41]}',
+    b'{"generators": 5, "certPrimes": [11, 31, 41]}', b"\xff\x00",
+    b"[" * 100_000])
+def test_malformed_unit_files_exit_2(capsys, tmp_path, monkeypatch, data):
+    # a file that is not JSON, a list, no "generators", a number for them,
+    # bytes that are not UTF-8 and nesting deeper than the recursion limit:
+    # all but the first used to escape `gfe unitsieve` as a traceback
+    # (AttributeError, KeyError, TypeError, UnicodeDecodeError,
+    # RecursionError) with exit 1, which means a mismatch
+    (tmp_path / "units").mkdir()
+    (tmp_path / "units" / "K16.json").write_bytes(data)
+    monkeypatch.setenv("GFE_DATA_DIR", str(tmp_path))
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    with pytest.raises(descent.BadUnitData, match="unit file of"):
+        descent.verify_unit_data(16)
+    for argv in (("unitsieve", "--i", "16"),
+                 ("run", "--stage", "sextic", "--no-cache")):
+        code, out, err = _gfe(capsys, *argv)
+        assert code == 2 and err.startswith("error:") and out == ""
 
 
 @pytest.mark.parametrize("cert_primes", [[2, 31, 41], [31, 41, "x"],
@@ -158,7 +178,7 @@ def test_unit_cert_primes_are_sieve_primes(capsys, tmp_path, monkeypatch,
     monkeypatch.setenv("GFE_DATA_DIR", str(tmp_path))
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
     with pytest.raises(descent.BadUnitData, match="certPrimes"):
-        descent.load_unit_data(5)
+        descent.verify_unit_data(5)
     for argv in (("unitsieve", "--i", "5", "--primes", "11"),
                  ("run", "--stage", "sextic", "--no-cache")):
         code, out, err = _gfe(capsys, *argv)

@@ -428,52 +428,69 @@ def test_unit_data_verifies():
         D.verify_unit_data(rep)
 
 
-def test_unit_file_parsed_once_per_text(tmp_path, monkeypatch):
+def test_unit_file_certified_once_per_text(tmp_path, monkeypatch):
     # the file is read on every call, so an edit is seen at once; a text is
-    # parsed and checked once, and a bad text raises on every call
-    checks = []
-    check = D.check_sieve_primes
+    # parsed, checked and certified once, and a bad text raises on every call
+    checks, certificates = [], []
+    check, rank = D.check_sieve_primes, D._rank_mod5
     monkeypatch.setattr(D, "check_sieve_primes",
-                        lambda primes, rep: checks.append(rep)
-                        or check(primes, rep))
+                        lambda primes, K: checks.append(K)
+                        or check(primes, K))
+    monkeypatch.setattr(D, "_rank_mod5",
+                        lambda rows: certificates.append(rows) or rank(rows))
     raw = json.loads(D.unit_data_file(16).read_text())
     (tmp_path / "units").mkdir()
     path = tmp_path / "units" / "K16.json"
     monkeypatch.setenv("GFE_DATA_DIR", str(tmp_path))
     good = json.dumps(raw, indent=3)  # a text no other test parses
     path.write_text(good)
-    want = D.load_unit_data(16)
-    assert D.load_unit_data(16) == want and len(checks) == 1
+    want = D.verify_unit_data(16)
+    assert D.verify_unit_data(16) == want
+    assert len(checks) == len(certificates) == 1
     raw["generators"][0].append(7)
     path.write_text(json.dumps(raw))
     for _ in range(2):
         with pytest.raises(D.BadUnitData, match="6 coordinates"):
-            D.load_unit_data(16)
-    assert len(checks) == 3
+            D.verify_unit_data(16)
+    assert len(checks) == 3 and len(certificates) == 1
     path.write_text(good)
-    assert D.load_unit_data(16) == want and len(checks) == 3
+    assert D.verify_unit_data(16) == want
+    assert len(checks) == 3 and len(certificates) == 1
+    assert D.class_unit(16, (1, 0, 0)) == want[0]
+    assert len(checks) == 3 and len(certificates) == 1
 
 
-def test_unit_data_rejects_non_units(monkeypatch):
-    gens, qs = D.load_unit_data(22)
-    bad = [gens[0] * 2, gens[1], gens[2]]
-    monkeypatch.setattr(D, "load_unit_data", lambda rep: (bad, qs))
-    with pytest.raises(D.BadUnitData):
+def _write_unit_file(tmp_path, monkeypatch, rep, gens):
+    """Make gens, with the bundled certification primes, K_rep's unit file
+    under a GFE_DATA_DIR at tmp_path."""
+    raw = json.loads(D.unit_data_file(rep).read_text())
+    raw["generators"] = [[str(c) for c in g.coords] for g in gens]
+    (tmp_path / "units").mkdir()
+    (tmp_path / "units" / f"K{rep}.json").write_text(json.dumps(raw))
+    monkeypatch.setenv("GFE_DATA_DIR", str(tmp_path))
+
+
+def test_unit_data_rejects_non_units(tmp_path, monkeypatch):
+    gens = D.verify_unit_data(22)
+    _write_unit_file(tmp_path, monkeypatch, 22,
+                     [gens[0] * 2, gens[1], gens[2]])
+    with pytest.raises(D.BadUnitData, match="not a unit"):
         D.verify_unit_data(22)
 
 
-def test_unit_data_rejects_dependent_sets(monkeypatch):
-    gens, qs = D.load_unit_data(22)
-    bad = [gens[0], gens[1], gens[0] * gens[1]]
-    monkeypatch.setattr(D, "load_unit_data", lambda rep: (bad, qs))
-    with pytest.raises(D.BadUnitData):
+def test_unit_data_rejects_dependent_sets(tmp_path, monkeypatch):
+    gens = D.verify_unit_data(22)
+    _write_unit_file(tmp_path, monkeypatch, 22,
+                     [gens[0], gens[1], gens[0] * gens[1]])
+    with pytest.raises(D.BadUnitData, match="independence certificate"):
         D.verify_unit_data(22)
 
 
-def test_unit_data_rejects_other_signatures(monkeypatch):
-    # completeness rests on signature (2, 2); x^6 + 1 has no real place
-    data = D.load_unit_data(22)
-    monkeypatch.setattr(D, "load_unit_data", lambda rep: data)
+def test_unit_data_rejects_other_signatures(tmp_path, monkeypatch):
+    # completeness rests on signature (2, 2); x^6 + 1 has no real place.
+    # the certificate is kept per (field, file), so the swapped field
+    # certifies K22's file afresh
+    _write_unit_file(tmp_path, monkeypatch, 22, D.verify_unit_data(22))
     monkeypatch.setattr(D, "coefficient_field",
                         lambda rep: NumberField([1, 0, 0, 0, 0, 0, 1], "x6"))
     with pytest.raises(D.BadUnitData, match="real places"):

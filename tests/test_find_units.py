@@ -1,6 +1,7 @@
 """scripts/find_units.py, which generated data/units, against that data."""
 
 import importlib.util
+import json
 import pathlib
 
 import pytest
@@ -24,7 +25,9 @@ def test_find_units_picks_the_bundled_generators(find_units, rep):
     # the script's classes and rank are the certificate's, so it accepts
     # the bundled generators, in order, at the bundled primes
     K = algebra.coefficient_field(rep)
-    gens, cert_primes = descent.load_unit_data(rep)
+    gens = descent.verify_unit_data(rep)
+    cert_primes = json.loads(descent.unit_data_file(rep).read_text())[
+        "certPrimes"]
     qs = find_units.cert_primes(K)
     assert [q for q, _ in qs] == cert_primes == [11, 31, 41]
     assert find_units.pick_independent(gens, qs) == gens

@@ -201,6 +201,27 @@ def test_private_names_are_used():
     assert not found, f"private functions nothing refers to: {found}"
 
 
+def test_one_unit_data_path():
+    # descent.verify_unit_data alone reads a unit file, and certifies what it
+    # reads; cli._data_digest hashes the file.  Any other reader hands out
+    # generators that were never certified
+    callers = set()
+    for path in sorted(pathlib.Path(gfe25.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        funcs = {id(n): n.name for n in ast.walk(tree)
+                 if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))}
+        todo = [(tree, "<module>")]
+        while todo:
+            node, owner = todo.pop()
+            owner = funcs.get(id(node), owner)
+            if getattr(node, "id", None) == "unit_data_file" or \
+                    getattr(node, "attr", None) == "unit_data_file":
+                callers.add(f"{path.stem}.{owner}")
+            todo += [(child, owner) for child in ast.iter_child_nodes(node)]
+    assert callers == {"descent.verify_unit_data", "cli._data_digest"}, \
+        f"unit files read outside verify_unit_data: {sorted(callers)}"
+
+
 #: public names that only the benchmark harness (perfbench/) looks up
 PERFBENCH_NAMES = {"factor_nf", "fifth_power_class", "active_backend"}
 
