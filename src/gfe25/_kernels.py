@@ -6,7 +6,9 @@ depends only on p mod m and q mod m.  So the kernel is a table sieve, as in
 Stoll's ratpoints: no arithmetic per (p, q) pair.
 
 - For each modulus m of MODULI, T is evaluated once on the m x m grid of
-  (q mod m, p mod m), and the squares mod m are marked.
+  (q mod m, p mod m), and the squares mod m are marked, except in the cells
+  where a prime of m divides both q and p: the search keeps only coprime
+  pairs.
 - Grid row r, spread along the row of p values of the box (p mod m), is the
   pattern of every q = r mod m; it is packed into bits, one bit per p.
 - The mask of a block of q values is the AND, over the moduli, of the packed
@@ -14,9 +16,9 @@ Stoll's ratpoints: no arithmetic per (p, q) pair.
 
 MODULI are pairwise coprime: 64, 63 = 9 * 7, 25 and the primes 11 to 43.
 On the genus-2 curves y^2 = x^5 + 32000 and y^2 = x^5 + 8000 at height
-1000 (2,001,000 box points each), each modulus alone passes 29% to 69% of
-the box, and 429 and 513 pairs pass them all (0.021% and 0.026%; 61 and 179
-of them coprime), against 10,775 and 10,758 (0.54%) for the moduli
+1000 (2,001,000 box points each), 100 and 179 pairs pass them all (61 and
+179 of them coprime; 429 and 513 with the shared-prime cells kept), against
+10,775 and 10,758 (0.54%) for the moduli
 63 * 64 * 65 and 11 * 13 * 17 * 19 * 23 of the int64 Horner prescreen that
 this sieve replaced.  The kernel only discards; the caller checks every pair
 it keeps exactly.
@@ -60,19 +62,25 @@ def _residue_tables(m):
 
 
 def _square_grid(coeffs, odd, m):
-    """(m, m) boolean grid: whether T(p, q) is a square mod m, at row q mod m
-    and column p mod m.
+    """(m, m) boolean grid: whether T(p, q) is a square mod m and no prime
+    of m divides both p and q, at row q mod m and column p mod m.
 
     T(p, q) = sum_k c_k p^k q^(e - k), with e = d, or d + 1 for odd degree,
     is one matrix product of the power tables, with c_k q^(e - k) reduced
     mod m first: its entries are integers below _POWERS * m^2, so float64
-    holds them exactly and they index the square table directly."""
+    holds them exactly and they index the square table directly.  A cell
+    whose row and column a prime l of m both divide holds no pair with
+    gcd(p, q) = 1, which is all the search keeps, so it is cleared."""
     powers, squares = _residue_tables(m)
     d = len(coeffs) - 1
     e = d + 1 if odd else d
     c = np.array([ck % m for ck in coeffs], dtype=np.float64)
     a = np.fmod(powers[:, e - d:e + 1][:, ::-1] * c, m)
-    return squares[(a @ powers[:, :d + 1].T).astype(np.intp)]
+    grid = squares[(a @ powers[:, :d + 1].T).astype(np.intp)]
+    for l in range(2, m + 1):
+        if m % l == 0 and all(l % k for k in range(2, l)):
+            grid[::l, ::l] = False
+    return grid
 
 
 @functools.lru_cache(maxsize=1)
@@ -98,7 +106,8 @@ def _packed_rows(coeffs, odd, row_bytes):
 
 def prescreen(coeffs, row, qs, odd):
     """(len(qs), len(row)) boolean mask: whether T(p, q) is a square mod
-    every modulus, at q = qs[i] and p = row[j].
+    every modulus and no prime of a modulus divides both p and q, at
+    q = qs[i] and p = row[j].
 
     coeffs are ints (ascending, any size); row and qs are integer arrays."""
     row = np.ascontiguousarray(row, dtype=np.int64)

@@ -1,9 +1,11 @@
 """Number fields, exact element arithmetic, and polynomial factorization.
 
 Factorization over F_p is gfe25.poly's (poly.factor_mod and
-poly.distinct_degree_mod).  Factorization over Q is delegated to sympy, and
-so is factorization over number fields, which no stage uses: the types over
-Q(sqrt5) come from the factors over Q (see factorization_certificates).  A
+poly.distinct_degree_mod).  Factorization over Q is this module's own
+(factor_q: degree patterns, then a Hensel lift and recombination where the
+patterns leave the factors open).  Factorization over number fields, which
+no stage uses, is delegated to sympy: the types over Q(sqrt5) come from the
+factors over Q (see factorization_certificates).  A
 field element is held in one form, integer power-basis numerators over one
 positive denominator (NFElement), and so are the integral basis and its
 inverse.  The maximal order is certified prime by prime with Dedekind's
@@ -422,23 +424,173 @@ def _integer_inverse(rows, scale=1):
 
 
 # ---------------------------------------------------------------------------
-# factorization (sympy-backed)
+# factorization over Q (Musser's degree patterns, then Zassenhaus)
 
-def _to_sympy_q(coeffs):
-    return sp.Poly([sp.Rational(Fraction(c).numerator, Fraction(c).denominator)
-                    for c in reversed(list(coeffs))], _X)
-
-
-def _from_sympy_z(poly):
-    return [int(c) for c in reversed(poly.all_coeffs())]
+#: the usable primes whose degree patterns are read before the factors are
+#: lifted, and the primes tried before a squarefree test over Q
+_PATTERN_PRIMES = 4
 
 
 def factor_q(coeffs):
-    """Factor over Q.  Returns (rational content, [(primitive integer factor, mult)])."""
-    P = _to_sympy_q(coeffs)
-    content, facs = P.factor_list()
-    q = sp.Rational(content)
-    return Fraction(int(q.p), int(q.q)), [(_from_sympy_z(f), m) for f, m in facs]
+    """Factor over Q: (content, [(f, m)]) with coeffs (ints or Fractions,
+    ascending) = content * prod f^m, the f distinct primitive irreducible
+    integer polynomials with positive leading coefficient, sorted by degree,
+    then multiplicity, then the coefficients from the top, as sympy sorts
+    them; (0, []) for the zero polynomial."""
+    content, factors, _ = _factorization(coeffs)
+    return content, factors
+
+
+def _factorization(coeffs):
+    """factor_q's content and factors, and the degree patterns read on the
+    way: a dict from each squarefree part (a tuple) to the blocks
+    poly.distinct_degree_mod(part, p) at every prime p it visited.
+
+    The squarefree parts are split off first (_squarefree_parts); each is
+    then factored by _factor_squarefree."""
+    coeffs = poly.trim(coeffs)
+    if not coeffs:
+        return Fraction(0), [], {}
+    content, f = _primitive(coeffs)
+    patterns, factors = {}, []
+    for e, part in _squarefree_parts(f, patterns.setdefault(tuple(f), {})):
+        known = patterns.setdefault(tuple(part), {})
+        factors += [(g, e) for g in _factor_squarefree(part, known)]
+    factors.sort(key=lambda fe: (len(fe[0]), fe[1], fe[0][::-1]))
+    return content, factors, patterns
+
+
+def _primitive(coeffs):
+    """(c, f): the rational c with f = coeffs / c primitive in Z[x] with a
+    positive leading coefficient, for nonzero coeffs."""
+    coeffs = [Fraction(c) for c in coeffs]
+    den = math.lcm(*(c.denominator for c in coeffs))
+    num = [int(c * den) for c in coeffs]
+    g = math.gcd(*num) * (1 if num[-1] > 0 else -1)
+    return Fraction(g, den), [x // g for x in num]
+
+
+def _patterns_at(f, known):
+    """(p, blocks) at the primes p not dividing lc(f), in increasing order,
+    with blocks = poly.distinct_degree_mod(f, p), each computed once and kept
+    in known."""
+    for p in itertools.count(2):
+        if f[-1] % p and all(p % k for k in range(2, math.isqrt(p) + 1)):
+            if p not in known:
+                known[p] = poly.distinct_degree_mod(f, p)
+            yield p, known[p]
+
+
+def _squarefree_parts(f, known):
+    """[(e, part)] with f = prod part^e for a primitive f with positive
+    leading coefficient, the parts primitive, squarefree and pairwise
+    coprime, with positive leading coefficients.
+
+    A prime p not dividing lc(f) at which f is squarefree mod p proves f
+    squarefree.  After _PATTERN_PRIMES such primes without one, the
+    squarefree decomposition over Q decides (Yun's algorithm, as in
+    poly._squarefree_mod, whose p-th roots characteristic 0 does not
+    need)."""
+    if len(f) < 3:
+        return [(1, f)] if len(f) == 2 else []
+    for _, blocks in itertools.islice(_patterns_at(f, known), _PATTERN_PRIMES):
+        if all(e == 1 for _, e, _ in blocks):
+            return [(1, f)]
+    out = []
+    c = poly.gcd(f, [k * x for k, x in enumerate(f)][1:])
+    w, e = poly.divmod(f, c)[0], 1
+    while len(w) > 1:
+        y = poly.gcd(w, c)
+        if len(w) > len(y):
+            out.append((e, _primitive(poly.divmod(w, y)[0])[1]))
+        w, c, e = y, poly.divmod(c, y)[0], e + 1
+    return out
+
+
+def _factor_squarefree(f, known):
+    """The irreducible factors of a primitive squarefree f with positive
+    leading coefficient (Musser, "On the efficiency of a polynomial
+    irreducibility test", JACM 25, 1978; Cohen, GTM 138, 3.5).
+
+    At each usable prime p (not dividing lc(f), f squarefree mod p) the
+    degrees of the factors mod p are a pattern, and the degree of every
+    factor of f over Q is a sum of a sub-multiset of it.  The sets of such
+    sums are intersected over the usable primes in increasing order; {0, n}
+    proves f irreducible.  Otherwise the prime with the fewest factors is
+    chosen after _PATTERN_PRIMES usable primes, or at once where there are
+    at most two, and _recombine decides."""
+    n = len(f) - 1
+    if n < 2:
+        return [f]
+    allowed, best, usable = (1 << n + 1) - 1, None, 0
+    for p, blocks in _patterns_at(f, known):
+        if any(e > 1 for _, e, _ in blocks):
+            continue
+        sums, count = 1, 0
+        for d, _, g in blocks:
+            for _ in range((len(g) - 1) // d):
+                sums |= sums << d
+                count += 1
+        allowed &= sums
+        if allowed == 1 | 1 << n:
+            return [f]
+        usable += 1
+        if best is None or count < best[0]:
+            best = count, p
+        if count <= 2 or usable == _PATTERN_PRIMES:
+            return _recombine(f, best[1], known[best[1]], allowed)
+
+
+def _recombine(f, p, blocks, allowed):
+    """The irreducible factors of a primitive squarefree f with positive
+    leading coefficient, by Zassenhaus's recombination (Cohen, GTM 138,
+    Alg. 3.5.7) of the factors mod p, where f is squarefree mod p and p does
+    not divide lc(f), and blocks is poly.distinct_degree_mod(f, p); allowed
+    has bit d set for every degree d that a factor may have.
+
+    Let f = g h over Z with g of degree m < n.  Then (lc(f) / lc(g)) g has
+    coefficients of absolute value at most binomial(m, j) M(f) <= B =
+    binomial(n - 1, (n - 1) // 2) ||f||_2 (Mignotte's bound, M the Mahler
+    measure), and it is lc(f) times the product of the lifts of g's factors
+    mod p.  So the factors are lifted to q > 2B (poly.hensel_lift) and each
+    subset S of s lifted factors, s = 1, 2, ..., whose degrees sum to an
+    allowed degree gives the candidate lc(f) prod_S g_j mod q, in
+    (-q/2, q/2], whose primitive part is a factor iff it divides f.  A found
+    factor and its subset are divided out.  Once 2s exceeds the number of
+    factors left, what is left of f is irreducible, since a factor of it
+    would have a cofactor with at most s - 1 of them, and those were all
+    tried."""
+    n = len(f) - 1
+    bound = 2 * math.comb(n - 1, (n - 1) // 2) \
+        * (math.isqrt(sum(c * c for c in f)) + 1)
+    steps = 1
+    while p ** 2**steps <= bound:
+        steps += 1
+    q = p ** 2**steps
+    gs = poly.hensel_lift(f, [h for d, _, g in blocks
+                              for h in poly.equal_degree_mod(g, d, p)],
+                          p, steps)
+    factors, s = [], 1
+    while 2 * s <= len(gs):
+        for subset in itertools.combinations(range(len(gs)), s):
+            if not allowed >> sum(len(gs[j]) - 1 for j in subset) & 1:
+                continue
+            h = [f[-1]]
+            for j in subset:
+                h = poly.mul_mod(h, gs[j], q)
+            h = _primitive([c - q if 2 * c > q else c for c in h])[1]
+            if f[-1] % h[-1]:
+                continue
+            quo, rem = poly.divmod(f, h)
+            if rem:
+                continue
+            factors.append(h)
+            f = [int(c) for c in quo]
+            gs = [g for j, g in enumerate(gs) if j not in subset]
+            break
+        else:
+            s += 1
+    return factors + [f]
 
 
 def _anp_to_nf(anp, K):
@@ -448,29 +600,17 @@ def _anp_to_nf(anp, K):
 
 def factor_nf(coeffs, K):
     """Factor a polynomial with rational coefficients (ascending) over the
-    number field K.  Returns (leading NFElement, [(list of NFElement coeffs
-    ascending, mult)]); factors are monic."""
-    gen = K.sympy_gen()
-    expr = sp.Integer(0)
-    for k, c in enumerate(coeffs):
-        c = Fraction(c)
-        expr += sp.Rational(c.numerator, c.denominator) * _X**k
-    P = sp.Poly(expr, _X, extension=sp.AlgebraicNumber(gen))
-    content, facs = P.factor_list()
-    lead = _expr_to_nf(content, K, gen)
-    out = []
-    for f, m in facs:
-        lst = f.rep.to_list()  # descending ANP coefficients
-        nf_coeffs = [_anp_to_nf(a, K) for a in reversed(lst)]
-        out.append((nf_coeffs, m))
-    return lead, out
+    number field K with sympy (Trager's algorithm), which no stage uses; the
+    tests read it as a reference.  Returns (leading NFElement, [(list of
+    NFElement coeffs ascending, mult)]); factors are monic."""
+    from sympy.polys.factortools import dup_ext_factor
 
-
-def _expr_to_nf(expr, K, gen):
-    coeffs = sp.Poly(sp.expand(expr), gen).all_coeffs() if expr.has(gen) \
-        else [expr]
-    return K.element([Fraction(int(q.p), int(q.q))
-                      for q in map(sp.Rational, reversed(coeffs))])
+    dom = sp.QQ.algebraic_field(K.sympy_gen())
+    f = [dom.convert(sp.Rational(c.numerator, c.denominator))
+         for c in map(Fraction, reversed(poly.trim(coeffs)))]
+    lead, facs = dup_ext_factor(f, dom)
+    return _anp_to_nf(lead, K), [([_anp_to_nf(a, K) for a in reversed(g)], m)
+                                 for g, m in facs]
 
 
 INERT_PRIME_BOUND = 100
@@ -522,27 +662,30 @@ def _golden_factorization(coeffs):
     certificates give, for each Q-factor g, its degree, its multiplicity
     and how _golden_split decided it."""
     degrees, certificates = [], []
-    for g, m in factor_q(coeffs)[1]:
-        split, how = _golden_split(g)
+    _, factors, patterns = _factorization(coeffs)
+    for g, m in factors:
+        split, how = _golden_split(g, patterns.get(tuple(g), {}))
         degrees += split * m
         certificates.append({"degree": len(g) - 1, "multiplicity": m,
                              "certificate": how})
     return sorted(degrees), certificates
 
 
-def _golden_split(g):
+def _golden_split(g, known):
     """(degrees of the irreducible factors over Q(sqrt5), certificate) of
     the Q-irreducible primitive integer polynomial g, by the three cases of
     factorization_certificates: "odd_degree", {"inert_prime": p} for the
     least inert p below INERT_PRIME_BOUND that certifies irreducibility, or
-    {"norm_shift": k, "norm_factor_degrees": [...]}."""
+    {"norm_shift": k, "norm_factor_degrees": [...]}.  known holds the blocks
+    of g that factoring over Q computed, {p: poly.distinct_degree_mod(g, p)},
+    and they are not computed again."""
     d = len(g) - 1
     if d % 2:
         return [d], "odd_degree"
     for p in sp.primerange(2, INERT_PRIME_BOUND):
         if p % 5 not in (2, 3) or g[-1] % p == 0:
             continue
-        blocks = poly.distinct_degree_mod(g, p)
+        blocks = known[p] if p in known else poly.distinct_degree_mod(g, p)
         if all(e == 1 for _, e, _ in blocks) \
                 and any(k % 2 for k, _, _ in blocks):
             return [d], {"inert_prime": p}
@@ -605,7 +748,7 @@ class Fq:
             raise ValueError(f"fifth-power classes need p = 1 mod 5, "
                              f"not p = {p}")
         rows = np.asarray(rows, dtype=np.int64).reshape(-1, self.f) % p
-        frob = np.array(self._frobenius_matrix())
+        frob = self._frobenius_matrix()
         norm, conj = rows, rows
         for _ in range(self.f - 1):
             conj = conj @ frob % p
@@ -616,8 +759,10 @@ class Fq:
 
     @lru_cache(maxsize=None)
     def _frobenius_matrix(self):
-        """M with a^p = a @ M for a row a: row k holds (y^k)^p."""
-        return poly.frobenius_rows(self.modpoly, self.p)
+        """M with a^p = a @ M for a row a: row k holds (y^k)^p; read-only."""
+        rows = poly.frobenius_rows(self.modpoly, self.p)
+        rows.flags.writeable = False
+        return rows
 
     def __hash__(self):
         return hash((self.p, self.modpoly))

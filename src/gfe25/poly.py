@@ -16,8 +16,8 @@ polynomial is [].  The module provides:
 * factorization modulo a prime p (Cohen, GTM 138, 3.4): a squarefree
   decomposition that takes p-th roots where the derivative vanishes, then
   distinct-degree factorization by the Frobenius rows, then a deterministic
-  Cantor-Zassenhaus equal-degree split; and one Hensel step that lifts a
-  coprime factorization modulo p to one modulo p^2;
+  Cantor-Zassenhaus equal-degree split; and quadratic Hensel steps that
+  lift a coprime factorization modulo p to one modulo p^(2^k);
 * exact k-th roots of integers and Fractions.
 
 This module imports nothing from the package.
@@ -193,13 +193,25 @@ def mul_rows_mod(a, b, g, m):
 
 def frobenius_rows(g, p):
     """The rows (y^k)^p in F_p[y]/(g), k < deg g, for g monic mod p: a^p is
-    the row a times this matrix.  One pow_mod gives y^p, and each row is the
-    previous one times y^p."""
-    yp = pow_mod([0, 1], p, g, p)
-    rows = [divmod_mod([1], g, p)[1]]
-    for _ in range(len(g) - 2):
-        rows.append(divmod_mod(mul_mod(rows[-1], yp, p), g, p)[1])
-    return rows
+    the row a times this matrix, an (f, f) integer array for f = deg g.
+
+    Multiplication by y is the companion matrix C (row i is y^(i+1)), so
+    multiplication by y^p is C^p, by square-and-multiply, and row k is row
+    k - 1 times C^p.  The entries are int64 while f p^2 < 2^63, which
+    bounds every sum of products, and Python ints past that."""
+    import numpy as np
+
+    f = len(g) - 1
+    dtype = np.int64 if f * p * p < 2**63 else object
+    companion = np.zeros((f, f), dtype=dtype)
+    companion[range(f - 1), range(1, f)] = 1
+    companion[f - 1] = [-c % p for c in g[:f]]
+    one = np.eye(f, dtype=dtype)
+    yp = power(companion, p, one, lambda a, b: a @ b % p)
+    rows = [one[0]]
+    for _ in range(f - 1):
+        rows.append(rows[-1] @ yp % p)
+    return np.array(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -242,32 +254,43 @@ def _inverse_mod(a, g, p):
     return divmod_mod(t0, g, p)[1]
 
 
-def hensel_lift(a, factors, p):
-    """Monic g_j = f_j mod p with a = prod g_j mod p^2, for a monic and
-    monic factors f_j, pairwise coprime mod p, with a = prod f_j mod p: one
-    Hensel step (Hensel's lemma; Cohen, GTM 138, 3.5), as lists of residues
-    mod p^2.
+def hensel_lift(a, factors, p, steps=1):
+    """Monic g_j = f_j mod p with a = lc(a) prod g_j mod q = p^(2^steps),
+    for an integer a with p not dividing lc(a) and monic factors f_j,
+    pairwise coprime mod p, with a = lc(a) prod f_j mod p: quadratic
+    Hensel steps (Hensel's lemma; Cohen, GTM 138, 3.5), as lists of
+    residues mod q.
 
-    With e = (a - prod f_j) / p and c_j the product of the other factors,
-    g_j = f_j + p d_j for d_j = e / c_j mod f_j.  Then sum d_j c_j = e mod
-    p, since both sides agree modulo every f_j and have degree below
-    deg a, so prod g_j = prod f_j + p e = a mod p^2."""
-    m = p * p
-    prod = [1]
-    for f in factors:
-        prod = mul_mod(prod, f, m)
-    e = [(x - y) % m // p for x, y in zip_longest(a, prod, fillvalue=0)]
-    lifted = []
-    for j, f in enumerate(factors):
-        c = [1]
-        for k, other in enumerate(factors):
-            if k != j:
-                c = mul_mod(c, other, p)
-        d = divmod_mod(mul_mod(divmod_mod(e, f, p)[1], _inverse_mod(c, f, p),
-                               p), f, p)[1]
-        lifted.append([(x + p * y) % m for x, y in
-                       zip_longest(f, d, fillvalue=0)])
-    return lifted
+    A step from modulus q to q^2 takes e = (a - lc(a) prod g_j) / q, c_j
+    = lc(a) times the product of the other factors, and s_j = 1 / c_j mod
+    (q, g_j), and sets g_j to g_j + q d_j for d_j = e s_j mod g_j.  Then
+    sum d_j c_j = e mod q, since both sides agree modulo every g_j and have
+    degree below deg a, so lc(a) prod g_j = a mod q^2.  The s_j start
+    modulo p from the extended Euclidean algorithm, and at each later step
+    one Newton step s_j (2 - c_j s_j) mod g_j lifts them from sqrt(q) to
+    q."""
+    q, lead, gs, inverses = p, a[-1], [list(f) for f in factors], None
+    for _ in range(steps):
+        m = q * q
+        prod = [lead]
+        for g in gs:
+            prod = mul_mod(prod, g, m)
+        cs = [divmod_mod(prod, g, m)[0] for g in gs]  # lc(a) c_j, exactly
+        if inverses is None:
+            inverses = [_inverse_mod(c, g, p) for c, g in zip(cs, gs)]
+        else:
+            # s c = 1 mod (r, g) for r^2 = q, so s (2 - c s) c = 1 mod (q, g)
+            for j, (c, g, s) in enumerate(zip(cs, gs, inverses)):
+                u = [-x for x in divmod_mod(mul_mod(c, s, q), g, q)[1]]
+                u[0] += 2
+                inverses[j] = divmod_mod(mul_mod(s, u, q), g, q)[1]
+        e = [(x - y) % m // q for x, y in zip_longest(a, prod, fillvalue=0)]
+        gs = [[(x + q * y) % m for x, y in zip_longest(
+                  g, divmod_mod(mul_mod(divmod_mod(e, g, q)[1], s, q),
+                                g, q)[1], fillvalue=0)]
+              for g, s in zip(gs, inverses)]
+        q = m
+    return gs
 
 
 def _squarefree_mod(a, p):
@@ -304,9 +327,8 @@ def distinct_degree_mod(a, p):
         frob, h, d = frobenius_rows(s, p), [0, 1], 0
         while len(s) - 1 >= 2 * (d + 1):
             d += 1
-            h = [sum(x * r[k] for x, r in zip(h, frob)) % p
-                 for k in range(len(frob))]
-            g = gcd_mod(s, add(h, [0, -1]), p)
+            h = h @ frob[:len(h)] % p
+            g = gcd_mod(s, add(h.tolist(), [0, -1]), p)
             if len(g) > 1:
                 out.append((d, e, g))
                 s = _quo_mod(s, g, p)
@@ -323,11 +345,11 @@ def factor_mod(a, p):
     if not a:
         return 0, []
     out = [(f, e) for d, e, g in distinct_degree_mod(a, p)
-           for f in _equal_degree_mod(g, d, p)]
+           for f in equal_degree_mod(g, d, p)]
     return a[-1], sorted(out, key=lambda fe: (len(fe[0]), fe[1], fe[0][::-1]))
 
 
-def _equal_degree_mod(g, d, p):
+def equal_degree_mod(g, d, p):
     """The monic irreducible factors of g, a monic squarefree product of
     factors of degree d, by Cantor-Zassenhaus.  The candidates t run
     through the polynomials of degree below deg g that are not constants,
@@ -335,23 +357,28 @@ def _equal_degree_mod(g, d, p):
     with t^((p^d - 1)/2) - 1 for odd p, or with the trace
     t + t^2 + ... + t^(2^(d-1)) for p = 2, splits g as soon as t has
     different characters (traces) modulo two of its factors; by the Chinese
-    remainder theorem some candidate does."""
+    remainder theorem some candidate does.  Both are read off the conjugates
+    t^(p^k), k < d, each the previous one times the Frobenius rows of g:
+    t^((p^d - 1)/2) is their product to the power (p - 1)/2."""
     if len(g) - 1 == d:
         return [g]
+    frob = frobenius_rows(g, p)
     for n in range(p, p**(len(g) - 1)):
-        t = [n // p**k % p for k in range(len(g) - 1)]
+        conj = [[n // p**k % p for k in range(len(g) - 1)]]
+        for _ in range(d - 1):
+            conj.append((conj[-1] @ frob % p).tolist())
         if p == 2:
-            u = list(t)
-            for _ in range(d - 1):
-                t = divmod_mod(mul_mod(t, t, p), g, p)[1]
-                u = [x ^ y for x, y in zip(u, t)]
+            u = [sum(c) % 2 for c in zip(*conj)]
         else:
-            u = pow_mod(t, (p**d - 1) // 2, g, p)
+            u = [1]
+            for c in conj:
+                u = divmod_mod(mul_mod(u, c, p), g, p)[1]
+            u = pow_mod(u, (p - 1) // 2, g, p)
             u[0] = (u[0] - 1) % p
         f = gcd_mod(g, u, p)
         if 1 < len(f) < len(g):
-            return _equal_degree_mod(f, d, p) \
-                + _equal_degree_mod(_quo_mod(g, f, p), d, p)
+            return equal_degree_mod(f, d, p) \
+                + equal_degree_mod(_quo_mod(g, f, p), d, p)
     raise ArithmeticError("no candidate splits the equal-degree product")
 
 

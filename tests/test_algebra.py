@@ -26,6 +26,108 @@ def test_factor_q_content_and_factors():
     assert sorted(f for f, _ in facs) == [[-1, 1], [1, 1]]
 
 
+# ---------------------------------------------------------------------------
+# factorization over Q; sympy's factor_list is the reference
+
+
+def _sympy_factor_q(coeffs):
+    x = sp.Symbol("x")
+    content, facs = sp.Poly([sp.Rational(Fraction(c).numerator,
+                                         Fraction(c).denominator)
+                             for c in coeffs[::-1]], x).factor_list()
+    content = sp.Rational(content)
+    return Fraction(int(content.p), int(content.q)), \
+        [([int(c) for c in f.all_coeffs()[::-1]], m) for f, m in facs]
+
+
+@st.composite
+def products_over_q(draw):
+    """A rational content, negative or not, times a product of powers of
+    small integer polynomials of degree 1 to 4, up to degree 16."""
+    out = [Fraction(draw(st.integers(-30, 30).filter(bool)),
+                    draw(st.integers(1, 12)))]
+    while len(out) < 9:
+        d = draw(st.integers(1, 4))
+        f = draw(st.lists(st.integers(-9, 9), min_size=d, max_size=d))
+        f.append(draw(st.integers(-4, 4).filter(bool)))
+        out = poly.mul(out, poly.power(f, draw(st.integers(1, 3)), [1],
+                                       poly.mul))
+        if draw(st.booleans()):
+            break
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(products_over_q())
+def test_factor_q_matches_sympy(coeffs):
+    got = alg.factor_q(coeffs)
+    assert got == _sympy_factor_q(coeffs)   # sympy's order as well
+    content, facs = got
+    prod = [content]
+    for f, m in facs:
+        assert f[-1] > 0 and math.gcd(*f) == 1
+        prod = poly.mul(prod, poly.power(f, m, [1], poly.mul))
+    assert prod == poly.trim(coeffs)
+
+
+def test_factor_q_edge_cases():
+    assert alg.factor_q([]) == (0, [])
+    assert alg.factor_q([0, 0]) == (0, [])
+    assert alg.factor_q([Fraction(-3, 4)]) == (Fraction(-3, 4), [])
+    assert alg.factor_q([6, -4]) == (-2, [([-3, 2], 1)])
+    assert alg.factor_q([0, 0, 0, 5]) == (5, [([0, 1], 3)])
+
+
+@pytest.mark.parametrize("coeffs", [[1, 0, 0, 0, 1], [1, 0, -10, 0, 1]])
+def test_factor_q_proves_irreducible_by_recombination(coeffs, monkeypatch):
+    # x^4 + 1 and x^4 - 10x^2 + 1 (the minimal polynomial of sqrt2 + sqrt3)
+    # split mod every prime, so no degree pattern proves them irreducible:
+    # the lifted factors are recombined, and no subset divides
+    recombined = []
+    real = alg._recombine
+    monkeypatch.setattr(alg, "_recombine", lambda *args: recombined.append(
+        args[0]) or real(*args))
+    assert alg.factor_q(coeffs) == (1, [(coeffs, 1)])
+    assert recombined == [coeffs]
+    assert alg.factor_q(coeffs) == _sympy_factor_q(coeffs)
+
+
+def test_factor_q_tries_subsets_that_are_not_factors(monkeypatch):
+    # (x^4 + 1)(x^4 - 10x^2 + 1): both split into quadratics (or further)
+    # mod every prime, so degree 2 is allowed and the first subsets tried
+    # are a single quadratic, which divides neither factor over Q
+    f = poly.mul([1, 0, 0, 0, 1], [1, 0, -10, 0, 1])
+    tried = []
+    real = poly.divmod
+    monkeypatch.setattr(poly, "divmod", lambda a, b: tried.append(
+        (len(b) - 1, not real(a, b)[1])) or real(a, b))
+    assert alg.factor_q(f) == (1, [([1, 0, -10, 0, 1], 1), ([1, 0, 0, 0, 1], 1)])
+    assert alg.factor_q(f) == _sympy_factor_q(f)
+    assert tried[0] == (2, False)
+    assert (4, True) in tried
+
+
+def test_factor_q_on_the_table4_inputs():
+    inputs = [poly.trim(edwards_triple(i).h.coeffs) for i in range(1, 28)]
+    inputs += [alg._shifted_norm(inputs[i - 1], 1) for i in (2, 10, 26)]
+    for coeffs in inputs:
+        assert alg.factor_q(coeffs) == _sympy_factor_q(coeffs)
+
+
+def test_golden_split_reads_the_patterns_of_factoring(monkeypatch):
+    # table4 computes each (g, p) degree pattern once: the inert-prime test
+    # reads those that factoring over Q already computed
+    seen = []
+    real = poly.distinct_degree_mod
+    monkeypatch.setattr(poly, "distinct_degree_mod", lambda a, p: seen.append(
+        (tuple(a), p)) or real(a, p))
+    for i in range(1, 28):
+        for field in ("Q", "golden"):
+            seen.clear()
+            alg.factorization_certificates(i, field)
+            assert len(seen) == len(set(seen)), (i, field)
+
+
 def test_factorization_types_over_q():
     for i, want in FACT_TYPES.items():
         if want in ([1, 1, 10], [4, 8]):

@@ -89,6 +89,33 @@ def test_cached_table4_matches_fresh(capsys, tmp_path, monkeypatch):
     assert [row["i"] for row in artifacts["certificates"]] == sorted(golden)
 
 
+# the least inert prime below algebra.INERT_PRIME_BOUND that certifies each
+# [12] row over Q(sqrt5); the [6, 6] rows take the norm at shift 1
+TABLE4_INERT_PRIMES = {5: 7, 6: 37, 8: 13, 9: 7, 13: 7, 14: 13, 15: 23,
+                       16: 13, 21: 7, 22: 13, 23: 37, 24: 7, 7: 13, 11: 17,
+                       19: 7}
+
+
+def test_table4_rows_and_certificates_are_pinned():
+    fails, _, artifacts = cli._stage_table4(None)
+    assert fails == []
+    types = {**{i: ("Q", [1, 1, 10]) for i in (1, 20, 25)},
+             **{i: ("Q", [4, 8]) for i in (3, 4, 12, 17, 18, 27)},
+             **{i: ("golden", [6, 6]) for i in (2, 10, 26)},
+             **{i: ("golden", [12]) for i in TABLE4_INERT_PRIMES}}
+    assert artifacts["rows_checked"] == 27 and sorted(types) == list(range(1, 28))
+    assert artifacts["table"] == [
+        {"i": i, "field": field, "type": want}
+        for i, (field, want) in sorted(types.items(),
+                                       key=lambda it: (it[1][0], it[0]))]
+    shift = {"norm_shift": 1, "norm_factor_degrees": [12, 12]}
+    assert artifacts["certificates"] == [
+        {"i": i, "factors": [{"degree": 12, "multiplicity": 1,
+                              "certificate": {"inert_prime": TABLE4_INERT_PRIMES[i]}
+                              if i in TABLE4_INERT_PRIMES else shift}]}
+        for i in sorted((2, 10, 26) + tuple(TABLE4_INERT_PRIMES))]
+
+
 def _stub_stage(cfg):
     return [], [], {}
 

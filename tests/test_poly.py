@@ -269,20 +269,22 @@ def test_factor_mod_edge_cases():
 
 @settings(max_examples=300, deadline=None)
 @given(st.sampled_from(SMALL_PRIMES),
-       st.lists(st.integers(-60, 60), min_size=1, max_size=9))
-def test_hensel_lift_matches_factorization(p, low):
-    # the coprime parts f^e of a monic a mod p lift to monic g = f^e mod p
-    # whose product is a mod p^2
-    a = low + [1]
-    m = p * p
+       st.lists(st.integers(-60, 60), min_size=1, max_size=9),
+       st.integers(1, 60), st.integers(1, 3))
+def test_hensel_lift_matches_factorization(p, low, lead, steps):
+    # the coprime parts f^e of a mod p lift to monic g = f^e mod p with
+    # lc(a) prod g = a mod p^(2^steps)
+    assume(lead % p)
+    a = low + [lead]
+    m = p ** 2**steps
     parts = [poly.power(f, e, [1], lambda x, y: poly.mul_mod(x, y, p))
              for f, e in poly.factor_mod(a, p)[1]]
-    lifted = poly.hensel_lift(a, parts, p)
+    lifted = poly.hensel_lift(a, parts, p, steps)
     assert len(lifted) == len(parts)
     for f, g in zip(parts, lifted):
         assert len(g) == len(f) and g[-1] == 1
         assert all(0 <= c < m for c in g) and _mod(g, p) == _mod(f, p)
-    assert _mod(_product_mod(lifted, m), m) == _mod(a, m)
+    assert _mod(_product_mod([[lead]] + lifted, m), m) == _mod(a, m)
 
 
 def test_hensel_lift_rejects_common_factors():
@@ -292,10 +294,12 @@ def test_hensel_lift_rejects_common_factors():
 
 
 def test_frobenius_rows_are_pth_powers():
-    for g, p in (([1, 1, 0, 1], 2), ([2, 0, 1, 0, 1], 7), ([3, 1], 11)):
+    # past 2^63 / deg g, p^2 would overflow int64 sums: Python ints there
+    for g, p in (([1, 1, 0, 1], 2), ([2, 0, 1, 0, 1], 7), ([3, 1], 11),
+                 ([5, 0, 3, 1], 2**31 - 1), ([1, 2, 0, 4, 1], 2**61 - 1)):
         rows = poly.frobenius_rows(g, p)
-        assert rows == [poly.pow_mod([0] * k + [1], p, g, p)
-                        for k in range(len(g) - 1)]
+        assert rows.tolist() == [poly.pow_mod([0] * k + [1], p, g, p)
+                                 for k in range(len(g) - 1)]
 
 
 #: the factorization types of the sextic fields' minimal polynomials at 5,

@@ -164,15 +164,19 @@ def test_square_tables_hold_exactly_the_squares():
 
 
 def _screen_oracle(coeffs, row, qs, odd):
-    """Python ints: is T a square mod each modulus of the kernel?"""
+    """Python ints: is T a square mod each modulus of the kernel, with no
+    prime of a modulus dividing both p and q?"""
     d = len(coeffs) - 1
+    primes = [l for l in range(2, max(K.MODULI) + 1)
+              if sp.isprime(l) and any(m % l == 0 for m in K.MODULI)]
     out = []
     for q in qs:
         out.append([])
         for p in row:
             T = sum(c * p**k * q**(d - k) for k, c in enumerate(coeffs))
             T *= q if odd else 1
-            out[-1].append(all(T % m in _squares(m) for m in K.MODULI))
+            out[-1].append(all(T % m in _squares(m) for m in K.MODULI)
+                           and all(p % l or q % l for l in primes))
     return out
 
 

@@ -179,6 +179,18 @@ def test_no_sympy_number_field_module():
     assert not found, f"sympy.polys.numberfields in the package: {found}"
 
 
+def test_no_sympy_factor_list():
+    # factorization over Q is the package's own (algebra.factor_q: degree
+    # patterns, a Hensel lift and recombination); sympy's factor_list is only
+    # the tests' reference
+    found = []
+    for path in sorted(pathlib.Path(gfe25.__file__).parent.glob("*.py")):
+        found += [f"{path.name}:{number}"
+                  for number, line in enumerate(path.read_text().splitlines(), 1)
+                  if "factor_list" in line]
+    assert not found, f"sympy's factor_list in the package: {found}"
+
+
 def test_private_names_are_used():
     # a private function or method that nothing in the package refers to is
     # dead code, or code kept alive only for a test
