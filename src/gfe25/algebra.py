@@ -526,15 +526,11 @@ def _factor_squarefree(f, known):
     for p, blocks in _patterns_at(f, known):
         if any(e > 1 for _, e, _ in blocks):
             continue
-        sums, count = 1, 0
-        for d, _, g in blocks:
-            for _ in range((len(g) - 1) // d):
-                sums |= sums << d
-                count += 1
-        allowed &= sums
+        allowed &= poly.degree_sums(blocks)
         if allowed == 1 | 1 << n:
             return [f]
         usable += 1
+        count = sum((len(g) - 1) // d for d, _, g in blocks)
         if best is None or count < best[0]:
             best = count, p
         if count <= 2 or usable == _PATTERN_PRIMES:

@@ -16,7 +16,9 @@ Four pipelines, one per factorization family of the degree-12 forms:
   h_i into a quadratic times a primitive degree-10 form H_i and sieve the
   125 unit classes that could twist H_i(u, v) = unit * w^5.
 
-Every splitting identity is verified by exact polynomial arithmetic.
+Every splitting identity is verified by exact polynomial arithmetic; one
+that does not hold, or a certificate that cannot be found, raises
+DerivationFailed.
 """
 
 import itertools
@@ -39,24 +41,8 @@ from .bforms import BinaryForm, binary_resultant, edwards_triple, transform
 from .search import HyperellipticModel, InfinitePoint
 
 
-class NoRationalRoots(Exception):
-    pass
-
-
-class SplitInconsistent(Exception):
-    pass
-
-
-class IdentityFailure(Exception):
-    pass
-
-
-class ReconstructionFailed(Exception):
-    pass
-
-
-class ContentNotClearable(Exception):
-    pass
+class DerivationFailed(Exception):
+    """An identity, split or certificate of the descent does not hold."""
 
 
 class BadUnitData(Exception):
@@ -108,8 +94,9 @@ def _linear_parts(linear):
     return linear.coeffs[1], linear.coeffs[0]
 
 
-def klein_split(h, root_pair):
-    """Split h = scale * l1 * l2 * (A l1^10 + B l1^5 l2^5 + C l2^10)."""
+def klein_split(h, root_pair, name="h"):
+    """Split h = scale * l1 * l2 * (A l1^10 + B l1^5 l2^5 + C l2^10); a
+    DerivationFailed names h as name."""
     l1, l2 = root_pair
     a1, b1 = _linear_parts(l1)
     a2, b2 = _linear_parts(l2)
@@ -119,10 +106,11 @@ def klein_split(h, root_pair):
     # coordinates (s, t) = (l1, l2); substitute the inverse map
     ht = transform(h, ((b2 / det, -b1 / det), (-a2 / det, a1 / det)))
     if ht.coeff(0) != 0 or ht.coeff(12) != 0:
-        raise NoRationalRoots("designated linear forms do not divide h")
+        raise DerivationFailed(f"designated linear forms do not divide {name}")
     for k in range(2, 11):
         if k != 6 and ht.coeff(k) != 0:
-            raise SplitInconsistent(f"unexpected s^{k} t^{12 - k} term")
+            raise DerivationFailed(
+                f"unexpected s^{k} t^{12 - k} term in {name}")
     raw = [Fraction(ht.coeff(11)), Fraction(ht.coeff(6)), Fraction(ht.coeff(1))]
     content = Fraction(math.gcd(*(c.numerator for c in raw)),
                        math.lcm(*(c.denominator for c in raw)))
@@ -131,7 +119,7 @@ def klein_split(h, root_pair):
     rebuilt = (l1 * l2 * ((l1**10).scale(A) + (l1**5 * l2**5).scale(B)
                           + (l2**10).scale(C))).scale(scale)
     if any(Fraction(x) != Fraction(y) for x, y in zip(rebuilt.coeffs, h.coeffs)):
-        raise SplitInconsistent("product identity failed")
+        raise DerivationFailed(f"product identity failed for {name}")
     return KleinSplit(l1, l2, A, B, C, scale, ((B / 11) ** 2, A * C))
 
 
@@ -139,7 +127,7 @@ def rational_split(i):
     """Klein split of h_i for the three rational indices."""
     if i not in RATIONAL_SPLIT_INDICES:
         raise ValueError(f"i={i} has no rational Klein split")
-    return klein_split(edwards_triple(i).h, ROOT_PAIRS[i])
+    return klein_split(edwards_triple(i).h, ROOT_PAIRS[i], f"h_{i}")
 
 
 def _absorbed(split):
@@ -303,6 +291,23 @@ class GaussDescentData:
     resultant: int            # Res(H, conj H) as a rational integer
 
 
+def _support(n, primes, what):
+    """The primes of `primes` dividing the integer n, in increasing order,
+    by division alone; DerivationFailed, naming `what`, when n is 0 or a
+    cofactor other than 1 is left."""
+    if n == 0:
+        raise DerivationFailed(f"{what} = 0")
+    m = abs(n)
+    for p in primes:
+        while m % p == 0:
+            m //= p
+    if m != 1:
+        raise DerivationFailed(
+            f"{what} = {n} not {{{', '.join(map(str, primes))}}}-supported: "
+            f"cofactor {m}")
+    return tuple(p for p in primes if n % p == 0)
+
+
 def gauss_family(i):
     if i not in GAUSS_INDICES:
         raise ValueError(f"i={i} is not one of the Gaussian-descent indices")
@@ -312,16 +317,18 @@ def gauss_family(i):
     quartic = re * re + im * im
     h = edwards_triple(i).h
     if h.coeff(12) == 0:
-        raise IdentityFailure("h has a root at infinity; quartic split invalid")
+        raise DerivationFailed(
+            f"h_{i} has a root at infinity; quartic split invalid")
     quot, rem = poly.divmod(list(h.coeffs), list(quartic.coeffs))
     if rem:
-        raise IdentityFailure(f"re^2 + im^2 does not divide h_{i}")
+        raise DerivationFailed(f"re^2 + im^2 does not divide h_{i}")
     octic = BinaryForm(8, tuple(quot))
     if quartic * octic != h:
-        raise IdentityFailure(f"quartic * octic != h_{i}")
+        raise DerivationFailed(f"quartic * octic != h_{i}")
     prehyper = (re.scale(al) + im.scale(be)) * im
     if prehyper.scale(g) != S * S:
-        raise IdentityFailure(f"gamma (alpha Re + beta Im) Im != S^2 for i={i}")
+        raise DerivationFailed(
+            f"gamma (alpha Re + beta Im) Im != S^2 for i={i}")
     inner = [al * x + be * y for x, y in zip(list(_PHI1) + [0], _PSI1)]
     F = tuple(g * c for c in poly.mul(inner, _PSI1))
     G = auxiliary_field("gauss")
@@ -329,10 +336,9 @@ def gauss_family(i):
     Hc = BinaryForm(2, tuple(G.element([r, -m]) for r, m in zip(re_c, im_c)))
     res = binary_resultant(H, Hc).as_rational()
     if res.denominator != 1:
-        raise IdentityFailure("non-integral resultant")
+        raise DerivationFailed(f"non-integral Res(H, conj H) for i={i}")
     res = int(res)
-    if set(sp.factorint(abs(res))) - {2, 3}:
-        raise IdentityFailure(f"Res(H, conj H) = {res} not {{2,3}}-supported")
+    _support(res, (2, 3), f"Res(H, conj H) for i={i}")
     return GaussDescentData(i, re, im, g, al, be, S, F,
                             HyperellipticModel(F), quartic, res)
 
@@ -448,7 +454,8 @@ def _check_sqrt5_identities(data):
         rhs = (golden.from_int(0) + 1 * data.g1.evaluate(a, b)
                + sqrt5 * data.g2.evaluate(a, b))
         if lhs != rhs:
-            raise IdentityFailure(f"unit-twisted fifth power mismatch, j={data.j}")
+            raise DerivationFailed(
+                f"unit-twisted fifth power mismatch, j={data.j}")
     # F factors through conjugate linear combinations over Q(sqrt(-5))
     K = auxiliary_field("sqrt-5")
     lam, lamc = K.element([55, 4], 27), K.element([55, -4], 27)
@@ -457,14 +464,15 @@ def _check_sqrt5_identities(data):
     prod = c1 * c2
     for k in range(11):
         if prod.coeff(k) != Fraction(data.F.coeff(k), 81):
-            raise IdentityFailure("conjugate combination product != F/81")
+            raise DerivationFailed(
+                f"conjugate combination product != F_{data.j}/81")
     # the pulled-out square identity behind the construction
     G1 = BinaryForm(6, (1, 0, 0, Fraction(-55, 2), 0, 0, -5))
     G2 = BinaryForm(6, (0, 0, 0, Fraction(-27, 2), 0, 0, 0))
     lhs = (G1 * G1).scale(81) - (G1 * G2).scale(330) + (G2 * G2).scale(345)
     rhs = BinaryForm(12, (1, 0, 0, 0, 0, 0, 10, 0, 0, 0, 0, 0, 25)).scale(81)
     if any(Fraction(x) != Fraction(y) for x, y in zip(lhs.coeffs, rhs.coeffs)):
-        raise IdentityFailure("square identity (9(v^6 + 5u^6))^2 failed")
+        raise DerivationFailed("square identity (9(v^6 + 5u^6))^2 failed")
 
 
 _F0_PRINTED = (81, -1650, 16725, -99000, 395250, -1039500, 1961250,
@@ -482,10 +490,10 @@ def sqrt5_family(j):
     g2 = BinaryForm(5, tuple(c * q + d * p for p, q in zip(_P5, _Q5)))
     F = (g1 * g1).scale(81) - (g1 * g2).scale(330) + (g2 * g2).scale(345)
     if not all(Fraction(cf).denominator == 1 for cf in F.coeffs):
-        raise IdentityFailure(f"F_{j} is not integral")
+        raise DerivationFailed(f"F_{j} is not integral")
     F = F.map_coeffs(lambda cf: int(Fraction(cf)))
     if j == 0 and tuple(F.coeffs) != tuple(reversed(_F0_PRINTED)):
-        raise IdentityFailure("F_0 disagrees with the printed coefficients")
+        raise DerivationFailed("F_0 disagrees with the printed coefficients")
     data = Sqrt5DescentData(j, g1, g2, F, HyperellipticModel(tuple(F.coeffs)))
     _check_sqrt5_identities(data)
     return data
@@ -599,8 +607,9 @@ def _ideal_generator(order, basis, norm):
                                for k in range(n)], d)
                 if abs(g.norm()) == norm:
                     return g
-    raise ContentNotClearable(
-        f"no generator of norm {norm} found within bound {GENERATOR_BOUND}")
+    raise DerivationFailed(
+        f"no generator of norm {norm} in {K.label} found within bound "
+        f"{GENERATOR_BOUND}")
 
 
 def _shell(r, n):
@@ -638,8 +647,9 @@ def _primitive_part(coeffs, rep):
         ginv = g.inverse()
         out = [c * ginv for c in out]
         if any(order.coords(c) is None for c in out):
-            raise ContentNotClearable("content generator does not divide")
-    raise ContentNotClearable("content removal did not terminate")
+            raise DerivationFailed(
+                f"content generator does not divide over {K.label}")
+    raise DerivationFailed(f"content removal over {K.label} did not terminate")
 
 
 @lru_cache(maxsize=None)
@@ -662,7 +672,7 @@ def sextic_split(i):
     h = edwards_triple(i).h
     lead = h.coeff(12)
     if lead == 0:
-        raise ReconstructionFailed("h has a root at infinity")
+        raise DerivationFailed(f"h_{i} has a root at infinity")
     qm, Hm = _quadratic_factor([Fraction(c) / lead for c in h.coeffs], K)
     Hc = _primitive_part(Hm, FIELD_REP[i])
     q_form = BinaryForm(2, tuple(qm))
@@ -671,18 +681,15 @@ def sextic_split(i):
     rebuilt = (q_form * H_form).map_coeffs(lambda c: c * scalar)
     for x, y in zip(rebuilt.coeffs, h.coeffs):
         if x != y:
-            raise SplitInconsistent(f"q * H does not rebuild h_{i}")
+            raise DerivationFailed(f"q * H does not rebuild h_{i}")
     certificate = _irreducibility_primes(q_form.coeffs, H_form.coeffs, K)
     q_int = q_form.map_coeffs(lambda c: c * scalar)
     res = binary_resultant(q_int, H_form)
     res_norm = res.norm()
     if res_norm.denominator != 1:
-        raise SplitInconsistent("non-integral resultant norm")
-    res_norm = abs(int(res_norm))
-    support = tuple(sorted(sp.factorint(res_norm)))
-    if set(support) - {2, 3, 5}:
-        raise IdentityFailure(
-            f"Res(q_{i}, H_{i}) supported outside 2, 3, 5: {support}")
+        raise DerivationFailed(f"non-integral norm of Res(q_{i}, H_{i})")
+    support = _support(int(res_norm), (2, 3, 5),
+                       f"the norm of Res(q_{i}, H_{i})")
     above5 = sum(1 for fq in residue_split(K, 5) if not any(fq.reduce(res)))
     return SexticSplit(i, K, q_form, H_form, scalar, support, above5,
                        certificate)
@@ -690,7 +697,7 @@ def sextic_split(i):
 
 def _axes(roots):
     """The pairs (a, b), a < b, of antipodal vertices when the roots are the
-    vertices of an icosahedron on the Riemann sphere; ReconstructionFailed
+    vertices of an icosahedron on the Riemann sphere; DerivationFailed
     when they do not pair up.
 
     In the coordinate z = (x - r_a)/(x - r_b) the rotation of order 5 about
@@ -709,14 +716,14 @@ def _axes(roots):
                    key=lambda b: off_axis(a, b)) for a in range(len(roots))]
     axes = [(a, b) for a, b in enumerate(partner) if a < b and partner[b] == a]
     if 2 * len(axes) != len(roots):
-        raise ReconstructionFailed("the roots do not pair into the axes of "
-                                   "an icosahedron")
+        raise DerivationFailed("the roots do not pair into the axes of "
+                               "an icosahedron")
     return axes
 
 
 def _quadratic_factor(coeffs, K):
     """(q, H) with coeffs = q * H exactly over K, q = [t, s, 1] monic
-    quadratic; ReconstructionFailed when the roots have no icosahedral axes
+    quadratic; DerivationFailed when the roots have no icosahedral axes
     or the nearest proposal does not divide.
 
     Each degree-12 h_i is Klein's icosahedral form after a change of
@@ -736,7 +743,7 @@ def _quadratic_factor(coeffs, K):
     roots = np.roots(np.array([float(c) for c in reversed(coeffs)]))
     axes = _axes(roots)
     if len(axes) != K.degree:
-        raise ReconstructionFailed(
+        raise DerivationFailed(
             f"{len(axes)} axes for the {K.degree} embeddings of {K.label}")
     st = np.array([[roots[a] * roots[b], -(roots[a] + roots[b])]
                    for a, b in axes])
@@ -749,7 +756,7 @@ def _quadratic_factor(coeffs, K):
          for col in best.T] + [K.one]
     H, rem = poly.divmod([K.from_int(c) for c in coeffs], q)
     if rem:
-        raise ReconstructionFailed(
+        raise DerivationFailed(
             f"the axes nearest to integers give no quadratic factor over "
             f"{K.label}")
     return q, H
@@ -761,7 +768,7 @@ IRREDUCIBILITY_PRIME_BOUND = 200
 
 def _irreducibility_primes(q, H, K):
     """Degree-1 primes P = (p, theta - a) of K proving the polynomials q and
-    H irreducible over K; ReconstructionFailed when the primes below
+    H irreducible over K; DerivationFailed when the primes below
     IRREDUCIBILITY_PRIME_BOUND do not suffice.
 
     P is used when p divides neither disc(K) nor a coordinate denominator
@@ -775,7 +782,8 @@ def _irreducibility_primes(q, H, K):
     polys = (q, H)
     disc = K.discriminant()
     den = math.lcm(*(c.den for f in polys for c in f))
-    sums = [set(range(len(f))) for f in polys]
+    # bit k of sums[j]: a factor of degree k of polys[j] is not yet ruled out
+    sums = [(1 << len(f)) - 1 for f in polys]
     used = []
     for p in sp.primerange(2, IRREDUCIBILITY_PRIME_BOUND):
         if disc % p == 0 or den % p == 0:
@@ -789,17 +797,14 @@ def _irreducibility_primes(q, H, K):
                 continue
             narrowed = False
             for k, f in enumerate(reduced):
-                here = {0}
-                for d, e, g in poly.distinct_degree_mod(f, p):
-                    for _ in range(e * (len(g) - 1) // d):
-                        here |= {x + d for x in here}
-                narrowed |= not sums[k] <= here
+                here = poly.degree_sums(poly.distinct_degree_mod(f, p))
+                narrowed |= bool(sums[k] & ~here)
                 sums[k] &= here
             if narrowed:
                 used.append((p, a))
-            if all(s == {0, len(f) - 1} for s, f in zip(sums, polys)):
+            if all(s == 1 | 1 << len(f) - 1 for s, f in zip(sums, polys)):
                 return tuple(used)
-    raise ReconstructionFailed(
+    raise DerivationFailed(
         f"no irreducibility certificate over {K.label} from the degree-1 "
         f"primes below {IRREDUCIBILITY_PRIME_BOUND}")
 

@@ -337,6 +337,20 @@ def distinct_degree_mod(a, p):
     return out
 
 
+def degree_sums(blocks):
+    """Bitmask of the degree pattern that the blocks [(d, e, g)] of
+    distinct_degree_mod describe: bit k is set iff k is the sum of the
+    degrees of some of the irreducible factors, each counted up to its
+    multiplicity.  A factor of a polynomial that reduces to these blocks
+    mod p, with a leading coefficient prime to p, has one of these degrees
+    (Musser, JACM 25, 1978)."""
+    sums = 1
+    for d, e, g in blocks:
+        for _ in range(e * (len(g) - 1) // d):
+            sums |= sums << d
+    return sums
+
+
 def factor_mod(a, p):
     """(lead, [(f, e)]): a = lead * prod f^e mod p with the f monic,
     irreducible and distinct, sorted by degree, then multiplicity, then the

@@ -259,3 +259,38 @@ def test_disagreeing_forms_data_exits_2(capsys, tmp_path, monkeypatch):
     assert code == 2
     assert "forms" in err and "error:" in err
     assert out == ""
+
+
+def _fail_in(monkeypatch, target):
+    """Make descent.target raise DerivationFailed; returns its message."""
+    message = f"{target} failed on purpose"
+
+    def fail(*args):
+        raise descent.DerivationFailed(message)
+
+    monkeypatch.setattr(descent, target, fail)
+    return message
+
+
+@pytest.mark.parametrize("stage, target", [
+    ("genus2", "rational_split"), ("gauss", "gauss_family"),
+    ("sqrt5", "sqrt5_family"), ("sextic", "sextic_split")])
+def test_failed_derivation_is_a_mismatch_report(capsys, monkeypatch, stage,
+                                                target):
+    # run_pipeline turns a DerivationFailed from any stage into a report;
+    # from sextic_split it used to escape `gfe run` as a traceback
+    message = _fail_in(monkeypatch, target)
+    code, out, err = _gfe(capsys, "run", "--stage", stage, "--no-cache")
+    assert code == 1 and err == ""
+    doc = json.loads(out)
+    assert doc["verdict"] == "mismatch"
+    (report,) = doc["reports"]
+    assert (report["stage"], report["verdict"]) == (stage, "mismatch")
+    assert report["details"] == [message]
+    assert report["assumptions"] == [] and report["artifacts"] == {}
+
+
+def test_failed_derivation_in_a_subcommand_exits_1(capsys, monkeypatch):
+    message = _fail_in(monkeypatch, "sextic_split")
+    code, out, err = _gfe(capsys, "derive", "--family", "12", "--i", "16")
+    assert (code, out, err) == (1, "", f"mismatch: {message}\n")

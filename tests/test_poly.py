@@ -1,5 +1,6 @@
 """Tests for the exact polynomial and root arithmetic."""
 
+import itertools
 from fractions import Fraction as Fr
 
 import numpy as np
@@ -225,6 +226,21 @@ def test_factor_mod_matches_sympy(pa):
         assert g == _mod(_product_mod(here, p), p)
     assert sorted((d, e) for d, e, _ in blocks) == \
         sorted({(len(f) - 1, e) for f, e in facs})
+
+
+@settings(max_examples=200, deadline=None)
+@given(polys_mod_p())
+def test_degree_sums_count_multiplicities(pa):
+    # the subset sums of the factor degrees, each factor counted as often as
+    # it divides a, brute-forced from factor_mod
+    p, a = pa
+    lead, facs = poly.factor_mod(a, p)
+    assume(lead)
+    degrees = [len(f) - 1 for f, e in facs for _ in range(e)]
+    want = {sum(c) for r in range(len(degrees) + 1)
+            for c in itertools.combinations(degrees, r)}
+    sums = poly.degree_sums(poly.distinct_degree_mod(a, p))
+    assert {k for k in range(sums.bit_length()) if sums >> k & 1} == want
 
 
 def _product_mod(fs, p):

@@ -4,6 +4,7 @@ import ast
 import pathlib
 
 import gfe25
+from gfe25 import descent
 
 
 def test_no_assert_statements():
@@ -232,6 +233,35 @@ def test_one_unit_data_path():
             todo += [(child, owner) for child in ast.iter_child_nodes(node)]
     assert callers == {"descent.verify_unit_data", "cli._data_digest"}, \
         f"unit files read outside verify_unit_data: {sorted(callers)}"
+
+
+def test_one_mismatch_path():
+    # a derivation that does not hold raises descent.DerivationFailed, and
+    # only cli.run_pipeline (into a report) and cli.main (for a direct
+    # subcommand) catch it: a stage body with a try, or a second exception
+    # class for the same failure, is a second way to report it
+    package = pathlib.Path(gfe25.__file__).parent
+    tree = ast.parse((package / "cli.py").read_text())
+    tries = [f"{fn.name}:{node.lineno}" for fn in tree.body
+             if isinstance(fn, ast.FunctionDef)
+             and fn.name.startswith("_stage_")
+             for node in ast.walk(fn)
+             if isinstance(node, (ast.Try, getattr(ast, "TryStar", ast.Try)))]
+    assert not tries, f"try statements in stage bodies: {tries}"
+    classes = {name for name, obj in vars(descent).items()
+               if isinstance(obj, type) and issubclass(obj, BaseException)
+               and obj.__module__ == descent.__name__}
+    assert classes == {"DerivationFailed", "BadUnitData", "IndexRisk"}
+    catchers = set()
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for fn in ast.walk(tree):
+            if isinstance(fn, ast.FunctionDef):
+                catchers |= {f"{path.stem}.{fn.name}"
+                             for node in ast.walk(fn)
+                             if isinstance(node, ast.ExceptHandler)
+                             and "DerivationFailed" in ast.dump(node.type)}
+    assert catchers == {"cli.run_pipeline", "cli.main"}, catchers
 
 
 #: public names that only the benchmark harness (perfbench/) looks up
