@@ -26,7 +26,7 @@ import numpy as np
 import sympy as sp
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
-from gfe25 import algebra as alg, descent  # noqa: E402
+from gfe25 import algebra as alg, descent, poly  # noqa: E402
 
 SMOOTH = (2, 3, 5)
 
@@ -151,14 +151,18 @@ def pick_independent(units, qs):
 
 
 def cert_primes(K, count=3):
+    """The first count primes q > 7 that check_sieve_primes accepts for K,
+    each with its residue fields."""
     out = []
-    q = 7
-    while len(out) < count:
-        q += 1
-        if not sp.isprime(q) or q % 5 != 1 or K.discriminant() % q == 0:
+    for q in poly.primes(8, 1000):
+        try:
+            descent.check_sieve_primes([q], K)
+        except descent.IndexRisk:
             continue
         out.append((q, alg.residue_split(K, q)))
-    return out
+        if len(out) == count:
+            return out
+    raise ValueError(f"fewer than {count} certification primes below 1000")
 
 
 def enrich(units, cap=200):

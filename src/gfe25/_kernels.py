@@ -35,6 +35,8 @@ import functools
 
 import numpy as np
 
+from . import poly
+
 MODULI = (64, 63, 25, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43)
 _POWERS = 11  # exponents 0..10: T has degree <= 10, times q for odd degree
 
@@ -77,8 +79,8 @@ def _square_grid(coeffs, odd, m):
     c = np.array([ck % m for ck in coeffs], dtype=np.float64)
     a = np.fmod(powers[:, e - d:e + 1][:, ::-1] * c, m)
     grid = squares[(a @ powers[:, :d + 1].T).astype(np.intp)]
-    for l in range(2, m + 1):
-        if m % l == 0 and all(l % k for k in range(2, l)):
+    for l in poly.primes(2, m + 1):
+        if m % l == 0:
             grid[::l, ::l] = False
     return grid
 

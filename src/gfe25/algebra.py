@@ -23,11 +23,8 @@ from functools import lru_cache, reduce
 from importlib import resources
 
 import numpy as np
-import sympy as sp
 
 from . import poly
-
-_X = sp.symbols("x")
 
 
 class ZeroInput(Exception):
@@ -94,7 +91,10 @@ class NumberField:
 
     def sympy_gen(self):
         # any fixed root works; factorization data is root-independent
-        return sp.CRootOf(sp.Poly(self.min_poly[::-1], _X).as_expr(), 0)
+        import sympy as sp
+
+        x = sp.Symbol("x")
+        return sp.CRootOf(sp.Poly(self.min_poly[::-1], x).as_expr(), 0)
 
     # -- numerics ----------------------------------------------------------
     @lru_cache(maxsize=None)
@@ -305,13 +305,35 @@ class MaximalOrder:
 def _column_hnf(cols, n):
     """The Hermite normal form of the integer columns of length n, as a tuple
     of n rows: upper triangular with n columns when they span a lattice of
-    rank n, with fewer otherwise."""
-    from sympy.polys.matrices import DomainMatrix
-    from sympy.polys.matrices.normalforms import hermite_normal_form
+    rank n, with fewer otherwise.
 
-    rows = [[sp.ZZ(col[k]) for col in cols] for k in range(n)]
-    hnf = hermite_normal_form(DomainMatrix(rows, (n, len(cols)), sp.ZZ))
-    return tuple(tuple(int(x) for x in row) for row in hnf.to_list())
+    Row by row from the bottom, the Euclidean algorithm on pairs of columns
+    leaves one column with the row's gcd, made positive, and zeros to its
+    left; the entries to its right in that row are reduced modulo it
+    (Cohen, GTM 138, Alg. 2.4.5).  Every step is unimodular, and the form
+    is unique, so it does not depend on the order of the columns."""
+    cols = [list(c) for c in cols]
+    k = len(cols)   # the pivots found so far are in cols[k:]
+    for i in range(n - 1, -1, -1):
+        if k == 0:
+            break
+        k -= 1
+        pivot = cols[k]
+        for j in range(k - 1, -1, -1):
+            while cols[j][i]:
+                q = pivot[i] // cols[j][i]
+                pivot, cols[j] = cols[j], [x - q * y
+                                           for x, y in zip(pivot, cols[j])]
+        if pivot[i] < 0:
+            pivot = [-x for x in pivot]
+        cols[k] = pivot
+        if pivot[i] == 0:
+            k += 1   # no pivot in this row
+            continue
+        for j in range(k + 1, len(cols)):
+            q = cols[j][i] // pivot[i]
+            cols[j] = [x - q * y for x, y in zip(cols[j], pivot)]
+    return tuple(tuple(c[r] for c in cols[k:]) for r in range(n))
 
 
 #: For the fields whose Z[theta] fails Dedekind's criterion at p: an alpha_p
@@ -334,7 +356,10 @@ def maximal_order(K):
     """The maximal order of K, with the least common denominator.
 
     Z[theta] is p-maximal at every p whose square does not divide disc(T),
-    as disc(T) = [O_K : Z[theta]]^2 d_K.  At each p whose square does,
+    as disc(T) = [O_K : Z[theta]]^2 d_K.  Those p come from trial division
+    to B = 2^ceil(bitlen(disc)/3) >= |disc|^(1/3): it leaves a cofactor c
+    whose primes all exceed B, so if p^2 | c, then c / p^2 < B and c = p^2,
+    a perfect square.  At each p whose square divides disc(T),
     Dedekind's criterion (_dedekind_maximal) decides whether it is.  Where
     it is not, _p_maximal_element(K, p) gives an integral alpha_p with
     Z[alpha_p] p-maximal, certified by the same criterion on the
@@ -348,9 +373,12 @@ def maximal_order(K):
     to every p, hence 1.  O_K is the HNF of the columns theta^j and
     alpha_p^j, j < n, over one denominator.
     """
-    n = K.degree
-    gens = [K.gen] + [_p_maximal_element(K, p)
-                      for p, k in sp.factorint(K.discriminant()).items()
+    n, disc = K.degree, abs(K.discriminant())
+    factors, c = poly.prime_factors(disc, 1 << -(-disc.bit_length() // 3))
+    root = poly.int_root(c, 2)
+    if root and root > 1:
+        factors[root] = 2
+    gens = [K.gen] + [_p_maximal_element(K, p) for p, k in factors.items()
                       if k >= 2 and not _dedekind_maximal(K.min_poly, p)]
     powers = [g**j for g in gens for j in range(n)]
     denom = math.lcm(*(x.den for x in powers))
@@ -414,13 +442,25 @@ def _charpoly(a):
 
 def _integer_inverse(rows, scale=1):
     """(A, d) with A / d = scale * rows^-1 for an invertible integer matrix:
-    A an integer matrix and d >= 1 with no common factor."""
-    from sympy.polys.matrices import DomainMatrix
-
-    inv, d = DomainMatrix.from_list(rows, sp.ZZ).inv_den()
-    A = [[int(x) * scale for x in row] for row in inv.to_list()]
-    g = math.gcd(int(d), *itertools.chain(*A)) * (1 if d > 0 else -1)
-    return tuple(tuple(x // g for x in row) for row in A), int(d) // g
+    A an integer matrix and d >= 1 with no common factor.  Gauss-Jordan
+    elimination over Q."""
+    n = len(rows)
+    aug = [[Fraction(x) for x in row] + [Fraction(i == j) for j in range(n)]
+           for i, row in enumerate(rows)]
+    for c in range(n):
+        r = next((r for r in range(c, n) if aug[r][c]), None)
+        if r is None:
+            raise ZeroDivisionError("singular matrix")
+        aug[c], aug[r] = aug[r], aug[c]
+        aug[c] = [x / aug[c][c] for x in aug[c]]
+        for r in range(n):
+            f = aug[r][c]
+            if r != c and f:
+                aug[r] = [x - f * y for x, y in zip(aug[r], aug[c])]
+    d = math.lcm(*(x.denominator for row in aug for x in row[n:]))
+    A = [[int(x * d) * scale for x in row[n:]] for row in aug]
+    g = math.gcd(d, *itertools.chain(*A))
+    return tuple(tuple(x // g for x in row) for row in A), d // g
 
 
 # ---------------------------------------------------------------------------
@@ -475,7 +515,7 @@ def _patterns_at(f, known):
     with blocks = poly.distinct_degree_mod(f, p), each computed once and kept
     in known."""
     for p in itertools.count(2):
-        if f[-1] % p and all(p % k for k in range(2, math.isqrt(p) + 1)):
+        if f[-1] % p and poly.is_prime(p):
             if p not in known:
                 known[p] = poly.distinct_degree_mod(f, p)
             yield p, known[p]
@@ -599,6 +639,7 @@ def factor_nf(coeffs, K):
     number field K with sympy (Trager's algorithm), which no stage uses; the
     tests read it as a reference.  Returns (leading NFElement, [(list of
     NFElement coeffs ascending, mult)]); factors are monic."""
+    import sympy as sp
     from sympy.polys.factortools import dup_ext_factor
 
     dom = sp.QQ.algebraic_field(K.sympy_gen())
@@ -678,7 +719,7 @@ def _golden_split(g, known):
     d = len(g) - 1
     if d % 2:
         return [d], "odd_degree"
-    for p in sp.primerange(2, INERT_PRIME_BOUND):
+    for p in poly.primes(2, INERT_PRIME_BOUND):
         if p % 5 not in (2, 3) or g[-1] % p == 0:
             continue
         blocks = known[p] if p in known else poly.distinct_degree_mod(g, p)
@@ -847,7 +888,7 @@ def _fifth_root_prime(K, norm):
     p^f = 1 mod 5; L is the lcm of the p^f - 1, the exponent of
     (Z[theta]/p)^x, which 5 then does not divide."""
     disc = K.discriminant()
-    for p in sp.primerange(7, FIFTH_ROOT_PRIME_BOUND):
+    for p in poly.primes(7, FIFTH_ROOT_PRIME_BOUND):
         if disc % p == 0 or norm % p == 0:
             continue
         orders = [fq.q - 1 for fq in residue_split(K, p)]

@@ -28,8 +28,6 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import sympy as sp
-
 from . import algebra, bforms, descent, frey, padic, poly
 from .bforms import ALL_INDICES, Solution, assemble_solution, edwards_triple
 from .search import (
@@ -655,6 +653,8 @@ def parse_curve(spec):
     named = _named_curves()
     if spec in named:
         return named[spec]
+    import sympy as sp   # only a free-form curve needs it
+
     try:
         expr = sp.sympify(spec.replace("^", "**"))
         P = sp.Poly(expr, sp.Symbol("x"))

@@ -32,7 +32,6 @@ from functools import lru_cache
 from importlib import resources
 
 import numpy as np
-import sympy as sp
 
 from . import padic, poly
 from .algebra import (ZeroInput, auxiliary_field, coefficient_field,
@@ -160,8 +159,7 @@ def alpha_candidates(i, split=None):
     support = set()
     for n in (split.scale.numerator, split.scale.denominator,
               int(binary_resultant(split.l1, split.l2))):
-        support |= set(sp.factorint(abs(n)))
-    support.discard(1)
+        support |= set(poly.prime_factors(abs(n), abs(n))[0])
     support = sorted(support)
     G = _cofactor_form(split)
     allowed = {}
@@ -196,10 +194,12 @@ def alpha_candidates(i, split=None):
 
 
 def _tenth_free(n):
-    """(m, T) with n = m * T^10 and m free of 10th-power factors."""
+    """(m, T) with n = m * T^10 and m free of 10th-power factors; a prime p
+    with p^10 | n has p <= |n|^(1/10), so trial division stops there."""
     sign = -1 if n < 0 else 1
     T = 1
-    for p, e in sp.factorint(abs(n)).items():
+    bound = 1 << -(-abs(n).bit_length() // 10)
+    for p, e in poly.prime_factors(abs(n), bound)[0].items():
         T *= p ** (e // 10)
     return sign * (abs(n) // T**10), T
 
@@ -568,34 +568,42 @@ def _ideal_generator(order, basis, norm):
 
     In any number field such an element generates the ideal, since its
     principal ideal lies in the ideal with index 1; this certifies the
-    caller's division.  The coordinates c on the LLL-reduced basis are
-    searched shell by shell, max|c| = r for r = 0..GENERATOR_BOUND, each
-    shell in lexicographic order.  The first exact match is therefore the
-    match of least sup-norm, and among those the first in the lexicographic
-    order of the whole box [-GENERATOR_BOUND, GENERATOR_BOUND]^n: the
-    element a scan of that box keeping the smallest match would return.
+    caller's division.  The basis is LLL-reduced (_lll) as the rows of its
+    complex embeddings, real and imaginary parts scaled to 24 bits and
+    rounded, next to an identity block that carries the transform; the
+    floats only choose the basis, and the exact norm decides.  The
+    coordinates c on the reduced basis are searched shell by shell,
+    max|c| = r for r = 0..GENERATOR_BOUND, each shell in lexicographic
+    order.  The first exact match is therefore the match of least sup-norm,
+    and among those the first in the lexicographic order of the whole box
+    [-GENERATOR_BOUND, GENERATOR_BOUND]^n: the element a scan of that box
+    keeping the smallest match would return.
     """
-    from sympy.polys.matrices import DomainMatrix
-
     K, d = order.field, order.denom
     n = K.degree
+    pows = np.array([K.embeddings()**k for k in range(n)])
+
+    def embedded(pb):
+        """The complex embeddings of the elements with power-basis
+        numerators pb over d, one row each."""
+        return np.array([[sum(complex(x / d) * pows[i, r]
+                              for i, x in enumerate(row)) for r in range(n)]
+                         for row in pb])
+
     # power-basis numerators, over d, of the n ideal basis vectors
     pb = [[sum(a * basis[k][j] for k, a in enumerate(row))
            for row in order.matrix] for j in range(n)]
-    pows = np.array([K.embeddings()**k for k in range(n)])
-    emb = np.array([[sum(complex(pb[j][i] / d) * pows[i, r] for i in range(n))
-                     for r in range(n)] for j in range(n)])
-    # LLL-reduce the lattice (scaled embedding, with an identity block to
-    # recover the unimodular transform) so small coordinates suffice below
+    emb = embedded(pb)
+    # LLL-reduce the lattice (scaled embedding, with an identity block that
+    # records the unimodular transform and shapes the reduction) so small
+    # coordinates suffice below
     real = np.hstack([emb.real, emb.imag])
     scale = float(2**24) / max(1.0, np.abs(real).max())
-    rows = [[sp.ZZ(int(x)) for x in row] + [sp.ZZ(int(j == k)) for k in range(n)]
-            for j, row in enumerate(np.rint(real * scale))]
-    red = DomainMatrix(rows, (n, 3 * n), sp.ZZ).lll().to_list()
-    pb = [[sum(int(red[j][2 * n + k]) * pb[k][i] for k in range(n))
+    red = _lll([[int(x) for x in row] + [int(j == k) for k in range(n)]
+                for j, row in enumerate(np.rint(real * scale))])
+    pb = [[sum(red[j][2 * n + k] * pb[k][i] for k in range(n))
            for i in range(n)] for j in range(n)]
-    emb = np.array([[sum(complex(pb[j][i] / d) * pows[i, r] for i in range(n))
-                     for r in range(n)] for j in range(n)])
+    emb = embedded(pb)
     for r in range(GENERATOR_BOUND + 1):
         for coords in _shell(r, n):
             absn = np.abs(np.prod(coords.astype(complex) @ emb, axis=1))
@@ -610,6 +618,60 @@ def _ideal_generator(order, basis, norm):
     raise DerivationFailed(
         f"no generator of norm {norm} in {K.label} found within bound "
         f"{GENERATOR_BOUND}")
+
+
+def _lll(rows):
+    """The LLL-reduced basis (delta = 3/4) of the lattice spanned by the
+    rows of a full-rank integer matrix, as lists of ints.
+
+    Cohen's integral LLL (GTM 138, Alg. 2.6.7): d[i] is the Gram
+    determinant of the first i rows and lam[k][j] = d[j + 1] mu_kj, both
+    integers, so no rational arises.  Row k is reduced against row j when
+    2|lam[k][j]| > d[j + 1], by the nearest integer q = floor(mu_kj + 1/2);
+    rows k - 1 and k swap when 4 d[k + 1] d[k - 1] < 3 d[k]^2 -
+    4 lam[k][k - 1]^2, the Lovasz condition."""
+    b = [list(row) for row in rows]
+    m = len(b)
+    d = [1] + [0] * m
+    lam = [[0] * m for _ in range(m)]
+    for k in range(m):
+        for j in range(k + 1):
+            u = sum(x * y for x, y in zip(b[k], b[j]))
+            for i in range(j):
+                u = (d[i + 1] * u - lam[k][i] * lam[j][i]) // d[i]
+            if j < k:
+                lam[k][j] = u
+            else:
+                d[k + 1] = u
+
+    def size_reduce(k, j):
+        if 2 * abs(lam[k][j]) > d[j + 1]:
+            q = (2 * lam[k][j] + d[j + 1]) // (2 * d[j + 1])
+            b[k] = [x - q * y for x, y in zip(b[k], b[j])]
+            lam[k][j] -= q * d[j + 1]
+            for i in range(j):
+                lam[k][i] -= q * lam[j][i]
+
+    k = 1
+    while k < m:
+        size_reduce(k, k - 1)
+        if 4 * d[k + 1] * d[k - 1] < 3 * d[k] ** 2 - 4 * lam[k][k - 1] ** 2:
+            b[k - 1], b[k] = b[k], b[k - 1]
+            for j in range(k - 1):
+                lam[k][j], lam[k - 1][j] = lam[k - 1][j], lam[k][j]
+            la = lam[k][k - 1]
+            B = (d[k - 1] * d[k + 1] + la * la) // d[k]
+            for i in range(k + 1, m):
+                t = lam[i][k]
+                lam[i][k] = (d[k + 1] * lam[i][k - 1] - la * t) // d[k]
+                lam[i][k - 1] = (B * t + la * lam[i][k]) // d[k + 1]
+            d[k] = B
+            k = max(k - 1, 1)
+        else:
+            for j in range(k - 2, -1, -1):
+                size_reduce(k, j)
+            k += 1
+    return b
 
 
 def _shell(r, n):
@@ -639,8 +701,9 @@ def _primitive_part(coeffs, rep):
         basis, n_ideal = order.ideal(out)
         if n_ideal == 1:
             return out
-        fac = sp.factorint(n_ideal)
-        if len(fac) > 1:
+        # rest is 1 or one prime, larger than those of fac
+        fac, rest = poly.prime_factors(n_ideal, math.isqrt(n_ideal))
+        if len(fac) + (rest > 1) > 1:
             # peel one rational prime at a time: I + pO has norm a power of p
             basis, n_ideal = order.ideal(out + [K.from_int(min(fac))])
         g = _ideal_generator(order, basis, n_ideal)
@@ -785,7 +848,7 @@ def _irreducibility_primes(q, H, K):
     # bit k of sums[j]: a factor of degree k of polys[j] is not yet ruled out
     sums = [(1 << len(f)) - 1 for f in polys]
     used = []
-    for p in sp.primerange(2, IRREDUCIBILITY_PRIME_BOUND):
+    for p in poly.primes(2, IRREDUCIBILITY_PRIME_BOUND):
         if disc % p == 0 or den % p == 0:
             continue
         # P has residue field F_p[y]/(y + g_0), where theta reduces to -g_0
@@ -891,7 +954,7 @@ def _certified_units(K, data):
     except (TypeError, ValueError, ArithmeticError) as e:
         raise BadUnitData(f"a generator of {K.label} has a coordinate that "
                           f"is not a rational number: {e}") from None
-    real_places = sp.Poly(K.min_poly[::-1], sp.Symbol("x")).count_roots()
+    real_places = poly.count_real_roots(K.min_poly)
     if real_places != 2:
         raise BadUnitData(f"{K.label} has {real_places} real places, not 2")
     if len(gens) != 3:
@@ -934,8 +997,8 @@ def _local_targets(split, rs, p):
     report a mismatch, never a false pass.
     """
     d = split.H.degree
-    # an entry of the product sums d + 1 products of residues, which int64
-    # holds while p < 9 * 10^8, far above any p whose p + 1 rows fit in memory
+    # an entry of the product sums d + 1 = 11 products of residues, which
+    # int64 holds for the primes check_sieve_primes accepts
     points = [(t, 1) for t in range(p)] + [(1, 0)]
     monomials = np.array([[pow(u, m, p) * pow(v, d - m, p) % p
                            for m in range(d + 1)] for u, v in points])
@@ -949,20 +1012,23 @@ def _local_targets(split, rs, p):
 
 
 #: default sieve primes: the primes p = 1 mod 5 below 700
-DEFAULT_SIEVE_PRIMES = tuple(p for p in sp.primerange(7, 700) if p % 5 == 1)
+DEFAULT_SIEVE_PRIMES = tuple(p for p in poly.primes(7, 700) if p % 5 == 1)
 
 
 def check_sieve_primes(primes, K):
-    """Raise IndexRisk unless every sieve prime is an int p = 1 mod 5 that
-    is prime and does not divide disc(K), for the sextic field K: mu_5 lies
-    in F_p, so every residue field above p has fifth-power classes
-    (Fq.fifth_power_classes)."""
+    """Raise IndexRisk unless every sieve prime is an int p = 1 mod 5 with
+    11 (p - 1)^2 < 2^63 that is prime and does not divide disc(K), for the
+    sextic field K: mu_5 lies in F_p, so every residue field above p has
+    fifth-power classes (Fq.fifth_power_classes), and _local_targets sums
+    its 11 products of residues in int64.  The bound is tested first, so
+    trial division stays cheap on any int."""
     disc = K.discriminant()
     bad = [p for p in primes if not isinstance(p, int) or p % 5 != 1
-           or not sp.isprime(p) or disc % p == 0]
+           or 11 * (p - 1) ** 2 >= 2**63 or not poly.is_prime(p)
+           or disc % p == 0]
     if bad:
         raise IndexRisk(f"sieve primes {bad} are not primes p = 1 mod 5 "
-                        f"prime to disc({K.label})")
+                        f"with 11 (p - 1)^2 < 2^63, prime to disc({K.label})")
 
 
 def unit_sieve(i, primes=DEFAULT_SIEVE_PRIMES):

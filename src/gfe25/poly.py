@@ -18,11 +18,14 @@ polynomial is [].  The module provides:
   distinct-degree factorization by the Frobenius rows, then a deterministic
   Cantor-Zassenhaus equal-degree split; and quadratic Hensel steps that
   lift a coprime factorization modulo p to one modulo p^(2^k);
-* exact k-th roots of integers and Fractions.
+* the number of real roots over Q, by Sturm's theorem;
+* exact k-th roots of integers and Fractions, and the primes: a sieve,
+  trial division, and the prime factors up to a bound.
 
 This module imports nothing from the package.
 """
 
+import math
 from fractions import Fraction
 from itertools import zip_longest
 
@@ -117,6 +120,23 @@ def resultant(a, b):
 
 def _scaled(a, c):
     return [x * c for x in a]
+
+
+def count_real_roots(a):
+    """The number of distinct real roots of a nonzero polynomial over Q, by
+    Sturm's theorem: the sign changes of the Sturm sequence a, a', -rem,
+    ... at -infinity less those at +infinity, read off the leading
+    coefficients."""
+    seq = [trim(a), trim([k * c for k, c in enumerate(a)][1:])]
+    while seq[-1]:
+        seq.append([-c for c in divmod(seq[-2], seq[-1])[1]])
+    seq.pop()
+
+    def changes(signs):
+        return sum(x * y < 0 for x, y in zip(signs, signs[1:]))
+
+    return changes([f[-1] * (-1) ** (len(f) - 1) for f in seq]) \
+        - changes([f[-1] for f in seq])
 
 
 def power(base, e, one, mul):
@@ -423,3 +443,40 @@ def fraction_root(x, k):
     if num is None or den is None:
         return None
     return Fraction(num, den)
+
+
+# ---------------------------------------------------------------------------
+# primes
+
+def primes(lo, hi):
+    """The primes p with lo <= p < hi, in increasing order, by the sieve of
+    Eratosthenes."""
+    sieve = bytearray([1]) * max(hi, 2)
+    sieve[:2] = b"\0\0"
+    for p in range(2, math.isqrt(max(hi - 1, 0)) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = bytes(len(range(p * p, hi, p)))
+    return [p for p in range(max(lo, 2), hi) if sieve[p]]
+
+
+def is_prime(n):
+    """Whether the integer n is prime, by trial division to sqrt(n)."""
+    if n < 4:
+        return n > 1
+    return n % 2 != 0 and all(n % k for k in range(3, math.isqrt(n) + 1, 2))
+
+
+def prime_factors(n, bound):
+    """({p: e}, c) with n = c * prod p^e for an integer n >= 1: the p are
+    the primes p <= bound that divide n, in increasing order, and every
+    prime of the cofactor c exceeds bound.  Trial division, which stops
+    once the cofactor is 1 or a prime."""
+    out, k = {}, 2
+    while k <= bound and k * k <= n:
+        while n % k == 0:
+            out[k] = out.get(k, 0) + 1
+            n //= k
+        k += 1 if k == 2 else 2
+    if 1 < n <= bound:
+        out[n], n = 1, 1
+    return out, n

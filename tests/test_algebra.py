@@ -525,6 +525,71 @@ def test_maximal_order_matches_round_two(K):
     assert (order.matrix, order.denom) == _round_two(K)
 
 
+def test_maximal_order_finds_a_square_prime_past_the_cube_root():
+    # disc(x^2 - 3 * 101^2) = 12 * 101^2: trial division stops at 2^6, and
+    # the cofactor 101^2 is the square that names the prime 101, at which
+    # Z[theta] is not maximal (theta / 101 is integral) and no alpha is stored
+    K = alg.NumberField([-3 * 101**2, 0, 1])
+    with pytest.raises(ValueError, match="101-maximal"):
+        alg.maximal_order(K)
+
+
+@st.composite
+def integer_columns(draw):
+    """(columns, n): integer columns of length n <= 5, often spanning a
+    lattice of lower rank (integer combinations of fewer generators)."""
+    n = draw(st.integers(1, 5))
+    entries = st.integers(-30, 30)
+    gens = draw(st.lists(st.lists(entries, min_size=n, max_size=n),
+                         min_size=1, max_size=n + 1))
+    coeffs = draw(st.lists(st.lists(st.integers(-4, 4), min_size=len(gens),
+                                    max_size=len(gens)),
+                           min_size=1, max_size=8))
+    cols = [[sum(c * g[k] for c, g in zip(row, gens)) for k in range(n)]
+            for row in coeffs]
+    return cols, n
+
+
+@settings(max_examples=300, deadline=None)
+@given(integer_columns())
+def test_column_hnf_matches_sympy(cols_n):
+    from sympy.polys.matrices import DomainMatrix
+    from sympy.polys.matrices.normalforms import hermite_normal_form
+
+    cols, n = cols_n
+    rows = [[sp.ZZ(col[k]) for col in cols] for k in range(n)]
+    want = hermite_normal_form(DomainMatrix(rows, (n, len(cols)), sp.ZZ))
+    assert alg._column_hnf(cols, n) == \
+        tuple(tuple(int(x) for x in row) for row in want.to_list())
+
+
+def test_column_hnf_examples():
+    assert alg._column_hnf([[2, 0], [1, 3]], 2) == ((2, 1), (0, 3))
+    assert alg._column_hnf([[4], [6]], 1) == ((2,),)
+    # rank 1 in Z^2: one column, the pivot in the bottom row
+    assert alg._column_hnf([[2, 4], [-3, -6]], 2) == ((1,), (2,))
+    assert alg._column_hnf([[0, 0]], 2) == ((), ())
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda n: st.lists(
+    st.lists(st.integers(-50, 50), min_size=n, max_size=n),
+    min_size=n, max_size=n)), st.integers(1, 12))
+def test_integer_inverse_matches_sympy(rows, scale):
+    from sympy.polys.matrices import DomainMatrix
+
+    M = DomainMatrix.from_list(rows, sp.ZZ)
+    if M.det() == 0:
+        with pytest.raises(ZeroDivisionError):
+            alg._integer_inverse(rows, scale)
+        return
+    inv, d = M.inv_den()
+    A = [[int(x) * scale for x in row] for row in inv.to_list()]
+    g = math.gcd(int(d), *(x for row in A for x in row)) * (1 if d > 0 else -1)
+    assert alg._integer_inverse(rows, scale) == \
+        (tuple(tuple(x // g for x in row) for row in A), int(d) // g)
+
+
 def test_maximal_order_indices():
     # [O_K : Z[theta]] = denom^n / det(matrix)
     for i, index in {5: 72, 6: 4, 16: 4, 22: 4, 24: 9}.items():

@@ -1,11 +1,16 @@
 """Tests for the `gfe` command line: argument checks, examples and the cache."""
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 from importlib import resources
 from types import SimpleNamespace
 
 import pytest
 
+import gfe25
 from gfe25 import bforms, cli, descent, frey
 
 
@@ -46,12 +51,35 @@ def _gfe(capsys, *argv):
     ("unitsieve", "--i", "16", "--no-mod25"),
     ("unitsieve", "--i", "16", "--primes", "13"),
     ("unitsieve", "--i", "16", "--primes", "11,19"),
+    ("unitsieve", "--i", "13", "--primes", "915690241"),
 ])
 def test_bad_arguments_exit_2(capsys, argv):
     code, out, err = _gfe(capsys, *argv)
     assert code == 2
     assert "error:" in err
     assert out == ""
+
+
+@pytest.mark.parametrize("argv, want", [
+    (["run", "--all", "--no-cache"], 10),
+    (["search", "--curve", "D1t", "--height", "5"], 0),
+], ids=["run-all", "search-D1t"])
+def test_run_path_loads_no_sympy(tmp_path, argv, want):
+    # the verdict and the search on a named curve need numpy alone: sympy and
+    # mpmath are the tests' references, and importing sympy was most of the
+    # time that importing the package took
+    script = ("import contextlib, io, sys\n"
+              "from gfe25 import cli\n"
+              "with contextlib.redirect_stdout(io.StringIO()):\n"
+              f"    code = cli.main({argv!r})\n"
+              "print(code, sorted({m.split('.')[0] for m in sys.modules}\n"
+              "                   & {'sympy', 'mpmath'}))\n")
+    env = dict(os.environ, XDG_CACHE_HOME=str(tmp_path),
+               PYTHONPATH=str(pathlib.Path(gfe25.__file__).parent.parent))
+    env.pop("GFE_DATA_DIR", None)
+    out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.split() == [str(want), "[]"]
 
 
 def test_readme_mumford_example(capsys):
@@ -188,12 +216,14 @@ def test_malformed_unit_files_exit_2(capsys, tmp_path, monkeypatch, data):
 
 
 @pytest.mark.parametrize("cert_primes", [[2, 31, 41], [31, 41, "x"],
-                                         [1, 31, 41], 31, None])
+                                         [1, 31, 41], 31, None,
+                                         [915690241, 31, 41]])
 def test_unit_cert_primes_are_sieve_primes(capsys, tmp_path, monkeypatch,
                                            cert_primes):
     # certPrimes is outside input: 2 (p != 1 mod 5), a string and 1 used to
     # escape as a ValueError, TypeError or ArithmeticError traceback, exit 1,
-    # and so did a number in place of the list (31) or no list (None)
+    # and so did a number in place of the list (31) or no list (None); a
+    # prime past the int64 bound of the sieve (915690241) is refused too
     raw = json.loads(resources.files("gfe25").joinpath(
         "data/units/K5.json").read_text())
     if cert_primes is None:

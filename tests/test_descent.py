@@ -14,7 +14,7 @@ from fractions import Fraction as Fr
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import gfe25
 from gfe25 import descent as D, poly
@@ -735,6 +735,37 @@ def test_index_two_substitutions(a, b, M):
             D._local_targets(split_b, rs, p).tolist(), p
 
 
+@st.composite
+def full_rank_rows(draw):
+    """The rows of an n x m integer matrix, n <= m and n <= 6, with entries
+    up to 2^30 in absolute value (or up to 3, where ties in the rounding of
+    mu are frequent); full rank is assumed by the caller."""
+    n = draw(st.integers(1, 6))
+    m = draw(st.integers(n, 3 * n))
+    top = draw(st.sampled_from((3, 2**30)))
+    return draw(st.lists(st.lists(st.integers(-top, top), min_size=m,
+                                  max_size=m), min_size=n, max_size=n))
+
+
+@settings(max_examples=200, deadline=None)
+@given(full_rank_rows())
+def test_lll_matches_sympy(rows):
+    import sympy as sp
+    from sympy.polys.matrices import DomainMatrix
+
+    M = DomainMatrix([[sp.ZZ(x) for x in row] for row in rows],
+                     (len(rows), len(rows[0])), sp.ZZ)
+    assume(M.rank() == len(rows))
+    assert D._lll(rows) == [[int(x) for x in row] for row in M.lll().to_list()]
+
+
+def test_lll_examples():
+    assert D._lll([[1, 0], [7, 1]]) == [[1, 0], [0, 1]]
+    # mu = 1/2 exactly: no reduction; mu = 3/2 rounds to 2
+    assert D._lll([[2, 0], [1, 2]]) == [[2, 0], [1, 2]]
+    assert D._lll([[2, 0], [3, 2]]) == [[2, 0], [-1, 2]]
+
+
 def test_unit_sieve_rejects_bad_prime():
     with pytest.raises(D.IndexRisk):
         D.unit_sieve(22, primes=(5,))
@@ -742,6 +773,19 @@ def test_unit_sieve_rejects_bad_prime():
     for primes in ((13,), (11, 19)):
         with pytest.raises(D.IndexRisk, match="p = 1 mod 5"):
             D.unit_sieve(22, primes=primes)
+
+
+def test_sieve_primes_stay_within_int64():
+    # _local_targets sums 11 products of residues mod p in int64, so
+    # 11 (p - 1)^2 < 2^63; 915690001 is the largest prime p = 1 mod 5 below
+    # that bound and 915690241 the least above it, refused before any
+    # trial division
+    K = coefficient_field(D.FIELD_REP[13])
+    D.check_sieve_primes([915690001], K)
+    with pytest.raises(D.IndexRisk, match="2\\^63"):
+        D.check_sieve_primes([915690241], K)
+    with pytest.raises(D.IndexRisk):
+        D.check_sieve_primes([10**400 + 1], K)
 
 
 def test_unit_sieve_catalan_witness():

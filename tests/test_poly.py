@@ -1,6 +1,7 @@
 """Tests for the exact polynomial and root arithmetic."""
 
 import itertools
+import math
 from fractions import Fraction as Fr
 
 import numpy as np
@@ -350,3 +351,62 @@ def test_sextic_minimal_polynomial_types():
                           for f, e in poly.factor_mod(K.min_poly, p)[1])
                  for p in (5, 7, 13, 19) + DEFAULT_SIEVE_PRIMES]
         assert ",".join(types) == want, rep
+
+
+# ---------------------------------------------------------------------------
+# real roots and primes; sympy is the reference
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-40, 40), min_size=1, max_size=9))
+def test_count_real_roots_matches_sympy(a):
+    a = poly.trim(a)
+    assume(a and len(poly.gcd(a, [k * c for k, c in enumerate(a)][1:])) == 1)
+    want = sp.Poly(a[::-1], sp.Symbol("x")).count_roots()
+    assert poly.count_real_roots(a) == want
+
+
+def test_count_real_roots_examples():
+    assert poly.count_real_roots([7]) == 0
+    assert poly.count_real_roots([-2, 0, 1]) == 2
+    assert poly.count_real_roots([2, 0, 1]) == 0
+    assert poly.count_real_roots([0, -1, 0, 1]) == 3       # x^3 - x
+    assert poly.count_real_roots([1, -2, 1]) == 1       # (x - 1)^2, distinct
+    assert poly.count_real_roots([Fr(1, 2), 0, 0, 1]) == 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(-5, 3000), st.integers(-5, 3000))
+def test_primes_match_sympy(lo, hi):
+    assert poly.primes(lo, hi) == list(sp.primerange(lo, hi))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(-10, 10**10))
+def test_is_prime_matches_sympy(n):
+    assert poly.is_prime(n) == sp.isprime(n)
+
+
+def test_is_prime_small_and_squares():
+    assert [n for n in range(-3, 60) if poly.is_prime(n)] == \
+        list(sp.primerange(0, 60))
+    for p in (3, 5, 7, 31, 101, 65521):
+        assert not poly.is_prime(p * p) and not poly.is_prime(p * (p + 2))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 10**12), st.integers(0, 10**5))
+def test_prime_factors_match_sympy(n, bound):
+    factors, cofactor = poly.prime_factors(n, bound)
+    full = sp.factorint(n)
+    assert factors == {p: e for p, e in full.items() if p <= bound}
+    assert list(factors) == sorted(factors)
+    assert cofactor == math.prod(p**e for p, e in full.items() if p > bound)
+
+
+def test_prime_factors_examples():
+    assert poly.prime_factors(1, 10) == ({}, 1)
+    assert poly.prime_factors(12, 1) == ({}, 12)
+    assert poly.prime_factors(12, 3) == ({2: 2, 3: 1}, 1)
+    assert poly.prime_factors(2**10 * 101, 100) == ({2: 10}, 101)
+    assert poly.prime_factors(101 * 103, 101) == ({101: 1}, 103)
+    assert poly.prime_factors(101**2, 101) == ({101: 2}, 1)

@@ -118,6 +118,56 @@ def test_no_sympy_matrix_in_the_order_layer():
     assert not found, f"sympy Matrix in the order layer: {found}"
 
 
+#: the functions that may import sympy: the reference factorization over a
+#: number field and its generator, and the parser of a free-form curve
+SYMPY_FUNCTIONS = {"algebra.factor_nf", "algebra.NumberField.sympy_gen",
+                   "cli.parse_curve"}
+
+
+def _sympy_imports(tree, module):
+    """Sorted (scope, line) of each sympy import in the parsed module: scope
+    is the qualified name of the innermost function around it, or "" where
+    it runs at import (module level or a class body)."""
+    found, todo = [], [(tree, module, "")]
+    while todo:
+        node, path, scope = todo.pop()
+        names = [a.name for a in node.names] if isinstance(node, ast.Import) \
+            else [node.module or ""] if isinstance(node, ast.ImportFrom) \
+            and not node.level else []
+        if any(name.split(".")[0] == "sympy" for name in names):
+            found.append((scope, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                todo.append((child, f"{path}.{child.name}",
+                             f"{path}.{child.name}"))
+            elif isinstance(child, ast.ClassDef):
+                todo.append((child, f"{path}.{child.name}", scope))
+            else:
+                todo.append((child, path, scope))
+    return sorted(found)
+
+
+def test_no_sympy_on_the_run_path():
+    # the package's integer layer (gfe25.poly's primes and Sturm count,
+    # algebra's HNF and inverse, descent's LLL) does sympy's old jobs, so
+    # importing the package and running the verdict load no sympy; only the
+    # reference factorization and a free-form curve import it, when called
+    found = []
+    for path in sorted(pathlib.Path(gfe25.__file__).parent.glob("*.py")):
+        found += [f"{path.name}:{line} {scope or 'at import'}"
+                  for scope, line in _sympy_imports(
+                      ast.parse(path.read_text(), str(path)), path.stem)
+                  if scope not in SYMPY_FUNCTIONS]
+    assert not found, f"sympy imports on the run path: {found}"
+    mutant = ("import numpy\nimport sympy.polys as P\nclass C:\n"
+              "    from sympy import ZZ\n    def f(self):\n"
+              "        from sympy import QQ\n        def g():\n"
+              "            import sympy\n"
+              "def h():\n    from . import sympy_like\n")
+    assert _sympy_imports(ast.parse(mutant), "m") == \
+        [("", 2), ("", 4), ("m.C.f", 6), ("m.C.f.g", 8)]
+
+
 def test_descent_splits_without_factor_nf():
     # the sextic split finds q numerically and proves it exactly; the
     # factorization over number fields is not a second path to it
