@@ -1,4 +1,18 @@
-"""One-off generator for data/units/K{i}.json.
+"""Search for unit generators of the five sextic coefficient fields.
+
+Prints one JSON object that maps each field "K{i}" to an object in the
+format of src/gfe25/data/units/K{i}.json.  The bundled files came from an
+earlier run; this script does not regenerate them and writes no file.  The
+package never runs it: descent.verify_unit_data certifies each bundled file
+when it is read.  A fresh run need not print the bundled generators (a unit
+may come out negated, or another basis of the same group), and copying its
+output over a bundled file would change every report's data digest and
+cache key.
+
+Needs sympy (Matrix.nullspace), which the package's test extra supplies:
+
+    pip install -e .[test]
+    python scripts/find_units.py
 
 Finds three multiplicatively independent units in each sextic coefficient
 field by collecting elements with {2,3,5}-smooth norms, assigning prime-ideal
@@ -214,8 +228,7 @@ def maximal_order_units(K, bound=4, norm_cap=3000):
 
 def main():
     warnings.simplefilter("ignore")
-    outdir = pathlib.Path(__file__).resolve().parent.parent / "src/gfe25/data/units"
-    outdir.mkdir(parents=True, exist_ok=True)
+    out = {}
     for rep in (5, 6, 16, 22, 24):
         K = alg.coefficient_field(rep)
         splits = [alg.residue_split(K, p) for p in SMOOTH]
@@ -240,15 +253,13 @@ def main():
             gens = pick_independent(maximal_order_units(K), qs)
         if not gens:
             print(f"K{rep}: FAILED (found {len(found)} units, rank "
-                  f"{rank5(class_rows(found, qs))})")
+                  f"{rank5(class_rows(found, qs))})", file=sys.stderr)
             continue
-        data = {
+        out[f"K{rep}"] = {
             "generators": [[str(c) for c in g.coords] for g in gens],
             "certPrimes": [q for q, _ in qs],
         }
-        (outdir / f"K{rep}.json").write_text(json.dumps(data, indent=2) + "\n")
-        print(f"K{rep}: ok, gens "
-              f"{data['generators']} cert at {data['certPrimes']}")
+    print(json.dumps(out, indent=2))
 
 
 if __name__ == "__main__":

@@ -3,11 +3,11 @@
 Factorization over F_p is gfe25.poly's (poly.factor_mod and
 poly.distinct_degree_mod).  Factorization over Q is this module's own
 (factor_q: degree patterns, then a Hensel lift and recombination where the
-patterns leave the factors open).  Factorization over number fields, which
-no stage uses, is delegated to sympy: the types over Q(sqrt5) come from the
-factors over Q (see factorization_certificates).  A
-field element is held in one form, integer power-basis numerators over one
-positive denominator (NFElement), and so are the integral basis and its
+patterns leave the factors open), and the types over Q(sqrt5) come from the
+factors over Q (see factorization_certificates).  factor_nf, the tests'
+reference over number fields, which no stage calls, is the one sympy import.
+A field element is held in one form, integer power-basis numerators over
+one positive denominator (NFElement), and so are the integral basis and its
 inverse.  The maximal order is certified prime by prime with Dedekind's
 criterion, from theta and a few stored local generators (maximal_order).
 
@@ -88,13 +88,6 @@ class NumberField:
         T, n = self.min_poly, self.degree
         res = poly.resultant(T, [k * c for k, c in enumerate(T)][1:])
         return (-1) ** (n * (n - 1) // 2) * int(res)
-
-    def sympy_gen(self):
-        # any fixed root works; factorization data is root-independent
-        import sympy as sp
-
-        x = sp.Symbol("x")
-        return sp.CRootOf(sp.Poly(self.min_poly[::-1], x).as_expr(), 0)
 
     # -- numerics ----------------------------------------------------------
     @lru_cache(maxsize=None)
@@ -629,25 +622,27 @@ def _recombine(f, p, blocks, allowed):
     return factors + [f]
 
 
-def _anp_to_nf(anp, K):
-    return K.element([Fraction(int(c.numerator), int(c.denominator))
-                      for c in reversed(anp.to_list())])
-
-
 def factor_nf(coeffs, K):
     """Factor a polynomial with rational coefficients (ascending) over the
     number field K with sympy (Trager's algorithm), which no stage uses; the
     tests read it as a reference.  Returns (leading NFElement, [(list of
-    NFElement coeffs ascending, mult)]); factors are monic."""
+    NFElement coeffs ascending, mult)]); factors are monic.  The package's
+    one sympy import, which the test extra supplies."""
     import sympy as sp
     from sympy.polys.factortools import dup_ext_factor
 
-    dom = sp.QQ.algebraic_field(K.sympy_gen())
+    # any fixed root works; factorization data is root-independent
+    x = sp.Symbol("x")
+    dom = sp.QQ.algebraic_field(sp.CRootOf(sp.Poly(K.min_poly[::-1], x), 0))
     f = [dom.convert(sp.Rational(c.numerator, c.denominator))
          for c in map(Fraction, reversed(poly.trim(coeffs)))]
     lead, facs = dup_ext_factor(f, dom)
-    return _anp_to_nf(lead, K), [([_anp_to_nf(a, K) for a in reversed(g)], m)
-                                 for g, m in facs]
+
+    def to_nf(anp):
+        return K.element([Fraction(int(c.numerator), int(c.denominator))
+                          for c in reversed(anp.to_list())])
+    return to_nf(lead), [([to_nf(a) for a in reversed(g)], m)
+                         for g, m in facs]
 
 
 INERT_PRIME_BOUND = 100

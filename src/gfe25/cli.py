@@ -650,29 +650,15 @@ def _named_curves():
 
 
 def parse_curve(spec):
+    """A named curve, or y^2 = F(x) from F's coefficients (CURVE_HELP)."""
     named = _named_curves()
     if spec in named:
         return named[spec]
-    import sympy as sp   # only a free-form curve needs it
-
     try:
-        expr = sp.sympify(spec.replace("^", "**"))
-        P = sp.Poly(expr, sp.Symbol("x"))
-        coeffs = tuple(int(c) if c.is_Integer else c
-                       for c in reversed(P.all_coeffs()))
-        return HyperellipticModel(coeffs, spec)
-    except (sp.SympifyError, sp.PolynomialError, TypeError, ValueError) as e:
-        raise DataProblem(
-            f"cannot interpret curve {spec!r} (named curves: "
-            f"{', '.join(sorted(named))}; or a polynomial in x with integer "
-            f"coefficients): {e}") from e
-
-
-def _parse_rational_list(text):
-    try:
-        return [Fraction(t.strip()) for t in text.split(",")]
-    except (ValueError, ZeroDivisionError) as e:
-        raise DataProblem(f"bad coefficient list {text!r}: {e}") from e
+        return HyperellipticModel(_number_list(spec), spec)
+    except (argparse.ArgumentTypeError, ValueError) as e:
+        raise DataProblem(f"cannot interpret curve {spec!r} ({e}); --curve "
+                          f"takes a {CURVE_HELP}") from e
 
 
 # ---------------------------------------------------------------------------
@@ -774,14 +760,13 @@ def cmd_search(args):
 
 def cmd_mumford(args):
     model = parse_curve(args.curve)
-    a = _parse_rational_list(args.a)
-    b = _parse_rational_list(args.b)
     try:
-        ok = mumford_check(model, a, b)
+        ok = mumford_check(model, args.a, args.b)
     except ValueError as e:
         raise DataProblem(f"bad divisor (a, b): {e}") from e
     _print(f"(a, b) {'lies on' if ok else 'is NOT on'} Jac({args.curve})",
-           args.json, {"curve": args.curve, "a": a, "b": b, "on_jacobian": ok})
+           args.json, {"curve": args.curve, "a": args.a, "b": args.b,
+                       "on_jacobian": ok})
     return 0 if ok else 1
 
 
@@ -835,12 +820,28 @@ def _run_height(text):
     return height
 
 
-def _int_list(text):
+MAX_SIEVE_DEPTH = 100  # padic._sieve_chart recurses, two frames a level
+
+
+def _sieve_depth(text):
+    if _positive_int(text) > MAX_SIEVE_DEPTH:
+        raise argparse.ArgumentTypeError(f"{text} is above {MAX_SIEVE_DEPTH}")
+    return int(text)
+
+
+CURVE_HELP = ("named curve (D1t, D2t, M4, D0, D-1, D-2) or F's ascending "
+              "integer coefficients in y^2 = F(x), e.g. 32000,0,0,0,0,1 for "
+              "x^5 + 32000 (--curve=-1,... when the first is negative)")
+
+
+def _number_list(text, kind=int):
+    """The comma-separated entries of text, each read by kind."""
     try:
-        return tuple(int(t) for t in text.split(","))
-    except ValueError:
+        return tuple(kind(t) for t in text.split(","))
+    except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(
-            f"not a comma-separated integer list: {text!r}") from None
+            f"not a comma-separated list of "
+            f"{'integers' if kind is int else 'rationals'}: {text!r}") from None
 
 
 def _build_parser():
@@ -857,7 +858,8 @@ def _build_parser():
     p.add_argument("--i", type=int, required=True, choices=ALL_INDICES)
     p.add_argument("--p", type=int, required=True,
                    choices=sorted(padic.DEFAULT_DEPTH))
-    p.add_argument("--depth", type=_positive_int, default=None)
+    p.add_argument("--depth", type=_sieve_depth, default=None,
+                   help=f"refinement depth, at most {MAX_SIEVE_DEPTH}")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_sieve)
 
@@ -874,27 +876,25 @@ def _build_parser():
                                          "H_i(u, v) = eta * w^5")
     p.add_argument("--i", type=int, required=True,
                    choices=descent.SEXTIC_INDICES)
-    p.add_argument("--primes", type=_int_list,
+    p.add_argument("--primes", type=_number_list,
                    help="comma-separated primes p = 1 mod 5 the sieve "
                         "may walk (default: all of them below 700)")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_unitsieve)
 
     p = sub.add_parser("search", help="rational points of bounded height")
-    p.add_argument("--curve", required=True,
-                   help="named curve (D1t, D2t, M4, D0, D-1, D-2) or a "
-                        "polynomial in x, e.g. \"x^5+32000\"")
+    p.add_argument("--curve", required=True, help=CURVE_HELP)
     p.add_argument("--height", type=_positive_int, default=100)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("mumford", help="check a Mumford divisor (a, b) "
                                        "against a curve")
-    p.add_argument("--curve", required=True)
-    p.add_argument("--a", required=True, help="monic a(x), ascending "
-                                              "comma-separated rationals")
-    p.add_argument("--b", required=True, help="b(x), ascending "
-                                              "comma-separated rationals")
+    p.add_argument("--curve", required=True, help=CURVE_HELP)
+    p.add_argument("--a", required=True, type=lambda t: _number_list(
+        t, Fraction), help="monic a(x), ascending comma-separated rationals")
+    p.add_argument("--b", required=True, type=lambda t: _number_list(
+        t, Fraction), help="b(x), ascending comma-separated rationals")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_mumford)
 

@@ -767,7 +767,8 @@ def _axes(roots):
     the axis through r_a and r_b is z -> zeta_5 z, so the other roots are
     the roots of a polynomial in z^5 alone.  The partner of r_a is the r_b
     whose z-polynomial has the smallest coefficients off the powers z^5k
-    relative to those on them.
+    relative to those on them.  Swapping r_a and r_b (z -> 1/z) reverses
+    that polynomial and keeps the ratio, so each pair is scored once.
     """
     def off_axis(a, b):
         rest = np.delete(roots, [a, b])
@@ -775,8 +776,10 @@ def _axes(roots):
         on = np.arange(len(c)) % 5 == len(rest) % 5
         return c[~on].max() / c[on].max()
 
-    partner = [min((b for b in range(len(roots)) if b != a),
-                   key=lambda b: off_axis(a, b)) for a in range(len(roots))]
+    score = np.full((len(roots), len(roots)), np.inf)
+    for a, b in itertools.combinations(range(len(roots)), 2):
+        score[a, b] = score[b, a] = off_axis(a, b)
+    partner = score.argmin(axis=1).tolist()
     axes = [(a, b) for a, b in enumerate(partner) if a < b and partner[b] == a]
     if 2 * len(axes) != len(roots):
         raise DerivationFailed("the roots do not pair into the axes of "

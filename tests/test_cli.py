@@ -12,6 +12,7 @@ import pytest
 
 import gfe25
 from gfe25 import bforms, cli, descent, frey
+from gfe25.search import HyperellipticModel
 
 
 def _gfe(capsys, *argv):
@@ -26,26 +27,31 @@ def _gfe(capsys, *argv):
 
 
 @pytest.mark.parametrize("argv", [
-    ("mumford", "--curve", "x^5+1", "--a", "0", "--b", "1"),
-    ("mumford", "--curve", "x^5+1", "--a", "1,1,1,1", "--b", "1"),
-    ("mumford", "--curve", "x^5+1", "--a", "2,3", "--b", "1"),
-    ("search", "--curve", "x^5+1", "--height", "0"),
+    ("mumford", "--curve", "1,0,0,0,0,1", "--a", "0", "--b", "1"),
+    ("mumford", "--curve", "1,0,0,0,0,1", "--a", "1,1,1,1", "--b", "1"),
+    ("mumford", "--curve", "1,0,0,0,0,1", "--a", "2,3", "--b", "1"),
+    ("search", "--curve", "1,0,0,0,0,1", "--height", "0"),
     ("unitsieve", "--i", "3"),
     ("unitsieve", "--i", "8", "--primes", "11,x"),
     ("unitsieve", "--i", "8", "--primes", "5"),
     ("sieve", "--i", "30", "--p", "2"),
     ("sieve", "--i", "1", "--p", "7"),
     ("sieve", "--i", "1", "--p", "2", "--depth", "2"),
+    ("sieve", "--i", "1", "--p", "2", "--depth", "101"),
     ("frey", "--scan", "3"),
     ("derive", "--family", "48", "--i", "5"),
     ("run", "--stage", "table5", "--depth", "0"),
     ("unitsieve", "--i", "16", "--primes", "21"),
     ("run", "--stage", "sextic", "--primes", "5", "--no-cache"),
     ("run", "--stage", "sextic", "--primes", "21"),
-    ("search", "--curve", "x^5+3/2*x+1", "--height", "5"),
-    ("search", "--curve", "x^5+1/2", "--height", "5"),
-    ("search", "--curve", "x^5+sin(x)", "--height", "5"),
-    ("mumford", "--curve", "x^5+1.5", "--a", "1", "--b", "1"),
+    ("search", "--curve", "1,3/2,0,0,0,1", "--height", "5"),
+    ("search", "--curve", "1/2,0,0,0,0,1", "--height", "5"),
+    ("search", "--curve", "x^5+32000", "--height", "5"),
+    ("search", "--curve", "1,,0,0,0,1", "--height", "5"),
+    ("search", "--curve", "0,0,1,1", "--height", "5"),
+    ("mumford", "--curve", "1.5,0,0,0,0,1", "--a", "1", "--b", "1"),
+    ("mumford", "--curve", "D1t", "--a", "1,x", "--b", "1"),
+    ("mumford", "--curve", "D1t", "--a", "1", "--b", "1/0"),
     ("run", "--stage", "genus2", "--height", "3", "--no-cache"),
     ("unitsieve", "--i", "16", "--depth", "3"),
     ("unitsieve", "--i", "16", "--no-mod25"),
@@ -63,11 +69,12 @@ def test_bad_arguments_exit_2(capsys, argv):
 @pytest.mark.parametrize("argv, want", [
     (["run", "--all", "--no-cache"], 10),
     (["search", "--curve", "D1t", "--height", "5"], 0),
-], ids=["run-all", "search-D1t"])
+    (["search", "--curve", "32000,0,0,0,0,1", "--height", "5"], 0),
+], ids=["run-all", "search-D1t", "search-list"])
 def test_run_path_loads_no_sympy(tmp_path, argv, want):
-    # the verdict and the search on a named curve need numpy alone: sympy and
-    # mpmath are the tests' references, and importing sympy was most of the
-    # time that importing the package took
+    # the verdict and the search need numpy alone: sympy and mpmath are the
+    # tests' references, and importing sympy was most of the time that
+    # importing the package took
     script = ("import contextlib, io, sys\n"
               "from gfe25 import cli\n"
               "with contextlib.redirect_stdout(io.StringIO()):\n"
@@ -87,6 +94,31 @@ def test_readme_mumford_example(capsys):
                            "--a", "1,3,4,2,1", "--b=-30,-90,-90,-60")
     assert code == 0
     assert "lies on" in out
+
+
+def test_readme_search_example(capsys):
+    code, out, _err = _gfe(capsys, "search", "--curve", "32000,0,0,0,0,1",
+                           "--height", "1000")
+    assert code == 0
+    assert out.split("\n") == ["inf", "(-4, -176)", "(-4, 176)", ""]
+
+
+@pytest.mark.parametrize("name", sorted(cli._named_curves()))
+def test_named_curve_as_a_coefficient_list(name):
+    # a named curve and its ascending coefficients give the same model
+    model = cli.parse_curve(name)
+    spec = ",".join(map(str, model.coeffs))
+    assert cli.parse_curve(spec) == HyperellipticModel(model.coeffs, spec)
+
+
+@pytest.mark.parametrize("i", [1, 20])
+def test_sieve_runs_at_the_depth_cap(capsys, i):
+    # the deepest --depth that gfe sieve accepts runs without exhausting
+    # the stack (depth 101 exits 2: test_bad_arguments_exit_2)
+    code, out, err = _gfe(capsys, "sieve", "--i", str(i), "--p", "2",
+                          "--depth", str(cli.MAX_SIEVE_DEPTH))
+    assert (code, err) == (0, "")
+    assert out.startswith(f"i={i}, p=2: non-excluded classes")
 
 
 def _without_seconds(doc):

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import gfe25
-from gfe25 import descent as D, poly
+from gfe25 import descent as D, padic, poly
 from gfe25.algebra import (Fq, NFElement, NumberField, auxiliary_field,
                            coefficient_field, maximal_order, nf_fifth_root,
                            residue_split)
@@ -67,6 +67,31 @@ def test_alpha_candidates():
     assert D.alpha_candidates(1) == {12}
     assert D.alpha_candidates(20) == {12}
     assert D.alpha_candidates(25) == {1}
+
+
+def test_alpha_candidates_keep_the_smaller_3_adic_exponent_at_25():
+    # at (i, p) = (25, 3) the sieve leaves the class (81u+80, 1), on which
+    # the cofactor has v_3 = 1; its mirror under (u, v) -> (u, -v),
+    # (81u+1, 1), has v_3 = 5.  alpha_candidates keeps the smaller exponent
+    # mod 5, which is 0, so alpha = 3 is left out
+    split = D.rational_split(25)
+    G = D._cofactor_form(split)
+    cls = padic.ResidueClass("second", 81, 80)
+    mirror = padic.ResidueClass("second", 81, 1)
+    assert padic.sieve_residue_classes(25, 3).classes == [cls]
+    depth = padic.DEFAULT_DEPTH[3] + 3
+    assert padic.valuation_profile(G, 3, [cls], depth) == {(1, True)}
+    assert padic.valuation_profile(G, 3, [mirror], depth) == {(5, True)}
+    assert D.alpha_candidates(25, split) == {1}
+    # keeping both exponents would add alpha = 3, which the mod-25 test
+    # keeps too: gamma = 32000 with 23328000 (alpha = 1) or 2592000 (3)
+    pairs25 = [uv for c in padic.five_adic_classes(25) for uv in c.pair_mod(25)]
+    fifth_powers25 = padic.FIFTH_POWER_UNITS_MOD25 | {0}
+    assert any(G.evaluate(u, v) * pow(3, -1, 25) % 25 in fifth_powers25
+               for u, v in pairs25)
+    assert {alpha: sorted(m.coeffs[0] for m in D.genus2_models(split, alpha))
+            for alpha in (1, 3)} == {1: [32000, 23328000],
+                                     3: [32000, 2592000]}
 
 
 def test_genus2_models():
@@ -389,6 +414,26 @@ def test_every_degree_12_form_has_six_axes():
     for h in forms:
         axes = D._axes(np.roots([float(c) for c in reversed(h.coeffs)]))
         assert sorted(r for axis in axes for r in axis) == list(range(12))
+
+
+def test_axes_agree_with_the_ordered_pair_scan():
+    # _axes scores each unordered pair once; scoring all 132 ordered pairs,
+    # as it did before, pairs the same roots on every sextic index
+    def off_axis(roots, a, b):
+        rest = np.delete(roots, [a, b])
+        c = np.abs(np.poly((rest - roots[a]) / (rest - roots[b])))
+        on = np.arange(len(c)) % 5 == len(rest) % 5
+        return c[~on].max() / c[on].max()
+
+    for i in D.SEXTIC_INDICES:
+        h = edwards_triple(i).h
+        roots = np.roots([float(Fr(c) / h.coeff(12))
+                          for c in reversed(h.coeffs)])
+        partner = [min((b for b in range(12) if b != a),
+                       key=lambda b: off_axis(roots, a, b))
+                   for a in range(12)]
+        assert D._axes(roots) == [(a, b) for a, b in enumerate(partner)
+                                  if a < b and partner[b] == a], i
 
 
 @pytest.mark.parametrize("seed", range(5))

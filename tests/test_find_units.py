@@ -1,5 +1,6 @@
 """scripts/find_units.py, which generated data/units, against that data."""
 
+import ast
 import importlib.util
 import json
 import pathlib
@@ -31,3 +32,15 @@ def test_find_units_picks_the_bundled_generators(find_units, rep):
     qs = find_units.cert_primes(K)
     assert [q for q, _ in qs] == cert_primes == [11, 31, 41]
     assert find_units.pick_independent(gens, qs) == gens
+
+
+def test_find_units_writes_no_file():
+    # the bundled unit files are certified as they are (verify_unit_data);
+    # the script prints what it finds, since a rewritten file would move
+    # every report's data digest and cache key
+    tree = ast.parse(SCRIPT.read_text())
+    writes = [node.lineno for node in ast.walk(tree)
+              if (isinstance(node, ast.Attribute)
+                  and node.attr in ("write_text", "write_bytes", "mkdir"))
+              or (isinstance(node, ast.Name) and node.id == "open")]
+    assert writes == []

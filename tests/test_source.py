@@ -2,6 +2,9 @@
 
 import ast
 import pathlib
+import re
+
+import pytest
 
 import gfe25
 from gfe25 import descent
@@ -118,10 +121,9 @@ def test_no_sympy_matrix_in_the_order_layer():
     assert not found, f"sympy Matrix in the order layer: {found}"
 
 
-#: the functions that may import sympy: the reference factorization over a
-#: number field and its generator, and the parser of a free-form curve
-SYMPY_FUNCTIONS = {"algebra.factor_nf", "algebra.NumberField.sympy_gen",
-                   "cli.parse_curve"}
+#: the one function that may import sympy: the tests' reference
+#: factorization over a number field
+SYMPY_FUNCTIONS = {"algebra.factor_nf"}
 
 
 def _sympy_imports(tree, module):
@@ -151,7 +153,7 @@ def test_no_sympy_on_the_run_path():
     # the package's integer layer (gfe25.poly's primes and Sturm count,
     # algebra's HNF and inverse, descent's LLL) does sympy's old jobs, so
     # importing the package and running the verdict load no sympy; only the
-    # reference factorization and a free-form curve import it, when called
+    # reference factorization imports it, when called
     found = []
     for path in sorted(pathlib.Path(gfe25.__file__).parent.glob("*.py")):
         found += [f"{path.name}:{line} {scope or 'at import'}"
@@ -520,3 +522,21 @@ def test_no_numpy_work_at_import():
     lazy = "import numpy as np\ndef f(m):\n    return np.arange(m)\n" \
            "X = np.int64\nG = lambda: f(3)\n"
     assert _numpy_calls_at_import({"k": ast.parse(lazy)}) == []
+
+
+def _requirement_names(requirements):
+    return {re.split(r"[\s<>=!~;\[]", r, maxsplit=1)[0].lower()
+            for r in requirements}
+
+
+def test_numpy_is_the_one_runtime_dependency():
+    # the package runs on numpy alone; sympy, the tests' reference and
+    # scripts/find_units.py's kernel, comes with the test extra
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = pathlib.Path(__file__).resolve().parent.parent / "pyproject.toml"
+    project = tomllib.loads(pyproject.read_text())["project"]
+    assert _requirement_names(project["dependencies"]) == {"numpy"}
+    assert "sympy" in _requirement_names(
+        project["optional-dependencies"]["test"])
+    assert _requirement_names(["SymPy>=1.12", "numpy", "a[b]; c"]) == \
+        {"sympy", "numpy", "a"}
