@@ -584,7 +584,8 @@ def _recombine(f, p, blocks, allowed):
     mod p.  So the factors are lifted to q > 2B (poly.hensel_lift) and each
     subset S of s lifted factors, s = 1, 2, ..., whose degrees sum to an
     allowed degree gives the candidate lc(f) prod_S g_j mod q, in
-    (-q/2, q/2], whose primitive part is a factor iff it divides f.  A found
+    (-q/2, q/2], whose primitive part h is a factor iff it divides f, and by
+    Gauss's lemma, as h is primitive, iff f / h is in Z[x].  A found
     factor and its subset are divided out.  Once 2s exceeds the number of
     factors left, what is left of f is irreducible, since a factor of it
     would have a cofactor with at most s - 1 of them, and those were all
@@ -608,13 +609,11 @@ def _recombine(f, p, blocks, allowed):
             for j in subset:
                 h = poly.mul_mod(h, gs[j], q)
             h = _primitive([c - q if 2 * c > q else c for c in h])[1]
-            if f[-1] % h[-1]:
-                continue
-            quo, rem = poly.divmod(f, h)
-            if rem:
+            quo = poly.quotient_z(f, h)
+            if quo is None:
                 continue
             factors.append(h)
-            f = [int(c) for c in quo]
+            f = quo
             gs = [g for j, g in enumerate(gs) if j not in subset]
             break
         else:

@@ -52,10 +52,6 @@ class BinaryForm:
         return self.coeffs[k]
 
     @property
-    def is_zero(self) -> bool:
-        return all(not c for c in self.coeffs)
-
-    @property
     def is_integral(self) -> bool:
         return all(
             isinstance(c, int) or (isinstance(c, Fraction) and c.denominator == 1)
@@ -173,22 +169,31 @@ def _exact_div(F: BinaryForm, n: int) -> BinaryForm:
 
 
 def transform(F: BinaryForm, M) -> BinaryForm:
-    """Substitute (u, v) -> M (u, v) with an exact 2x2 matrix M, det != 0."""
-    (m00, m01), (m10, m11) = M
-    m00, m01, m10, m11 = (Fraction(_as_exact(x)) for x in (m00, m01, m10, m11))
-    if m00 * m11 - m01 * m10 == 0:
+    """Substitute (u, v) -> M (u, v) with an exact 2x2 matrix M, det != 0.
+
+    With D the lcm of the denominators of M's entries, lu = D (m00 u + m01 v)
+    and lv = D (m10 u + m11 v) are integral, and F(M (u, v)) is
+    sum_k c_k lu^k lv^(d-k) / D^d: integer products up to one division."""
+    entries = [Fraction(_as_exact(x)) for row in M for x in row]
+    D = math.lcm(*(x.denominator for x in entries))
+    a, b, c, e = (int(x * D) for x in entries)
+    if a * e - b * c == 0:
         raise ValueError("singular substitution")
-    lu = BinaryForm(1, (m01, m00))  # m00*u + m01*v in ascending-u order
-    lv = BinaryForm(1, (m11, m10))
     d = F.degree
-    out = BinaryForm(d, (Fraction(0),) * (d + 1))
-    for k, c in enumerate(F.coeffs):
-        if not c:
-            continue
-        out = out + (lu**k * lv ** (d - k)).scale(c)
-    coeffs = tuple(int(c) if isinstance(c, Fraction) and c.denominator == 1 else c
-                   for c in out.coeffs)
-    return BinaryForm(d, coeffs)
+    lu, lv = [[1]], [[1]]
+    for _ in range(d):
+        lu.append(poly.mul(lu[-1], [b, a]))  # ascending in u
+        lv.append(poly.mul(lv[-1], [e, c]))
+    out = [0] * (d + 1)
+    for k, ck in enumerate(F.coeffs):
+        if ck:
+            for j, x in enumerate(poly.mul(lu[k], lv[d - k])):
+                out[j] += ck * x
+    scale = Fraction(1, D**d)
+    for j, x in enumerate(out):
+        x = x * scale
+        out[j] = int(x) if isinstance(x, Fraction) and x.denominator == 1 else x
+    return BinaryForm(d, tuple(out))
 
 
 def binary_resultant(F: BinaryForm, G: BinaryForm):
@@ -270,9 +275,23 @@ class EdwardsTriple:
     g: BinaryForm
     f: BinaryForm
 
-    def syzygy_residual(self) -> BinaryForm:
-        """f^2 + g^3 + h^5 as a degree-60 form (zero for valid data)."""
-        return self.f**2 + self.g**3 + self.h**5
+    def syzygy_holds(self) -> bool:
+        """Whether f^2 + g^3 + h^5 = 0, by one evaluation at (X, 1).
+
+        With ||F|| the sum of the absolute values of F's coefficients, so
+        that ||FG|| <= ||F|| ||G||, every coefficient of P = f^2 + g^3 + h^5
+        is an integer of absolute value at most B = ||f||^2 + ||g||^3 +
+        ||h||^5.  Let X = B + 2.  If P != 0, then P(x, 1), which has P's
+        coefficients, has some degree n and a leading coefficient of absolute
+        value at least 1, so |P(X, 1)| >= X^n - B (X^n - 1) / (X - 1) =
+        (X^n + X - 2) / (X - 1) > 0."""
+        f, g, h = self.f, self.g, self.h
+        if not (f.is_integral and g.is_integral and h.is_integral):
+            raise ValueError("the syzygy test needs integer coefficients")
+        X = 2 + sum(map(abs, f.coeffs))**2 + sum(map(abs, g.coeffs))**3 \
+            + sum(map(abs, h.coeffs))**5
+        return f.evaluate(X, 1)**2 + g.evaluate(X, 1)**3 \
+            + h.evaluate(X, 1)**5 == 0
 
 
 @lru_cache(maxsize=None)

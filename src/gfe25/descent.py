@@ -319,12 +319,11 @@ def gauss_family(i):
     if h.coeff(12) == 0:
         raise DerivationFailed(
             f"h_{i} has a root at infinity; quartic split invalid")
+    # h(x, 1) has degree 12, so a zero remainder with a quotient of degree 8
+    # is h = quartic * octic as forms, with no factor v gained or lost
     quot, rem = poly.divmod(list(h.coeffs), list(quartic.coeffs))
-    if rem:
+    if rem or len(quot) != 9:
         raise DerivationFailed(f"re^2 + im^2 does not divide h_{i}")
-    octic = BinaryForm(8, tuple(quot))
-    if quartic * octic != h:
-        raise DerivationFailed(f"quartic * octic != h_{i}")
     prehyper = (re.scale(al) + im.scale(be)) * im
     if prehyper.scale(g) != S * S:
         raise DerivationFailed(
@@ -466,7 +465,14 @@ def _check_sqrt5_identities(data):
         if prod.coeff(k) != Fraction(data.F.coeff(k), 81):
             raise DerivationFailed(
                 f"conjugate combination product != F_{data.j}/81")
-    # the pulled-out square identity behind the construction
+    _check_square_identity()
+
+
+@lru_cache(maxsize=None)
+def _check_square_identity():
+    """The pulled-out square identity behind the construction; it does not
+    depend on j, so it runs once (a failure is not cached, and raises again
+    for every j)."""
     G1 = BinaryForm(6, (1, 0, 0, Fraction(-55, 2), 0, 0, -5))
     G2 = BinaryForm(6, (0, 0, 0, Fraction(-27, 2), 0, 0, 0))
     lhs = (G1 * G1).scale(81) - (G1 * G2).scale(330) + (G2 * G2).scale(345)

@@ -238,8 +238,8 @@ def expected_table5():
     return {int(i): {int(p): set(v) for p, v in row.items()} for i, row in raw.items()}
 
 
-def verify_table5(i, p):
-    """Compare sieve output with the fixture; returns (ok, got, want)."""
+def verify_table5(i, p, want):
+    """Compare the sieve's classes for (i, p) with want, the fixture's set of
+    class strings (expected_table5()[i][p]); returns (ok, got, want)."""
     got = {str(c) for c in sieve_residue_classes(i, p).classes}
-    want = expected_table5()[i][p]
     return got == want, got, want

@@ -8,6 +8,8 @@ polynomial is [].  The module provides:
   division with remainder, the Euclidean and extended Euclidean algorithms
   (Cohen, "A Course in Computational Algebraic Number Theory", 3.1-3.2) and
   the Euclidean resultant (Cohen, 3.3); results carry no trailing zeros;
+* over Z, exact division: the quotient in Z[x], or None as soon as a
+  coefficient shows that there is none;
 * powers by square-and-multiply in any ring, given its product and one;
 * modulo an integer m, on ints only: products, and division by a monic
   polynomial whose remainder is a residue vector of exactly deg(divisor)
@@ -70,6 +72,34 @@ def divmod(a, b):
             for j in range(db):
                 r[k - db + j] -= c * b[j]
     return trim(q), trim(r[:db])
+
+
+def quotient_z(a, b):
+    """The q in Z[x] with a == q*b, for integer a and nonzero integer b, or
+    None when b does not divide a in Z[x].
+
+    A quotient in Z[x] has q(0) b(0) = a(0), so b(0) must divide a(0); then
+    each step of the long division from the top needs lc(b) to divide the
+    leading coefficient left, and the division stops at the first that it
+    does not."""
+    a, b = trim(a), trim(b)
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    if not a:
+        return []
+    if a[0] % b[0] if b[0] else a[0]:
+        return None
+    db = len(b) - 1
+    q = [0] * max(len(a) - db, 0)
+    for k in range(len(a) - 1, db - 1, -1):
+        if a[k] % b[-1]:
+            return None
+        c = a[k] // b[-1]
+        if c:
+            q[k - db] = c
+            for j in range(db):
+                a[k - db + j] -= c * b[j]
+    return None if any(a[:db]) else trim(q)
 
 
 def gcd(a, b):

@@ -12,6 +12,11 @@ from . import _kernels, poly
 from .bforms import BinaryForm
 
 
+# 2 and 5 settle none of the verdict's models (5 divides the discriminant
+# 5^5 c^4 of every y^2 = x^5 + c); 3, 7 or 11 settles each of them
+_SQUAREFREE_PRIMES = (3, 7, 11, 13, 17)
+
+
 @dataclass(frozen=True)
 class HyperellipticModel:
     """y^2 = F(x) with F an integer polynomial (ascending coefficients)."""
@@ -45,8 +50,17 @@ class HyperellipticModel:
         return form.evaluate(x, 1)
 
     def _squarefree(self):
-        d = [k * i for i, k in enumerate(self.coeffs)][1:]
-        return len(poly.gcd(self.coeffs, d)) == 1
+        """Whether F is squarefree over Q.  If F = g^2 k with deg g > 0, then
+        g and k can be taken in Z[x] (Gauss's lemma), so at a prime p not
+        dividing lc(F), g keeps its degree and divides F and F' mod p.  So
+        gcd(F, F') = 1 mod p proves F squarefree; the gcd over Q decides
+        only where no prime of _SQUAREFREE_PRIMES does."""
+        F = poly.trim(map(int, self.coeffs))
+        dF = [k * c for k, c in enumerate(F)][1:]
+        for p in _SQUAREFREE_PRIMES:
+            if F[-1] % p and len(poly.gcd_mod(F, dF, p)) == 1:
+                return True
+        return len(poly.gcd(F, dF)) == 1
 
     def infinity_points(self):
         if self.degree % 2 == 1:

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from gfe25.algebra import auxiliary_field
 from gfe25.bforms import (
     BinaryForm,
+    EdwardsTriple,
     NonIntegralResult,
     Solution,
     assemble_solution,
@@ -26,8 +27,24 @@ ALL_I = list(range(1, 28))
 
 def test_syzygy_all_27():
     for i in ALL_I:
-        t = edwards_triple(i)
-        assert t.syzygy_residual().is_zero, f"triple {i} fails f^2+g^3+h^5=0"
+        assert edwards_triple(i).syzygy_holds(), \
+            f"triple {i} fails f^2+g^3+h^5=0"
+
+
+@pytest.mark.parametrize("k", [0, 5, 6, 12])
+def test_syzygy_fails_with_one_coefficient_of_h_changed(k):
+    t = edwards_triple(5)
+    coeffs = list(t.h.coeffs)
+    coeffs[k] += 1
+    bad = EdwardsTriple(5, BinaryForm(12, tuple(coeffs)), t.g, t.f)
+    assert any((bad.f**2 + bad.g**3 + bad.h**5).coeffs)
+    assert not bad.syzygy_holds()
+
+
+def test_syzygy_needs_integer_coefficients():
+    t = edwards_triple(5)
+    with pytest.raises(ValueError):
+        EdwardsTriple(5, t.h.scale(Fraction(1, 2)), t.g, t.f).syzygy_holds()
 
 
 def test_degrees():
@@ -63,7 +80,8 @@ def test_derived_forms_generic_bracket_breaks_syzygy():
     g, f = derived_forms(h)
     assert (g.degree, f.degree) == (20, 30)
     residual = f * f + g * g * g + h**5
-    assert not residual.is_zero
+    assert any(residual.coeffs)
+    assert not EdwardsTriple(0, h, g, f).syzygy_holds()
 
 
 def test_evaluate_triple_catalan():
@@ -185,6 +203,47 @@ def test_binary_resultant_over_gauss_matches_sylvester_determinant(fc, gc, dm, d
 def test_triple_identity_pointwise(i, u, v):
     f, g, h = evaluate_triple(i, u, v)
     assert f * f + g * g * g + h**5 == 0
+
+
+def _transform_reference(F, M):
+    """F(M(u, v)) expanded over Q term by term: sum_k c_k lu^k lv^(d-k) for
+    the linear forms lu, lv of M's rows."""
+    (a, b), (c, d) = M
+    lu = BinaryForm(1, (Fraction(b), Fraction(a)))
+    lv = BinaryForm(1, (Fraction(d), Fraction(c)))
+    n = F.degree
+    out = BinaryForm(n, (0,) * (n + 1))
+    for k, ck in enumerate(F.coeffs):
+        out = out + (lu**k * lv ** (n - k)).scale(ck)
+    return out
+
+
+small_fractions = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.one_of(coeff, small_fractions), min_size=1, max_size=7),
+       st.lists(small_fractions, min_size=4, max_size=4))
+def test_transform_matches_the_expansion_over_q(fc, m):
+    a, b, c, d = m
+    if a * d - b * c == 0:
+        return
+    F = BinaryForm(len(fc) - 1, tuple(fc))
+    M = ((a, b), (c, d))
+    G = transform(F, M)
+    assert G == _transform_reference(F, M)
+    for x in G.coeffs:
+        assert type(x) is (int if Fraction(x).denominator == 1 else Fraction)
+
+
+@pytest.mark.parametrize("M", [((Fraction(1, 2), 3), (Fraction(-2, 3), 1)),
+                               ((0, Fraction(1, 2)), (1, 0)),
+                               ((1, 1), (1, -1))])
+def test_transform_with_number_field_coefficients(M):
+    K = auxiliary_field("golden")
+    F = BinaryForm(3, (K.element([1, 2]), K.element([Fraction(1, 3), 0]),
+                       K.from_int(0), K.element([-5, 7], 4)))
+    assert transform(F, M) == _transform_reference(F, M)
 
 
 @settings(max_examples=40, deadline=None)

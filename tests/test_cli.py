@@ -1,5 +1,6 @@
 """Tests for the `gfe` command line: argument checks, examples and the cache."""
 
+import hashlib
 import json
 import os
 import pathlib
@@ -174,6 +175,24 @@ def test_table4_rows_and_certificates_are_pinned():
                               "certificate": {"inert_prime": TABLE4_INERT_PRIMES[i]}
                               if i in TABLE4_INERT_PRIMES else shift}]}
         for i in sorted((2, 10, 26) + tuple(TABLE4_INERT_PRIMES))]
+
+
+# sha256 of the sorted-key JSON document of the seven stages other than
+# sextic, with `seconds` removed: the digest that the benchmark's
+# verdict_rest workload prints for the same document
+NON_SEXTIC_DIGEST = \
+    "23558df0b8d970d3e2a07ec47dfe9d1dfb9131e3601c85edab498b2bf1c2e6c8"
+
+
+def test_non_sextic_document_is_pinned_by_its_digest():
+    stages = set(cli.STAGE_ORDER) - {"sextic"}
+    assert len(stages) == 7
+    doc = json.loads(cli.emit_report(cli.run_pipeline(
+        stages, {"height": None, "cache": False})))
+    for report in doc["reports"]:
+        del report["seconds"]
+    digest = hashlib.sha256(json.dumps(doc, sort_keys=True).encode())
+    assert digest.hexdigest() == NON_SEXTIC_DIGEST
 
 
 def _stub_stage(cfg):

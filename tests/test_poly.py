@@ -39,6 +39,30 @@ def test_divmod_and_gcdext_over_q(a, b):
 
 
 @settings(max_examples=200, deadline=None)
+@given(int_polys, int_polys)
+def test_quotient_z_matches_division_over_q(a, b):
+    b = poly.trim(b)
+    assume(b)
+    q, r = poly.divmod(a, b)
+    integral = all(Fr(c).denominator == 1 for c in q)
+    want = [int(c) for c in q] if integral and not r else None
+    assert poly.quotient_z(a, b) == want
+    assert poly.quotient_z(poly.mul(a, b), b) == poly.trim(a)
+
+
+def test_quotient_z_examples():
+    assert poly.quotient_z([0, 0, 1], [0, 1]) == [0, 1]
+    assert poly.quotient_z([1, 0, 1], [0, 1]) is None     # x does not divide
+    assert poly.quotient_z([3, 0, 1], [2, 1]) is None     # 2 does not divide 3
+    assert poly.quotient_z([2, 4], [1, 2]) == [2]
+    assert poly.quotient_z([1, 2], [2, 4]) is None        # 1/2 over Q only
+    assert poly.quotient_z([1, 2, 1], [1, 2, 1, 1]) is None
+    assert poly.quotient_z([], [1, 1]) == []
+    with pytest.raises(ZeroDivisionError):
+        poly.quotient_z([1], [0])
+
+
+@settings(max_examples=200, deadline=None)
 @given(int_polys, int_polys, st.sampled_from(SMALL_PRIMES),
        st.integers(1, 3))
 def test_divmod_mod_p(a, b, p, k):

@@ -31,6 +31,24 @@ def test_model_invariants():
         S.HyperellipticModel((1, 1))             # degree too small
 
 
+def test_squarefree_needs_the_gcd_over_q_only_where_no_prime_settles_it(
+        monkeypatch):
+    calls = []
+    real = poly.gcd
+    monkeypatch.setattr(poly, "gcd", lambda a, b: calls.append(a) or real(a, b))
+    S.HyperellipticModel((32000, 0, 0, 0, 0, 1))
+    assert calls == []
+    # x^5 + c is x^5 modulo each prime of c; it is squarefree over Q all the
+    # same
+    c = math.prod(S._SQUAREFREE_PRIMES)
+    S.HyperellipticModel((c, 0, 0, 0, 0, 1))
+    assert calls == [[c, 0, 0, 0, 0, 1]]
+    with pytest.raises(ValueError, match="squarefree"):
+        S.HyperellipticModel(tuple(poly.mul([c, 0, 0, 1], [c, 0, 0, 1])))
+    with pytest.raises(ValueError, match="squarefree"):
+        S.HyperellipticModel(tuple(poly.mul([1, 7, 1], [1, 7, 1]) + [0]))
+
+
 def test_points_quintic_32000():
     m = S.HyperellipticModel((32000, 0, 0, 0, 0, 1))
     pts = S.rational_points(m, 10)
